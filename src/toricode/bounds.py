@@ -22,6 +22,7 @@ from .code import (
     evaluate_section,
     min_distance_exact,
     multiply_sections,
+    search_plan,
 )
 from .decomp import DEFAULT_BUDGET, MinkowskiDecomposition, best_subpolygon_decomposition
 from .errors import (
@@ -49,7 +50,7 @@ _PAIRING_CAP = 10_000
 _RANK3_SCAN_CAP = 16
 
 # components of a decomposition are searched exhaustively only up to this
-# many normalized messages unless long runs were requested
+# many scanned orbit representatives unless long runs were requested
 _COMPONENT_SEARCH_CAP = 5_000_000
 
 
@@ -509,10 +510,10 @@ def _component_distance(part, q, cache, threads=1, deadline=None, long_runs=Fals
         if field is None:
             field = cache["__field__"] = field_from_order(q)
         code = build_code(part, field)
-        messages = (q**code.k - 1) // (q - 1)
-        if messages > _COMPONENT_SEARCH_CAP and not long_runs:
+        representatives = search_plan(code).representatives
+        if representatives > _COMPONENT_SEARCH_CAP and not long_runs:
             raise DeadlineExceeded(
-                f"component needs {messages} messages; rerun with long runs enabled"
+                f"component needs {representatives} representatives; rerun with long runs enabled"
             )
         res = min_distance_exact(code, threads=threads, deadline=deadline)
         if not res.exact:

@@ -32,6 +32,7 @@ from .decomp import DEFAULT_BUDGET, best_subpolygon_decomposition, subpolygon_de
 from .errors import (
     CoordinateOverflow,
     DegeneratePolygon,
+    DegreeMismatch,
     EmptyInput,
     FieldTooSmall,
     InvariantViolation,
@@ -45,6 +46,7 @@ from .field import field_from_order, make_field
 from .polygon import LatticePolygon
 
 _INPUT_ERRORS = (
+    DegreeMismatch,
     EmptyInput,
     FieldTooSmall,
     NonPrimeCharacteristic,

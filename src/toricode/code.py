@@ -1,16 +1,26 @@
 """Toric evaluation codes and their exact minimum distance.
 
 A code is built by evaluating the monomials of a lattice polygon at
-every point of the torus (F_q*)^2.  The distance search enumerates the
-q^k messages in generalized Gray order, so consecutive codewords
-differ by one scaled generator row; messages are normalized to leading
-coordinate 1 and split across workers by their high-order digits.
+every point of the torus (F_q*)^2.  The distance search scans one
+message per orbit of the scalars and the torus: (s, lambda, mu) sends
+the coefficient c_(a,b) to s * lambda^a * mu^b * c_(a,b), which only
+permutes and scales codeword coordinates, since f(lambda x, mu y) is f
+at other torus points.  On a frame of monomials where this action is
+onto (a unimodular triangle, two adjacent points of a segment, or the
+single point) nonzero coefficients are moved to 1, so frame
+coefficients range over {0, 1} and the rest over F_q; with a zero
+frame the rest is normalized to leading coordinate 1.  Each
+representative is weighted by the number of messages it stands for,
+and work is split into tasks by frame pattern and high-order digits.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import tempfile
@@ -20,8 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PolygonTooLargeForField, SupportOutsidePolygon, TooLarge
-from .field import FieldSpec, make_field
+from .errors import InvariantViolation, PolygonTooLargeForField, SupportOutsidePolygon, TooLarge
+from .field import FieldSpec
 from .polygon import LatticePolygon
 
 # suffix tables hold one precomputed codeword per row; these caps keep
@@ -100,12 +110,15 @@ class DistanceResult:
     """Outcome of a distance search.
 
     weight is exact when the enumeration finished; under a deadline it
-    is the best upper bound seen so far.
+    is the best upper bound seen so far.  enumerated counts the
+    normalized messages (leading coordinate 1) covered, representatives
+    the orbit representatives actually scanned.
     """
 
     weight: int
     exact: bool
     enumerated: int
+    representatives: int = dataclasses.field(default=0, compare=False)
 
 
 class ToricCode:
@@ -144,37 +157,13 @@ class ToricCode:
         )
 
 
-def _rank(matrix: np.ndarray, field: FieldSpec) -> int:
-    """Rank over F_q by Gaussian elimination on a copy."""
-    rows = [r.copy() for r in matrix]
-    k = len(rows)
-    n = rows[0].shape[0] if k else 0
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, k) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(int(rows[rank][col]))
-        rows[rank] = field.scale_np(rows[rank], inv)
-        for r in range(rank + 1, k):
-            f = int(rows[r][col])
-            if f:
-                rows[r] = field.add_np(
-                    rows[r], field.neg_np(field.scale_np(rows[rank], f))
-                )
-        rank += 1
-        if rank == k:
-            break
-    return rank
-
-
 def build_code(polygon: LatticePolygon, field: FieldSpec) -> ToricCode:
     """Evaluate the polygon's monomials on the torus of the field.
 
     The polygon may sit anywhere in the plane; it is translated into
     [0, q-2]^2 first so all monomial exponent pairs are distinct mod
-    q-1.  The rank of the generator matrix is verified to equal #(P).
+    q-1.  Distinct pairs are distinct characters of the torus group,
+    hence linearly independent, so the generator matrix has rank #(P).
     """
     q = field.q
     shift = polygon.fits_in_box(q)
@@ -196,9 +185,9 @@ def build_code(polygon: LatticePolygon, field: FieldSpec) -> ToricCode:
         logs = (i_idx * m1 + j_idx * m2) % qm
         log_generator[r] = logs
         generator[r] = field.exp_np[logs]
-    code = ToricCode(placed, field, shift, monomials, generator, log_generator)
-    assert _rank(generator, field) == k, "monomial evaluations are dependent"
-    return code
+    if len({(m1 % qm, m2 % qm) for m1, m2 in monomials}) != k:
+        raise InvariantViolation("monomial exponents collide mod q-1; the rows are dependent")
+    return ToricCode(placed, field, shift, monomials, generator, log_generator)
 
 
 def weight_of_section(s: SectionPoly, code: ToricCode) -> int:
@@ -214,27 +203,30 @@ def weight_of_section(s: SectionPoly, code: ToricCode) -> int:
     return code.n - zeros
 
 
-# -- exhaustive distance search ------------------------------------------------
+# -- orbit-reduced distance search --------------------------------------------
 
 
-def _gray_steps(radix, width):
-    """Single-digit steps visiting all radix^width tuples.
+def _frame(monomials, dim):
+    """Positions of the frame monomials, the first choice in monomial order.
 
-    Yields (position, delta) pairs with delta +-1; an odometer whose
-    digits reverse direction instead of wrapping.
+    A unimodular triangle on a polygon, two lattice-adjacent points on a
+    segment, the single point otherwise.  The scalar g^u and the torus
+    point (g^s, g^t) add u + s*a + t*b to the discrete log of the
+    coefficient of monomial (a, b).  On these frames the map from
+    (u, s, t) to the frame's log shifts is onto mod q-1, so any nonzero
+    frame coefficients can be moved to 1.
     """
-    digits = [0] * width
-    dirs = [1] * width
-    while True:
-        for i in range(width):
-            nd = digits[i] + dirs[i]
-            if 0 <= nd < radix:
-                digits[i] = nd
-                yield i, dirs[i]
-                break
-            dirs[i] = -dirs[i]
-        else:
-            return
+    if dim == 2:
+        for trio in itertools.combinations(range(len(monomials)), 3):
+            (a0, b0), (a1, b1), (a2, b2) = (monomials[i] for i in trio)
+            if abs((a1 - a0) * (b2 - b0) - (a2 - a0) * (b1 - b0)) == 1:
+                return trio
+    if dim >= 1:
+        for pair in itertools.combinations(range(len(monomials)), 2):
+            (a0, b0), (a1, b1) = (monomials[i] for i in pair)
+            if math.gcd(a1 - a0, b1 - b0) == 1:
+                return pair
+    return (0,)
 
 
 def _suffix_rows_cap(field, n):
@@ -244,11 +236,12 @@ def _suffix_rows_cap(field, n):
     return cap
 
 
-def _suffix_depth(field, k, n):
+def _suffix_depth(field, rows, n):
+    """Largest number of trailing rows whose q^depth codewords fit the table."""
     q = field.q
     cap = _suffix_rows_cap(field, n)
     t = 0
-    while t < k - 1 and q ** (t + 1) <= cap:
+    while t < rows and q ** (t + 1) <= cap:
         t += 1
     return t
 
@@ -272,73 +265,175 @@ def _build_suffix_table(field, log_generator, depth):
     return table
 
 
-class _SearchContext:
-    """Per-process state for distance tasks."""
+def _task_list(q, f, rest, depth):
+    """(mask, lead, pin) slices whose representatives stand for every nonzero message once.
 
-    def __init__(self, p, e, modulus, log_generator, depth):
-        self.field = make_field(p, e, modulus)
-        self.log_generator = log_generator
-        self.k, self.n = log_generator.shape
+    mask > 0 sets coefficient 1 on the frame positions of its bits and 0
+    on the others, leaving all `rest` other rows over F_q.  mask == 0
+    leaves the frame zero and normalizes the other rows instead: row
+    `lead` among them is the first nonzero one, fixed to 1.  When rows
+    remain free beyond the suffix table, pin gives the coefficient of
+    the first of them, so workers partition by high-order digits.
+    """
+    tasks = []
+    slices = [(mask, None, rest) for mask in range(1, 1 << f)]
+    slices += [(0, h, rest - 1 - h) for h in range(rest)]
+    for mask, lead, free in slices:
+        if free > depth:
+            tasks.extend((mask, lead, v) for v in range(q))
+        else:
+            tasks.append((mask, lead, None))
+    return tuple(tasks)
+
+
+def _odometer(q, width):
+    """Increments of a counter through all q^width tuples of element codes.
+
+    Each item lists the (position, old, new) digit changes of one
+    increment; digit 0 runs fastest through 0, 1, ..., q-1 and carries
+    like a counter, so every digit takes every value of F_q.
+    """
+    digits = [0] * width
+    for _ in range(q**width - 1):
+        changes = []
+        i = 0
+        while digits[i] == q - 1:
+            changes.append((i, q - 1, 0))
+            digits[i] = 0
+            i += 1
+        changes.append((i, digits[i], digits[i] + 1))
+        digits[i] += 1
+        yield changes
+
+
+@dataclass(frozen=True)
+class SearchPlan:
+    """How the distance search covers the q^k - 1 nonzero messages.
+
+    The frame coefficients range over {0, 1} and the other rows over
+    F_q.  A task whose mask has s bits scans representatives that each
+    stand for (q-1)^s messages, that is (q-1)^(s-1) normalized ones; the
+    mask-0 tasks scan normalized messages directly.
+    """
+
+    q: int
+    frame: tuple
+    rest: tuple
+    depth: int
+    tasks: tuple
+
+    def rows(self, task) -> int:
+        """Representatives the task scans."""
+        _, lead, pin = task
+        free = len(self.rest) - (0 if lead is None else lead + 1)
+        return self.q ** (free - (pin is not None))
+
+    def weight(self, task) -> int:
+        """Normalized messages each representative of the task stands for."""
+        mask = task[0]
+        return (self.q - 1) ** (bin(mask).count("1") - 1) if mask else 1
+
+    @property
+    def representatives(self) -> int:
+        return sum(self.rows(t) for t in self.tasks)
+
+
+def search_plan(code: ToricCode) -> SearchPlan:
+    """The frame, suffix depth and task list the distance search uses."""
+    frame = _frame(code.monomials, code.polygon.dim)
+    rest = tuple(r for r in range(code.k) if r not in frame)
+    depth = _suffix_depth(code.field, len(rest), code.n)
+    tasks = _task_list(code.field.q, len(frame), len(rest), depth)
+    return SearchPlan(code.field.q, frame, rest, depth, tasks)
+
+
+class _SearchContext:
+    """Per-process state for distance tasks.
+
+    log_rows holds the generator rows in search order: the f frame rows
+    first, then the other rows, the last `depth` of which make up the
+    suffix table.
+    """
+
+    def __init__(self, field, log_rows, f, depth):
+        self.field = field
+        self.log_rows = log_rows
+        self.k, self.n = log_rows.shape
+        self.f = f
         self.depth = depth
-        self.suffix = _build_suffix_table(self.field, log_generator, depth)
-        self.row_step = {}
-        for r in range(self.k):
-            plus = self.field.exp_np[log_generator[r]]
-            self.row_step[(r, 1)] = plus
-            self.row_step[(r, -1)] = self.field.neg_np(plus)
+        self.suffix = _build_suffix_table(self.field, log_rows, depth)
         self.match_buf = np.empty(self.suffix.shape, dtype=bool)
+        # zero counts are at most n; the narrowest dtype keeps the row sum cheap
+        self.count_dtype = np.min_scalar_type(self.n)
+
+    def row(self, r, c):
+        """c times generator row r, for nonzero c."""
+        return self.field.exp_np[self.log_rows[r] + self.field.log_table[c]]
+
+    def layout(self, task):
+        """Fixed (row, coefficient) pairs, walked rows and table depth of a task."""
+        mask, lead, pin = task
+        fixed = [(b, 1) for b in range(self.f) if mask >> b & 1]
+        start = self.f
+        if lead is not None:
+            fixed.append((start + lead, 1))
+            start += lead + 1
+        depth = min(self.k - start, self.depth)
+        walked = list(range(start, self.k - depth))
+        if pin is not None:
+            r = walked.pop(0)
+            if pin:
+                fixed.append((r, pin))
+        return fixed, walked, depth
+
+    def bases(self, fixed, walked):
+        """Codewords of the fixed rows plus every coefficient choice on the walked rows.
+
+        Each step adds (new - old) times the changed rows, so every
+        element of F_q is reached on every walked row, prime or not.
+        """
+        field = self.field
+        base = np.zeros(self.n, dtype=field.dtype)
+        for r, c in fixed:
+            base = field.add_np(base, self.row(r, c))
+        yield base
+        for changes in _odometer(field.q, len(walked)):
+            for i, old, new in changes:
+                base = field.add_np(base, self.row(walked[i], field.sub(new, old)))
+            yield base
 
     def run_task(self, task, deadline, want_hist):
-        """Scan one (h, v) slice of the normalized message space.
+        """Scan the representatives of one task.
 
-        Returns (max zeros seen or zero-count histogram, rows scanned,
-        completed flag).
+        Returns (max zeros seen or zero-count histogram, representatives
+        scanned, completed flag).
         """
-        h, v = task
-        field, q, k, n = self.field, self.field.q, self.k, self.n
-        free = k - 1 - h
-        depth = min(free, self.depth)
-        table = self.suffix[: q**depth]
-        buf = self.match_buf[: q**depth]
-        base = field.exp_np[self.log_generator[h]].copy()
-        walked = free - depth
-        if v is not None:
-            base = field.add_np(base, field.scale_np(self.generator_row(h + 1), v))
-            walked -= 1
-        hist = np.zeros(n + 1, dtype=np.int64) if want_hist else None
+        fixed, walked, depth = self.layout(task)
+        table = self.suffix[: self.field.q**depth]
+        buf = self.match_buf[: table.shape[0]].view(np.uint8)
+        hist = np.zeros(self.n + 1, dtype=np.int64) if want_hist else None
         best = 0
         scanned = 0
-        # Gray digit i drives generator row k-1-depth-i
-        steps = _gray_steps(q, walked) if walked else iter(())
-        while True:
-            target = field.neg_np(base)
-            np.equal(table, target[None, :], out=buf)
-            counts = np.count_nonzero(buf, axis=1)
+        for base in self.bases(fixed, walked):
+            # base + table row vanishes exactly where the row equals -base
+            np.equal(table, self.field.neg_np(base)[None, :], out=buf.view(bool))
+            counts = buf.sum(axis=1, dtype=self.count_dtype)
             scanned += table.shape[0]
             if want_hist:
-                hist += np.bincount(counts, minlength=n + 1)
+                hist += np.bincount(counts, minlength=self.n + 1)
             else:
-                m = int(counts.max())
-                if m > best:
-                    best = m
-            if deadline is not None and time.time() > deadline:
+                best = max(best, int(counts.max()))
+            if deadline is not None and time.monotonic() > deadline:
                 return (hist if want_hist else best), scanned, False
-            step = next(steps, None)
-            if step is None:
-                return (hist if want_hist else best), scanned, True
-            pos, delta = step
-            base = field.add_np(base, self.row_step[(k - 1 - depth - pos, delta)])
-
-    def generator_row(self, r):
-        return self.field.exp_np[self.log_generator[r]]
+        return (hist if want_hist else best), scanned, True
 
 
 _WORKER_CTX: _SearchContext | None = None
 
 
-def _worker_init(p, e, modulus, log_generator, depth):
+def _worker_init(*ctx_args):
     global _WORKER_CTX
-    _WORKER_CTX = _SearchContext(p, e, modulus, log_generator, depth)
+    _WORKER_CTX = _SearchContext(*ctx_args)
 
 
 def _worker_run(args):
@@ -347,69 +442,80 @@ def _worker_run(args):
     return task, result, scanned, completed
 
 
-def _task_list(q, k, depth):
-    """(h, v) slices covering every normalized message exactly once.
-
-    h is the leading nonzero coordinate (fixed to 1); when more than
-    depth coordinates remain free, the next digit v is pinned per task
-    so workers partition by high-order digits.
-    """
-    tasks = []
-    for h in range(k):
-        free = k - 1 - h
-        if free - min(free, depth) >= 1:
-            tasks.extend((h, v) for v in range(q))
-        else:
-            tasks.append((h, None))
-    return tasks
-
-
-def _checkpoint_key(code: ToricCode, want_hist: bool) -> str:
+def _checkpoint_key(code: ToricCode, plan: SearchPlan, want_hist: bool) -> str:
     payload = json.dumps(
         {
             "q": code.field.q,
             "modulus": list(code.field.modulus),
             "vertices": [list(v) for v in code.polygon.vertices],
             "mode": "hist" if want_hist else "min",
+            "frame": list(plan.frame),
+            "depth": plan.depth,
+            "tasks": [list(t) for t in plan.tasks],
         },
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _load_checkpoint(path, key, n, want_hist):
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0
+
+
+def _load_checkpoint(path, key, plan, n, want_hist):
+    """Saved state of the same search, or None to start fresh.
+
+    A file that cannot be read, belongs to another search or does not
+    hold well-typed state for this plan's tasks is ignored.
+    """
     if not path or not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError):
         return None
-    if data.get("key") != key:
+    if not isinstance(data, dict) or data.get("key") != key:
         return None
-    state = {
-        "done": {tuple(t) if t[1] is not None else (t[0], None) for t in map(tuple, data["done"])},
-        "scanned": int(data["scanned"]),
-    }
-    if want_hist:
-        state["hist"] = np.array(data["hist"], dtype=np.int64)
-        if state["hist"].shape != (n + 1,):
+    done, scanned = data.get("done"), data.get("scanned")
+    if not isinstance(done, list) or not _is_count(scanned):
+        return None
+    tasks = set(plan.tasks)
+    state = {"done": set()}
+    for entry in done:
+        if not isinstance(entry, list) or not all(x is None or type(x) is int for x in entry):
             return None
+        task = tuple(entry)
+        if task not in tasks:
+            return None
+        state["done"].add(task)
+    # the count must be what the completed tasks cover
+    if scanned != sum(plan.rows(t) * plan.weight(t) for t in state["done"]):
+        return None
+    state["scanned"] = scanned
+    if want_hist:
+        hist = data.get("hist")
+        if not isinstance(hist, list) or len(hist) != n + 1 or not all(map(_is_count, hist)):
+            return None
+        state["hist"] = np.array(hist, dtype=np.int64)
     else:
-        state["best"] = int(data["best"])
+        best = data.get("best")
+        if not _is_count(best) or best > n:
+            return None
+        state["best"] = best
     return state
 
 
-def _save_checkpoint(path, key, done, scanned, best, hist):
+def _save_checkpoint(path, key, done, scanned, result, want_hist):
     data = {
         "key": key,
-        "done": [[h, v] for h, v in sorted(done, key=lambda t: (t[0], -1 if t[1] is None else t[1]))],
+        "done": sorted((list(t) for t in done), key=lambda t: [-1 if x is None else x for x in t]),
         "scanned": scanned,
     }
-    if hist is not None:
-        data["hist"] = [int(x) for x in hist]
+    if want_hist:
+        data["hist"] = [int(x) for x in result]
     else:
-        data["best"] = best
+        data["best"] = result
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -421,58 +527,79 @@ def _save_checkpoint(path, key, done, scanned, best, hist):
         raise
 
 
+@dataclass
+class _Outcome:
+    result: object  # max zero count, or the zero-count histogram in normalized messages
+    scanned: int  # normalized messages covered
+    representatives: int
+    completed: bool
+
+
 def _enumerate(code, threads, deadline_s, checkpoint, want_hist):
-    field = code.field
-    q, k, n = field.q, code.k, code.n
-    depth = _suffix_depth(field, k, n)
-    tasks = _task_list(q, k, depth)
-    key = _checkpoint_key(code, want_hist)
-    state = _load_checkpoint(checkpoint, key, n, want_hist)
-    done = set(state["done"]) if state else set()
-    scanned = state["scanned"] if state else 0
-    best = state.get("best", 0) if state else 0
-    hist = state["hist"] if (state and want_hist) else (
-        np.zeros(n + 1, dtype=np.int64) if want_hist else None
+    n = code.n
+    plan = search_plan(code)
+    key = _checkpoint_key(code, plan, want_hist)
+    state = _load_checkpoint(checkpoint, key, plan, n, want_hist) or {
+        "done": set(), "scanned": 0, "best": 0, "hist": np.zeros(n + 1, dtype=np.int64)
+    }
+    done = state["done"]
+    out = _Outcome(
+        state["hist"] if want_hist else state["best"],
+        state["scanned"],
+        sum(plan.rows(t) for t in done),
+        True,
     )
-    pending = [t for t in tasks if t not in done]
-    deadline = time.time() + deadline_s if deadline_s is not None else None
-    completed_all = True
+    # what the completed tasks cover; a stopped task's rows are rescanned on resume
+    saved = out.scanned
+    pending = [t for t in plan.tasks if t not in done]
+    deadline = time.monotonic() + deadline_s if deadline_s is not None else None
 
     def absorb(task, result, rows, completed):
-        nonlocal best, scanned, completed_all, hist
-        scanned += rows
+        nonlocal saved
+        w = plan.weight(task)
+        out.scanned += rows * w
+        out.representatives += rows
         if want_hist:
-            hist = hist + result
-        elif result > best:
-            best = result
+            out.result = out.result + result * w
+        else:
+            out.result = max(out.result, result)
         if completed:
             done.add(task)
+            saved += rows * w
             if checkpoint:
-                _save_checkpoint(checkpoint, key, done, scanned, best, hist)
+                _save_checkpoint(checkpoint, key, done, saved, out.result, want_hist)
         else:
-            completed_all = False
+            out.completed = False
 
+    log_rows = code.log_generator[list(plan.frame + plan.rest)]
+    ctx_args = (code.field, log_rows, len(plan.frame), plan.depth)
     if threads <= 1 or len(pending) <= 1:
-        ctx = _SearchContext(field.p, field.e, field.modulus, code.log_generator, depth)
+        ctx = _SearchContext(*ctx_args)
         for task in pending:
-            if deadline is not None and time.time() > deadline:
-                completed_all = False
+            if deadline is not None and time.monotonic() > deadline:
+                out.completed = False
                 break
-            result, rows, ok = ctx.run_task(task, deadline, want_hist)
-            absorb(task, result, rows, ok)
+            absorb(task, *ctx.run_task(task, deadline, want_hist))
     else:
-        init_args = (field.p, field.e, field.modulus, code.log_generator, depth)
-        with multiprocessing.Pool(threads, _worker_init, init_args) as pool:
+        with multiprocessing.Pool(threads, _worker_init, ctx_args) as pool:
             jobs = [(t, deadline, want_hist) for t in pending]
             for task, result, rows, ok in pool.imap_unordered(_worker_run, jobs):
                 absorb(task, result, rows, ok)
-                if deadline is not None and time.time() > deadline:
-                    completed_all = False
+                if deadline is not None and time.monotonic() > deadline:
+                    out.completed = False
                     pool.terminate()
                     break
-    if pending and completed_all:
-        completed_all = all(t in done for t in tasks)
-    return (hist if want_hist else best), scanned, completed_all
+    if out.completed:
+        out.completed = all(t in done for t in plan.tasks)
+    return out
+
+
+def _check_coverage(scanned, q, k):
+    if scanned != (q**k - 1) // (q - 1):
+        raise InvariantViolation(
+            f"search covered {scanned} normalized messages, expected (q^k - 1)/(q - 1) "
+            f"for q = {q}, k = {k}"
+        )
 
 
 def min_distance_exact(
@@ -483,20 +610,18 @@ def min_distance_exact(
 ) -> DistanceResult:
     """Minimum Hamming weight over all nonzero codewords.
 
-    Scalar multiples share a weight, so only messages with leading
-    coordinate 1 are enumerated: (q^k - 1)/(q - 1) of them.  When the
-    deadline cuts the run short the result carries exact=False and the
-    smallest weight seen, which is still a valid upper bound.
+    One representative per orbit of the scalars and the torus is
+    scanned (see search_plan); `enumerated` counts the normalized
+    messages they cover, (q^k - 1)/(q - 1) when the search finished.
+    When the deadline cuts the run short the result carries exact=False
+    and the smallest weight seen, which is still a valid upper bound.
     """
     if code._distance is not None:
         return code._distance
-    best_zeros, scanned, completed = _enumerate(
-        code, threads, deadline, checkpoint, want_hist=False
-    )
-    result = DistanceResult(code.n - best_zeros, completed, scanned)
-    if completed:
-        q = code.field.q
-        assert scanned == (q**code.k - 1) // (q - 1)
+    out = _enumerate(code, threads, deadline, checkpoint, want_hist=False)
+    result = DistanceResult(code.n - out.result, out.completed, out.scanned, out.representatives)
+    if out.completed:
+        _check_coverage(out.scanned, code.field.q, code.k)
         code._distance = result
     return result
 
@@ -506,11 +631,12 @@ def weight_distribution(code: ToricCode, threads: int = 1) -> dict[int, int]:
     q, k, n = code.field.q, code.k, code.n
     if q**k > 10**8:
         raise TooLarge(f"q^k = {q}^{k} codewords exceed the enumeration guard")
-    hist, scanned, completed = _enumerate(code, threads, None, None, want_hist=True)
-    assert completed and scanned == (q**k - 1) // (q - 1)
+    out = _enumerate(code, threads, None, None, want_hist=True)
+    _check_coverage(out.scanned, q, k)
     dist = {0: 1}
-    for zeros, cnt in enumerate(hist):
+    for zeros, cnt in enumerate(out.result):
         if cnt:
             dist[n - zeros] = dist.get(n - zeros, 0) + int(cnt) * (q - 1)
-    assert sum(dist.values()) == q**k
+    if sum(dist.values()) != q**k:
+        raise InvariantViolation(f"weight distribution sums to {sum(dist.values())}, not q^k")
     return dict(sorted(dist.items()))

@@ -1,13 +1,16 @@
 import json
+import os
 import random
 
 import pytest
 
 from toricode.bounds import (
+    _COMPONENT_SEARCH_CAP,
     BoundEntry,
     LowerBound,
     MaxZeroResult,
     _check_consistency,
+    _component_distance,
     certified_upper_bound,
     d_full_triangle,
     d_hirzebruch,
@@ -21,7 +24,7 @@ from toricode.bounds import (
     rank3_family_distance,
     upper_bound_from_decomposition,
 )
-from toricode.code import build_code, min_distance_exact, weight_of_section
+from toricode.code import build_code, min_distance_exact, search_plan, weight_of_section
 from toricode.decomp import MinkowskiDecomposition, best_subpolygon_decomposition
 from toricode.errors import (
     FieldTooSmall,
@@ -434,6 +437,28 @@ def test_report_product_entries_deduplicated():
     assert [e.value for e in prods] == [33, 35]
     assert all(not e.applicable for e in prods)
     assert all(e.witness is not None for e in prods)
+
+
+def test_component_cap_counts_representatives():
+    # Q1 over F256 has far more normalized messages than the cap, but its
+    # search scans one representative per orbit, well under it
+    code = build_code(Q1, field_from_order(256))
+    assert (256**code.k - 1) // 255 > _COMPONENT_SEARCH_CAP
+    assert search_plan(code).representatives <= _COMPONENT_SEARCH_CAP
+    value = _component_distance(Q1, 256, {})
+    assert value == min_distance_exact(code).weight
+    assert 0 < value < 255**2
+
+
+@pytest.mark.skipif(
+    not os.environ.get("TORICODE_LONG"),
+    reason="set TORICODE_LONG=1 to run the bound report over F256 (about 20 s)",
+)
+def test_report_pentagon_f256_keeps_component_entries():
+    rep = full_report(P54, field_from_order(256))
+    names = {e.name for e in rep.entries}
+    assert "decomposition-lower" in names
+    assert any(name.startswith("product-bound") for name in names)
 
 
 def test_report_point_and_segment():

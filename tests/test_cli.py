@@ -128,6 +128,16 @@ def test_reducible_modulus_exits_2(capsys, tmp_path):
     assert status == 2
 
 
+def test_modulus_of_wrong_degree_exits_2(capsys, tmp_path):
+    path = polygon_file(tmp_path, [[0, 0], [1, 0], [0, 1]])
+    status = main(["code", "--polygon", path, "--q", "8", "--modulus", "1,1"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "degree 3" in captured.err
+
+
 def test_oversized_coordinates_exit_3(capsys, tmp_path):
     path = polygon_file(tmp_path, [[0, 0], [2**40, 0], [0, 1]])
     assert run(capsys, "info", "--polygon", path)[0] == 3
@@ -213,7 +223,8 @@ def test_mindist_thread_count_does_not_change_bytes(capsys, tmp_path):
 
 
 def test_mindist_deadline_is_reported_honestly(capsys, tmp_path):
-    path = polygon_file(tmp_path, HEXAGON)
+    # the skew triangle over F8 needs seconds, far past the deadline
+    path = polygon_file(tmp_path, SKEW_TRIANGLE)
     status, out = run(capsys, "mindist", "--polygon", path, "--q", "8",
                       "--deadline", "0.01")
     assert status == 0
@@ -226,13 +237,14 @@ def test_mindist_deadline_is_reported_honestly(capsys, tmp_path):
 def test_mindist_checkpoint_resume(capsys, tmp_path):
     path = polygon_file(tmp_path, HEXAGON)
     ckpt = str(tmp_path / "state.json")
-    run(capsys, "mindist", "--polygon", path, "--q", "8",
+    # the hexagon over F9 takes several times the deadline
+    run(capsys, "mindist", "--polygon", path, "--q", "9",
         "--deadline", "0.05", "--checkpoint", ckpt)
-    status, out = run(capsys, "mindist", "--polygon", path, "--q", "8",
+    status, out = run(capsys, "mindist", "--polygon", path, "--q", "9",
                       "--checkpoint", ckpt)
     assert status == 0
     payload = json.loads(out)
-    assert payload["d"] == 28 and payload["exact"]
+    assert payload["d"] == 42 and payload["exact"]
 
 
 # -- bounds ------------------------------------------------------------------------

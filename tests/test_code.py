@@ -1,22 +1,35 @@
+import hashlib
+import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
+from toricode import code as code_module
 from toricode.code import (
     DistanceResult,
     SectionPoly,
     _build_suffix_table,
-    _gray_steps,
-    _rank,
+    _checkpoint_key,
+    _load_checkpoint,
+    _odometer,
+    _save_checkpoint,
+    _SearchContext,
     build_code,
     count_torus_zeros,
     min_distance_exact,
     multiply_sections,
+    search_plan,
     weight_distribution,
     weight_of_section,
 )
-from toricode.errors import PolygonTooLargeForField, SupportOutsidePolygon, TooLarge
+from toricode.errors import (
+    InvariantViolation,
+    PolygonTooLargeForField,
+    SupportOutsidePolygon,
+    TooLarge,
+)
 from toricode.field import field_from_order
 from toricode.polygon import LatticePolygon
 
@@ -26,6 +39,63 @@ Q1 = LatticePolygon([(0, 0), (2, 1), (1, 2)])
 SKEW_TRIANGLE = LatticePolygon([(0, 0), (1, 4), (4, 1)])
 
 WRAPPED_SECTION = SectionPoly({(1, 0): 1, (3, 3): 1, (0, 2): 1})
+
+
+def _rank(matrix, field):
+    """Rank over F_q by Gaussian elimination on a copy; the oracle for build_code."""
+    rows = [r.copy() for r in matrix]
+    k = len(rows)
+    n = rows[0].shape[0] if k else 0
+    rank = 0
+    for col in range(n):
+        piv = next((r for r in range(rank, k) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(int(rows[rank][col]))
+        rows[rank] = field.scale_np(rows[rank], inv)
+        for r in range(rank + 1, k):
+            f = int(rows[r][col])
+            if f:
+                rows[r] = field.add_np(
+                    rows[r], field.neg_np(field.scale_np(rows[rank], f))
+                )
+        rank += 1
+        if rank == k:
+            break
+    return rank
+
+
+def brute_distribution(code):
+    """Weight distribution from every message with leading coefficient 1.
+
+    Codewords come from the generator rows through the field's own
+    multiplication and negation tables; each message stands for its
+    q - 1 scalar multiples.
+    """
+    f, q, k, n = code.field, code.field.q, code.k, code.n
+    mul = np.array([[f.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
+    neg = np.array([f.neg(a) for a in range(q)], dtype=np.int64)
+    add = np.array([[f.add(a, b) for b in range(q)] for a in range(q)], dtype=np.int64)
+    rows = code.generator.astype(np.int64)
+    dist = {0: 1}
+    for lead in range(k):
+        # up to four trailing rows at once, the others one message at a time
+        split = max(lead + 1, k - 4)
+        outer, inner = range(lead + 1, split), range(split, k)
+        table = np.zeros((1, n), dtype=np.int64)
+        for r in inner:
+            table = add[table[:, None, :], mul[:, rows[r]][None]].reshape(-1, n)
+        for coeffs in itertools.product(range(q), repeat=len(outer)):
+            word = rows[lead]
+            for r, c in zip(outer, coeffs):
+                word = add[word, mul[c][rows[r]]]
+            # word + table row is zero where the row equals -word
+            weights = n - np.count_nonzero(table == neg[word][None, :], axis=1)
+            for w, cnt in enumerate(np.bincount(weights, minlength=n + 1)):
+                if cnt:
+                    dist[w] = dist.get(w, 0) + int(cnt) * (q - 1)
+    return dict(sorted(dist.items()))
 
 
 def x_minus(field, a):
@@ -242,27 +312,48 @@ def test_deadline_returns_upper_bound():
 
 
 def test_checkpoint_resume(tmp_path):
+    # the hexagon over F9 takes several times the deadline
     path = str(tmp_path / "search.json")
-    code = build_code(HEX9, field_from_order(8))
-    first = min_distance_exact(code, deadline=0.25, checkpoint=path)
-    code2 = build_code(HEX9, field_from_order(8))
+    code = build_code(HEX9, field_from_order(9))
+    first = min_distance_exact(code, deadline=0.05, checkpoint=path)
+    code2 = build_code(HEX9, field_from_order(9))
     second = min_distance_exact(code2, checkpoint=path)
-    assert second.exact and second.weight == 28
-    assert second.enumerated == (8**9 - 1) // 7
+    assert second.exact and second.weight == 42
+    assert second.enumerated == (9**9 - 1) // 8
     if not first.exact:
         assert first.enumerated < second.enumerated
 
 
-def test_gray_steps_cover_all_tuples():
-    for radix, width in ((2, 4), (3, 3), (5, 2)):
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_outer_walk_reaches_every_element(q):
+    for width in (1, 2, 3):
         digits = [0] * width
         seen = {tuple(digits)}
-        for pos, delta in _gray_steps(radix, width):
-            assert delta in (-1, 1)
-            digits[pos] += delta
-            assert 0 <= digits[pos] < radix
+        for changes in _odometer(q, width):
+            for i, old, new in changes:
+                assert digits[i] == old
+                digits[i] = new
             seen.add(tuple(digits))
-        assert len(seen) == radix**width
+        assert len(seen) == q**width
+    # with no suffix table every other row is walked: frame row 0 set,
+    # the three rows outside the frame over all of F_q
+    f = field_from_order(q)
+    code = build_code(LatticePolygon([(0, 0), (2, 0), (0, 1), (2, 1)]), f)
+    plan = search_plan(code)
+    assert len(plan.frame) == 3 and len(plan.rest) == 3
+    rows = code.log_generator[list(plan.frame + plan.rest)]
+    ctx = _SearchContext(f, rows, 3, 0)
+    fixed, walked, depth = ctx.layout((1, None, None))
+    assert depth == 0 and len(walked) == 3
+    words = [bytes(w) for w in ctx.bases(fixed, walked)]
+    expected = set()
+    for coeffs in itertools.product(range(q), repeat=3):
+        msg = [0] * code.k
+        msg[plan.frame[0]] = 1
+        for r, c in zip(plan.rest, coeffs):
+            msg[r] = c
+        expected.add(bytes(code.evaluate_message(msg)))
+    assert len(words) == q**3 and set(words) == expected
 
 
 def test_suffix_table_matches_messages():
@@ -282,3 +373,173 @@ def test_rank_detects_dependence():
     g = code.generator
     stacked = np.vstack([g, g[0:1]])
     assert _rank(stacked, f) == code.k
+
+
+def test_generator_rank_equals_point_count():
+    for poly, q in ((HEX9, 5), (HEX9, 8), (P54, 7), (SKEW_TRIANGLE, 9),
+                    (LatticePolygon([(0, 0), (2, 0)]), 4), (LatticePolygon([(1, 1)]), 3)):
+        code = build_code(poly, field_from_order(q))
+        assert _rank(code.generator, code.field) == code.k == poly.num_lattice_points
+
+
+BOX31 = LatticePolygon([(0, 0), (3, 0), (0, 1), (3, 1)])
+SEGMENT7 = LatticePolygon([(0, 0), (7, 0)])
+
+
+@pytest.mark.parametrize(
+    "poly, q", [(BOX31, 8), (BOX31, 9), (SEGMENT7, 9), (P54, 9)],
+    ids=["box31-F8", "box31-F9", "segment7-F9", "pentagon-F9"],
+)
+def test_weight_distribution_matches_brute_force_nonprime(poly, q):
+    code = build_code(poly, field_from_order(q))
+    assert weight_distribution(code) == brute_distribution(code)
+
+
+def _random_code(rng, q):
+    span = min(q - 2, 3)
+    while True:
+        pts = [(rng.randint(0, span), rng.randint(0, span)) for _ in range(rng.randint(1, 4))]
+        poly = LatticePolygon(pts)
+        if q**poly.num_lattice_points <= 200_000:
+            return build_code(poly, field_from_order(q))
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["suffix-table", "all-walked"])
+def test_engine_matches_brute_force(walk, monkeypatch):
+    if walk:
+        # a one-row table leaves every row outside the frame to the walk
+        monkeypatch.setattr(code_module, "_SUFFIX_ROWS_CHAR2", 1)
+        monkeypatch.setattr(code_module, "_SUFFIX_ROWS_ODD", 1)
+    rng = random.Random(31005)
+    codes = [
+        build_code(LatticePolygon([(2, 1)]), field_from_order(7)),
+        build_code(LatticePolygon([(0, 0), (3, 0)]), field_from_order(8)),
+        build_code(Q1, field_from_order(9)),
+    ]
+    codes += [_random_code(rng, q) for q in (3, 4, 5, 7, 8, 9) for _ in range(4)]
+    frames = set()
+    for code in codes:
+        plan = search_plan(code)
+        frames.add(len(plan.frame))
+        dist = brute_distribution(code)
+        assert weight_distribution(code) == dist
+        res = min_distance_exact(code)
+        assert res.exact and res.weight == min(w for w in dist if w)
+        assert res.representatives == plan.representatives
+    assert frames == {1, 2, 3}
+
+
+
+
+def _first_task_checkpoint(path, code, **override):
+    """A checkpoint of the min search with its first task done, fields overridable."""
+    plan = search_plan(code)
+    task = plan.tasks[0]
+    key = _checkpoint_key(code, plan, False)
+    _save_checkpoint(path, key, {task}, plan.rows(task) * plan.weight(task), 3, False)
+    with open(path) as fh:
+        data = json.load(fh)
+    for name, value in override.items():
+        if value is None:
+            del data[name]
+        else:
+            data[name] = value
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    return plan, key
+
+
+def test_checkpoint_state_is_loaded(tmp_path):
+    path = str(tmp_path / "search.json")
+    code = build_code(HEX9, field_from_order(8))
+    plan, key = _first_task_checkpoint(path, code)
+    state = _load_checkpoint(path, key, plan, code.n, False)
+    assert state["done"] == {plan.tasks[0]} and state["best"] == 3
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"scanned": None},
+        {"done": None},
+        {"best": None},
+        {"scanned": "12"},
+        {"scanned": 1},
+        {"done": [[1, "x", None]]},
+        {"done": {"a": 1}},
+        {"done": [[99, None, None]]},
+        {"best": -1},
+        {"best": 1.5},
+    ],
+    ids=["no-scanned", "no-done", "no-best", "str-scanned", "wrong-scanned",
+         "str-task", "dict-done", "foreign-task", "negative-best", "float-best"],
+)
+def test_bad_checkpoint_starts_fresh(tmp_path, override):
+    path = str(tmp_path / "search.json")
+    code = build_code(HEX9, field_from_order(8))
+    plan, key = _first_task_checkpoint(path, code, **override)
+    assert _load_checkpoint(path, key, plan, code.n, False) is None
+    res = min_distance_exact(code, checkpoint=path)
+    assert res.exact and res.weight == 28
+    assert res.enumerated == (8**9 - 1) // 7
+    assert res.representatives == plan.representatives
+
+
+def test_bad_hist_checkpoint_starts_fresh(tmp_path):
+    path = str(tmp_path / "search.json")
+    code = build_code(HEX9, field_from_order(5))
+    plan = search_plan(code)
+    key = _checkpoint_key(code, plan, True)
+    for hist in (None, [0] * code.n, [0] * code.n + ["1"], [-1] + [0] * code.n):
+        with open(path, "w") as fh:
+            json.dump({"key": key, "done": [], "scanned": 0, "hist": hist}, fh)
+        assert _load_checkpoint(path, key, plan, code.n, True) is None
+    with open(path, "w") as fh:
+        json.dump({"key": key, "done": [], "scanned": 0, "hist": [0] * (code.n + 1)}, fh)
+    assert _load_checkpoint(path, key, plan, code.n, True)["done"] == set()
+
+
+def test_checkpoint_key_names_the_enumeration_scheme(tmp_path):
+    path = str(tmp_path / "search.json")
+    code = build_code(HEX9, field_from_order(8))
+    plan = search_plan(code)
+    key = _checkpoint_key(code, plan, False)
+    # a checkpoint keyed without the scheme, as earlier versions wrote it
+    old_key = hashlib.sha256(json.dumps(
+        {"q": 8, "modulus": list(code.field.modulus),
+         "vertices": [list(v) for v in code.polygon.vertices], "mode": "min"},
+        sort_keys=True,
+    ).encode()).hexdigest()
+    assert old_key != key
+    with open(path, "w") as fh:
+        json.dump({"key": old_key, "done": [[0, None]], "scanned": 1, "best": 40}, fh)
+    assert _load_checkpoint(path, key, plan, code.n, False) is None
+    # another suffix depth is another search
+    other = code_module.SearchPlan(plan.q, plan.frame, plan.rest, plan.depth - 1,
+                                   code_module._task_list(8, 3, 6, plan.depth - 1))
+    assert _checkpoint_key(code, other, False) != key
+    res = min_distance_exact(code, checkpoint=path)
+    assert res.exact and res.weight == 28
+
+
+def test_deadline_ignores_wall_clock_jumps(monkeypatch):
+    # a wall clock stuck in the past must not keep a deadline from firing
+    monkeypatch.setattr(code_module.time, "time", lambda: 0.0)
+    res = min_distance_exact(build_code(SKEW_TRIANGLE, field_from_order(8)), deadline=0.05)
+    assert not res.exact
+
+
+def test_coverage_check_survives_optimization(monkeypatch):
+    code = build_code(HEX9, field_from_order(5))
+    real = code_module._enumerate
+
+    def short(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out.scanned -= 1
+        return out
+
+    monkeypatch.setattr(code_module, "_enumerate", short)
+    with pytest.raises(InvariantViolation):
+        min_distance_exact(code)
+    with pytest.raises(InvariantViolation):
+        weight_distribution(code)
