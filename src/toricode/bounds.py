@@ -203,40 +203,58 @@ class MaxZeroResult(NamedTuple):
     exhaustive: bool
 
 
-def _iter_normalized_messages(k: int, q: int):
-    # scalar multiples share a zero set, so fix the leading coefficient
-    for lead in range(k):
-        head = [0] * lead + [1]
-        for tail in itertools.product(range(q), repeat=k - lead - 1):
-            yield head + list(tail)
+def _lead_zero_counts(rows, lead, field):
+    """Zero counts of every message with leading coefficient 1 at `lead`.
+
+    Messages are (0,..,0, 1, c_(lead+1), .., c_(k-1)) in lexicographic
+    order of the free coefficients.  Words over all free coefficients
+    but the last are built by broadcast additions; the last, c with row
+    r, is resolved per point: w + c*r = 0 iff w = c = 0, or c != 0 with
+    log c = log(-w) - log r mod q-1, since r never vanishes.
+    """
+    q, qm = field.q, field.q - 1
+    words = rows[lead][None, :]
+    if lead == len(rows) - 1:
+        return np.count_nonzero(words == 0, axis=1)
+    for row in rows[lead + 1 : -1]:
+        # multiples[c] = c * row, by coefficient code
+        multiples = np.zeros((q, row.size), dtype=field.dtype)
+        multiples[1:] = field.exp_np[field.log_np[row][None, :] + field.log_np[1:, None]]
+        words = field.add_np(words[:, None, :], multiples[None, :, :]).reshape(-1, row.size)
+    shift = field.log_table[field.neg(1)] - field.log_np[rows[-1]]
+    bins = np.where(words == 0, qm, (field.log_np[words] + shift) % qm)
+    bins += np.arange(len(words))[:, None] * q
+    counts = np.bincount(bins.ravel(), minlength=len(words) * q).reshape(-1, q)
+    # columns are in log order with c = 0 last; reorder to coefficient codes
+    return counts[:, [qm] + field.log_table[1:]].ravel()
 
 
 def _max_zero_exhaustive(poly, field, cap=None):
     """Maximum zero count over all sections supported on the polygon.
 
-    Returns the count and up to `cap` distinct maximizing sections in
-    enumeration order.
+    Scalar multiples share a zero set, so messages are normalized to a
+    leading coefficient 1 and ordered by lead position, then
+    lexicographically.  Returns the count and the first `cap` maximizing
+    sections in that order.
     """
+    q = field.q
     pts = [tuple(p) for p in poly.lattice_points()]
+    k = len(pts)
     rows = [evaluate_section(SectionPoly({p: 1}), field) for p in pts]
-    best = -1
-    winners: list[list[int]] = []
-    for msg in _iter_normalized_messages(len(pts), field.q):
-        word = None
-        for row, coeff in zip(rows, msg):
-            if not coeff:
-                continue
-            term = field.scale_np(row, coeff)
-            word = term if word is None else field.add_np(word, term)
-        zeros = int(np.count_nonzero(word == 0))
-        if zeros > best:
-            best = zeros
-            winners = [msg]
-        elif zeros == best and (cap is None or len(winners) < cap):
-            winners.append(msg)
-    sections = [
-        SectionPoly({p: c for p, c in zip(pts, msg) if c}) for msg in winners
-    ]
+    counts = np.concatenate([_lead_zero_counts(rows, lead, field) for lead in range(k)])
+    best = int(counts.max())
+    winners = np.flatnonzero(counts == best)[:cap]
+    sections = []
+    for index in winners.tolist():
+        lead = 0
+        while index >= q ** (k - lead - 1):
+            index -= q ** (k - lead - 1)
+            lead += 1
+        msg = [0] * k
+        msg[lead] = 1
+        for pos in range(k - 1, lead, -1):
+            index, msg[pos] = divmod(index, q)
+        sections.append(SectionPoly({p: c for p, c in zip(pts, msg) if c}))
     return best, sections
 
 
@@ -379,19 +397,29 @@ def _max_zero_candidates(poly, field, budget=DEFAULT_SECTION_BUDGET, cap=_CANDID
     return [cand for _, _, cand in scored[:cap]]
 
 
-def _best_product_section(dec, field):
+def _part_candidates(part, field, cache):
+    """Candidate sections of one summand with their zero masks, memoized.
+
+    Parts are stored at the origin, so equal summands of different
+    decompositions share one entry of `cache`, keyed by their vertices.
+    """
+    if part.vertices not in cache:
+        cands = _max_zero_candidates(part, field)
+        cache[part.vertices] = (cands, [evaluate_section(s, field) == 0 for s in cands])
+    return cache[part.vertices]
+
+
+def _best_product_section(dec, field, cache):
     """Product over the parts of a decomposition maximizing total zeros.
 
     Candidate tuples are searched exactly when the combination count is
     small, else by greedy accumulation restarted from every choice of
-    the first factor.  Returns (zeros, section) or None.
+    the first factor.  `cache` holds the candidates of summands already
+    seen (see _part_candidates).  Returns (zeros, section) or None.
     """
-    cand_lists = [_max_zero_candidates(p, field) for p in dec.parts]
+    cand_lists, masks = zip(*(_part_candidates(p, field, cache) for p in dec.parts))
     if any(not lst for lst in cand_lists):
         return None
-    masks = [
-        [evaluate_section(s, field) == 0 for s in lst] for lst in cand_lists
-    ]
     sizes = [len(lst) for lst in cand_lists]
     total = 1
     for s in sizes:
@@ -428,8 +456,13 @@ def _best_product_section(dec, field):
     section = section.shift(*dec.translation)
     zeros = count_torus_zeros(section, field)
     # a product vanishes exactly where some factor does
-    assert zeros == best_count, "product zero count disagrees with the mask union"
-    assert all(dec.parent.contains(pt) for pt in section.terms)
+    if zeros != best_count:
+        raise InvariantViolation(
+            f"product has {zeros} torus zeros, the mask union {best_count}"
+        )
+    outside = [pt for pt in section.terms if not dec.parent.contains(pt)]
+    if outside:
+        raise InvariantViolation(f"product section uses {outside[0]}, outside the polygon")
     return zeros, section
 
 
@@ -443,6 +476,7 @@ def certified_upper_bound(
     torus zeros exactly.  The result (q-1)^2 - zeros is unconditionally
     valid: the witness evaluates to a codeword of that weight.  A
     single catalog section on the whole polygon is kept as fallback.
+    Summands that recur across decompositions are searched once.
     """
     q = F.q
     if P.fits_in_box(q) is None:
@@ -450,8 +484,9 @@ def certified_upper_bound(
         raise PolygonTooLargeForField(f"polygon spans {w}x{h}, too large for q = {q}")
     base = max_zero_section(P, F)
     best_zeros, best_section = base.zeros, base.section
+    cache: dict = {}
     for dec in decs:
-        got = _best_product_section(dec, F)
+        got = _best_product_section(dec, F, cache)
         if got is None:
             continue
         zeros, section = got
@@ -537,9 +572,11 @@ def mainthm_lower_bound(
     The value is the minimum over all maximal decompositions of the sum
     of component distances minus (ell-1)(q-1)^2; the bound is only
     guaranteed at the minimizer, so every maximal decomposition must be
-    supplied.  It applies once q >= (4 I(P) + 3)^2, or already for
+    supplied, and the search that found them must have been
+    exhaustive.  It applies once q >= (4 I(P) + 3)^2, or already for
     q > #(P) + ell when every component is one-dimensional or a point.
-    Below the threshold the value is still reported, as conditional.
+    Below the threshold, or after a search cut off by its budget, the
+    value is still reported, as conditional.
     """
     decs = [d for d in decs if d.ell >= 1]
     if not decs:
@@ -561,7 +598,8 @@ def mainthm_lower_bound(
     all_flat = all(p.interior_count == 0 for d in decs for p in d.parts)
     relaxed = P.num_lattice_points + ell + 1
     threshold = min(strong, relaxed) if all_flat else strong
-    applicable = q >= strong or (all_flat and q >= relaxed)
+    exhaustive = all(d.exhaustive for d in decs)
+    applicable = exhaustive and (q >= strong or (all_flat and q >= relaxed))
     return LowerBound(value, applicable, threshold)
 
 
@@ -964,7 +1002,12 @@ def full_report(
                 boxed, q, maximal, threads=threads, deadline=deadline,
                 long_runs=long_runs, _cache=cache,
             )
-            status = "applicable" if lb.applicable else f"conditional at q = {q}"
+            if not all(d.exhaustive for d in maximal):
+                status = "but the decomposition search was not exhaustive"
+            elif lb.applicable:
+                status = "applicable"
+            else:
+                status = f"conditional at q = {q}"
             entries.append(
                 BoundEntry(
                     "decomposition-lower",

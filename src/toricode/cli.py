@@ -152,7 +152,7 @@ def cmd_code(args):
         "n": code.n,
         "k": code.k,
         "monomials": [list(m) for m in code.monomials],
-        "generator": [[int(v) for v in row] for row in code.generator],
+        "generator": code.generator.tolist(),
     }
     return payload, 0
 

@@ -143,7 +143,8 @@ class ToricCode:
 
     def evaluate_message(self, message) -> np.ndarray:
         """Codeword for a length-k coefficient vector over the monomials."""
-        assert len(message) == self.k
+        if len(message) != self.k:
+            raise ValueError(f"message has {len(message)} coefficients, the code k = {self.k}")
         word = np.zeros(self.n, dtype=self.field.dtype)
         for r, c in enumerate(message):
             if c:
@@ -199,7 +200,8 @@ def weight_of_section(s: SectionPoly, code: ToricCode) -> int:
     zeros = int(np.count_nonzero(values == 0))
     # same codeword through the generator matrix; the two must agree
     message = [s.terms.get(m, 0) for m in code.monomials]
-    assert np.array_equal(code.evaluate_message(message), values)
+    if not np.array_equal(code.evaluate_message(message), values):
+        raise InvariantViolation("section and generator matrix give different codewords")
     return code.n - zeros
 
 

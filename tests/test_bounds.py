@@ -1,16 +1,22 @@
+import itertools
 import json
 import os
 import random
 
+import numpy as np
 import pytest
 
+import toricode.bounds as bounds_module
+import toricode.code as code_module
 from toricode.bounds import (
     _COMPONENT_SEARCH_CAP,
     BoundEntry,
     LowerBound,
     MaxZeroResult,
+    _best_product_section,
     _check_consistency,
     _component_distance,
+    _max_zero_exhaustive,
     certified_upper_bound,
     d_full_triangle,
     d_hirzebruch,
@@ -24,7 +30,14 @@ from toricode.bounds import (
     rank3_family_distance,
     upper_bound_from_decomposition,
 )
-from toricode.code import build_code, min_distance_exact, search_plan, weight_of_section
+from toricode.code import (
+    SectionPoly,
+    build_code,
+    evaluate_section,
+    min_distance_exact,
+    search_plan,
+    weight_of_section,
+)
 from toricode.decomp import MinkowskiDecomposition, best_subpolygon_decomposition
 from toricode.errors import (
     FieldTooSmall,
@@ -295,6 +308,60 @@ def test_max_zero_too_large():
         max_zero_section(LatticePolygon([(0, 0), (9, 0)]), F5)
 
 
+def max_zero_oracle(poly, field, cap=None):
+    """Message-by-message maximization in lead-then-lexicographic order.
+
+    Strictly more zeros restart the winner list; ties are appended
+    while fewer than `cap` are held.
+    """
+    pts = [tuple(p) for p in poly.lattice_points()]
+    rows = [evaluate_section(SectionPoly({p: 1}), field) for p in pts]
+    best = -1
+    winners = []
+    for lead in range(len(pts)):
+        for tail in itertools.product(range(field.q), repeat=len(pts) - lead - 1):
+            msg = [0] * lead + [1] + list(tail)
+            word = np.zeros_like(rows[0])
+            for row, coeff in zip(rows, msg):
+                if coeff:
+                    word = field.add_np(word, field.scale_np(row, coeff))
+            zeros = int(np.count_nonzero(word == 0))
+            if zeros > best:
+                best, winners = zeros, [msg]
+            elif zeros == best and (cap is None or len(winners) < cap):
+                winners.append(msg)
+    return best, [SectionPoly({p: c for p, c in zip(pts, m) if c}) for m in winners]
+
+
+def _oracle_polygons():
+    fixed = [
+        [(0, 0)],
+        [(0, 0), (1, 0)],
+        [(0, 0), (3, 0)],
+        [(0, 0), (2, 1)],
+        [(0, 0), (1, 0), (0, 1)],
+        [(0, 0), (2, 1), (1, 2)],
+    ]
+    polys = [LatticePolygon(v) for v in fixed]
+    rng = random.Random(4005)
+    while len(polys) < len(fixed) + 4:
+        poly = LatticePolygon([(rng.randrange(4), rng.randrange(4)) for _ in range(5)])
+        if poly.num_lattice_points in (4, 5):
+            polys.append(poly)
+    return polys
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_max_zero_exhaustive_matches_oracle(q):
+    field = field_from_order(q)
+    for poly in _oracle_polygons():
+        for cap in (1, 64, None):
+            best, sections = _max_zero_exhaustive(poly, field, cap=cap)
+            want_best, want_sections = max_zero_oracle(poly, field, cap=cap)
+            assert best == want_best, (poly.vertices, cap)
+            assert [s.terms for s in sections] == [s.terms for s in want_sections]
+
+
 # -- certified upper bounds -----------------------------------------------------
 
 
@@ -331,6 +398,55 @@ def test_certified_at_least_exact():
     decs = best_subpolygon_decomposition(Q1)
     value, _ = certified_upper_bound(Q1, F8, decs)
     assert value >= exact_distance(Q1, F8) == 40
+
+
+BOX22 = LatticePolygon([(0, 0), (2, 0), (2, 2), (0, 2)])
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 11, 13, 16])
+def test_product_section_shared_cache_matches_fresh(q):
+    field = field_from_order(q)
+    for poly in (HEX9, P54, BOX22):
+        decs = best_subpolygon_decomposition(poly)
+        shared: dict = {}
+        for dec in decs:
+            assert _best_product_section(dec, field, shared) == _best_product_section(
+                dec, field, {}
+            )
+        assert set(shared) == {p.vertices for dec in decs for p in dec.parts}
+
+
+def test_product_zero_count_is_checked(monkeypatch):
+    dec = best_subpolygon_decomposition(HEX9)[0]
+    monkeypatch.setattr(bounds_module, "count_torus_zeros", lambda s, f: -1)
+    with pytest.raises(InvariantViolation):
+        _best_product_section(dec, F8, {})
+
+
+def test_product_support_is_checked():
+    dec = best_subpolygon_decomposition(HEX9)[0]
+    shrunk = MinkowskiDecomposition(
+        LatticePolygon([(0, 0)]), dec.subpolygon, dec.translation, dec.parts
+    )
+    with pytest.raises(InvariantViolation):
+        _best_product_section(shrunk, F8, {})
+
+
+def test_weight_of_section_cross_check(monkeypatch):
+    code = build_code(Q1, F8)
+    section = SectionPoly({m: 1 for m in code.monomials})
+    assert weight_of_section(section, code) <= code.n
+    monkeypatch.setattr(
+        code_module.ToricCode, "evaluate_message", lambda self, msg: np.zeros(self.n, np.uint8)
+    )
+    with pytest.raises(InvariantViolation):
+        weight_of_section(section, code)
+
+
+def test_evaluate_message_checks_length():
+    code = build_code(Q1, F8)
+    with pytest.raises(ValueError):
+        code.evaluate_message([1] * (code.k + 1))
 
 
 # -- point count interval -------------------------------------------------------
@@ -381,6 +497,15 @@ def test_mainthm_spiked_triangle():
     lb = mainthm_lower_bound(SKEW_TRIANGLE, 8, decs)
     assert lb == LowerBound(28, False, 15)
     assert mainthm_lower_bound(SKEW_TRIANGLE, 16, decs).applicable
+
+
+def test_mainthm_needs_exhaustive_search():
+    decs = best_subpolygon_decomposition(HEX9)
+    cut = [
+        MinkowskiDecomposition(d.parent, d.subpolygon, d.translation, d.parts, False)
+        for d in decs
+    ]
+    assert mainthm_lower_bound(HEX9, 13, cut) == LowerBound(108, False, 13)
 
 
 def test_mainthm_no_decomposition():

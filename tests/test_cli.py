@@ -286,6 +286,22 @@ def test_bounds_csv_projection(capsys, tmp_path):
     assert any(l.startswith("certified-upper,upper,20,") for l in lines)
 
 
+@pytest.mark.parametrize("q", [11, 13])
+def test_bounds_cut_decomposition_search_is_not_applicable(capsys, tmp_path, q):
+    # the budget stops the search and the greedy fallback finds ell = 2
+    # where 3 exists; its lower bound would exceed the certified upper
+    path = polygon_file(tmp_path, [[0, 3], [1, 1], [4, 0], [3, 2]])
+    status, out = run(capsys, "bounds", "--polygon", path, "--q", str(q), "--budget", "50")
+    assert status == 0
+    payload = json.loads(out)
+    validate("bounds", payload)
+    entries = {e["name"]: e for e in payload["entries"]}
+    lower = entries["decomposition-lower"]
+    assert not lower["applicable"]
+    assert "not exhaustive" in lower["provenance"]
+    assert lower["value"] > entries["certified-upper"]["value"]
+
+
 # -- decompose ---------------------------------------------------------------------
 
 
