@@ -513,33 +513,17 @@ class LowerBound(NamedTuple):
     threshold: int
 
 
-def _closed_component(poly, q):
-    # cheap closed forms for decomposition components; None = no match
-    if poly.dim == 0:
-        return (q - 1) ** 2
-    if poly.dim == 1:
-        a = poly.num_lattice_points - 1
-        return d_segment(a, q) if q > a + 1 else None
-    a = _match_full_triangle(poly)
-    if a is not None and q > a + 1:
-        return d_full_triangle(a, q)
-    tri = _match_triangle(poly)
-    if tri is not None and q > tri[0] + 1:
-        return (q - 1) ** 2 - tri[0] * (q - 1)
-    box = _match_rectangle(poly)
-    if box is not None and q > max(box) + 1:
-        return d_rectangle(box[0], box[1], q)
-    hz = _match_hirzebruch(poly)
-    if hz is not None and hz[1] + hz[0] * hz[2] < q - 1:
-        return d_hirzebruch(hz[0], hz[1], hz[2], q)
-    return None
-
-
 def _component_distance(part, q, cache, threads=1, deadline=None, long_runs=False):
+    """Exact distance of one summand, memoized in `cache` by shape.
+
+    The first matching closed form wins; a summand none matches is
+    searched, refusing searches over the component cap unless long
+    runs were requested.
+    """
     key = part.translate_to_origin().vertices
     if key in cache:
         return cache[key]
-    val = _closed_component(part, q)
+    val = next((value for _, value, _ in _closed_forms(part, q)), None)
     if val is None:
         field = cache.get("__field__")
         if field is None:
@@ -616,17 +600,6 @@ def _xgcd(a, b):
         old_s, s = s, old_s - quo * s
         old_t, t = t, old_t - quo * t
     return old_r, old_s, old_t
-
-
-def _match_full_triangle(poly):
-    """Side length a if poly is equivalent to conv{(0,0),(a,0),(0,a)}."""
-    if poly.dim != 2 or len(poly.vertices) != 3:
-        return None
-    a = isqrt(poly.volume2)
-    if a * a != poly.volume2:
-        return None
-    model = LatticePolygon([(0, 0), (a, 0), (0, a)])
-    return a if lattice_equivalence(poly, model) is not None else None
 
 
 def _match_triangle(poly):
@@ -728,12 +701,68 @@ def _match_rank3(poly, case):
                     if cv != v2:
                         continue
                     cand = _rank3_polygon(case, a, b, c, r)
-                    assert cand.volume2 == cv
+                    if cand.volume2 != cv:
+                        raise InvariantViolation(f"family-{case} area {cand.volume2} is not {cv}")
                     if (cand.num_lattice_points, cand.interior_count) != tgt[1:]:
                         continue
                     if lattice_equivalence(poly, cand) is not None:
                         return a, b, c, r
     return None
+
+
+def _closed_forms(poly, q):
+    """Every closed-form distance that matches the polygon over F_q.
+
+    Yields (name, value, provenance) in a fixed order, cheapest matcher
+    first: point, segment, standard-triangle, triangle, rectangle,
+    hirzebruch, then the rank-3 families.  Matchers are lazy, so a
+    caller that needs one value stops at the first match.
+    """
+    qm = q - 1
+    if poly.dim == 0:
+        yield "point", qm * qm, "single monomial: every nonzero codeword has full weight"
+        return
+    if poly.dim == 1:
+        a = poly.num_lattice_points - 1
+        if q > a + 1:
+            yield "segment", d_segment(a, q), f"lattice segment of length {a}"
+        return
+    tri = _match_triangle(poly)
+    if tri is not None and q > tri[0] + 1:
+        a, b, c = tri
+        # a >= b + c makes this (a, 0, a): conv{(0,0),(a,0),(0,a)} up to
+        # a unimodular map
+        if c == a:
+            yield (
+                "standard-triangle",
+                d_full_triangle(a, q),
+                f"equivalent to the right triangle of side {a}",
+            )
+        yield "triangle", d_triangle(a, b, c, q), f"triangle form (a,b,c)={tri} with a >= b+c"
+    box = _match_rectangle(poly)
+    if box is not None and q > max(box) + 1:
+        d, e = box
+        yield "rectangle", d_rectangle(d, e, q), f"equivalent to the {d}x{e} box"
+    hz = _match_hirzebruch(poly)
+    if hz is not None and hz[1] + hz[0] * hz[2] < q - 1:
+        yield (
+            "hirzebruch",
+            d_hirzebruch(hz[0], hz[1], hz[2], q),
+            f"equivalent to the twisted box (d,e,r)={hz}",
+        )
+    for case in _RANK3_CASES:
+        params = _match_rank3(poly, case)
+        if params is None:
+            continue
+        try:
+            value, _ = rank3_family_distance(case, *params, q)
+        except (FieldTooSmall, HypothesisViolated):
+            continue
+        yield (
+            f"family-{case}",
+            value,
+            f"rank-3 fan family, configuration {case}, parameters (a,b,c,r)={params}",
+        )
 
 
 # -- the aggregate report -------------------------------------------------------
@@ -800,96 +829,6 @@ class BoundReport:
         }
 
 
-def _closed_form_entries(boxed, q):
-    out = []
-    qm = q - 1
-    if boxed.dim == 0:
-        out.append(
-            BoundEntry(
-                "point",
-                "exact-formula",
-                qm * qm,
-                True,
-                "single monomial: every nonzero codeword has full weight",
-            )
-        )
-        return out
-    if boxed.dim == 1:
-        a = boxed.num_lattice_points - 1
-        out.append(
-            BoundEntry(
-                "segment",
-                "exact-formula",
-                d_segment(a, q),
-                True,
-                f"lattice segment of length {a}",
-            )
-        )
-        return out
-    a = _match_full_triangle(boxed)
-    if a is not None and q > a + 1:
-        out.append(
-            BoundEntry(
-                "standard-triangle",
-                "exact-formula",
-                d_full_triangle(a, q),
-                True,
-                f"equivalent to the right triangle of side {a}",
-            )
-        )
-    tri = _match_triangle(boxed)
-    if tri is not None and q > tri[0] + 1:
-        out.append(
-            BoundEntry(
-                "triangle",
-                "exact-formula",
-                qm * qm - tri[0] * qm,
-                True,
-                f"triangle form (a,b,c)={tri} with a >= b+c",
-            )
-        )
-    box = _match_rectangle(boxed)
-    if box is not None and q > max(box) + 1:
-        out.append(
-            BoundEntry(
-                "rectangle",
-                "exact-formula",
-                d_rectangle(box[0], box[1], q),
-                True,
-                f"equivalent to the {box[0]}x{box[1]} box",
-            )
-        )
-    hz = _match_hirzebruch(boxed)
-    if hz is not None and hz[1] + hz[0] * hz[2] < q - 1:
-        out.append(
-            BoundEntry(
-                "hirzebruch",
-                "exact-formula",
-                d_hirzebruch(hz[0], hz[1], hz[2], q),
-                True,
-                f"equivalent to the twisted box (d,e,r)={hz}",
-            )
-        )
-    for case in _RANK3_CASES:
-        params = _match_rank3(boxed, case)
-        if params is None:
-            continue
-        try:
-            value, _ = rank3_family_distance(case, *params, q)
-        except (FieldTooSmall, HypothesisViolated):
-            continue
-        out.append(
-            BoundEntry(
-                f"family-{case}",
-                "exact-formula",
-                value,
-                True,
-                f"rank-3 fan family, configuration {case}, parameters (a,b,c,r)={params}",
-            )
-        )
-    return out
-
-
 def _check_consistency(entries, exact_d):
     uppers = [e for e in entries if e.applicable and e.kind in ("upper", "exact-formula")]
     lowers = [e for e in entries if e.applicable and e.kind in ("lower", "exact-formula")]
@@ -937,7 +876,10 @@ def full_report(
         w, h = P.width_height()
         raise PolygonTooLargeForField(f"polygon spans {w}x{h}, too large for q = {q}")
     boxed = P.translate(*shift)
-    entries = _closed_form_entries(boxed, q)
+    entries = [
+        BoundEntry(name, "exact-formula", value, True, provenance)
+        for name, value, provenance in _closed_forms(boxed, q)
+    ]
 
     decs = [] if boxed.dim == 0 else best_subpolygon_decomposition(
         boxed, budget if budget is not None else DEFAULT_BUDGET

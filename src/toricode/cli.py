@@ -14,8 +14,8 @@ import os
 import sys
 
 from .bounds import (
+    _component_distance,
     certified_upper_bound,
-    d_segment,
     full_report,
     mainthm_lower_bound,
     upper_bound_from_decomposition,
@@ -30,33 +30,30 @@ from .code import (
 )
 from .decomp import DEFAULT_BUDGET, best_subpolygon_decomposition, subpolygon_decomposition_search
 from .errors import (
+    BudgetExceeded,
     CoordinateOverflow,
+    DeadlineExceeded,
     DegeneratePolygon,
-    DegreeMismatch,
-    EmptyInput,
-    FieldTooSmall,
     InvariantViolation,
-    NoDecomposition,
-    NonPrimeCharacteristic,
     NotApplicable,
-    ReducibleModulus,
+    ToricodeError,
     TooLarge,
 )
 from .field import field_from_order, make_field
 from .polygon import LatticePolygon
 
-_INPUT_ERRORS = (
-    DegreeMismatch,
-    EmptyInput,
-    FieldTooSmall,
-    NonPrimeCharacteristic,
-    ReducibleModulus,
-    DegeneratePolygon,
-    NoDecomposition,
-    ValueError,
-    OSError,
-)
-_GEOMETRY_ERRORS = (TooLarge, CoordinateOverflow, InvariantViolation)
+# exit code per error class, looked up along the raised class's MRO:
+# 3 for a size limit or a broken invariant, 2 for any other bad input
+_EXIT_CODES = {
+    TooLarge: 3,
+    CoordinateOverflow: 3,
+    InvariantViolation: 3,
+    BudgetExceeded: 3,
+    DeadlineExceeded: 3,
+    ToricodeError: 2,
+    ValueError: 2,
+    OSError: 2,
+}
 
 
 # -- input plumbing --------------------------------------------------------------
@@ -233,17 +230,12 @@ def _reducible_section(field):
     return multiply_sections(xpart, ypart, field)
 
 
-def _split_bound(decs, want_parts, q, field, threads):
+def _split_bound(decs, want_parts, q, cache, threads):
     """Decomposition bound for the split whose summand set is want_parts."""
     for dec in decs:
         if set(dec.parts) != want_parts:
             continue
-        comps = []
-        for part in dec.parts:
-            if part.dim == 1:
-                comps.append(d_segment(part.num_lattice_points - 1, q))
-            else:
-                comps.append(min_distance_exact(build_code(part, field), threads=threads).weight)
+        comps = [_component_distance(part, q, cache, threads) for part in dec.parts]
         return upper_bound_from_decomposition(dec, q, comps)
     return None
 
@@ -279,6 +271,7 @@ def cmd_reproduce(args):
     got = min_distance_exact(build_code(pentagon, f8), threads=threads).weight
     rows.append(("pentagon/F8/min-distance", 33, got))
     pent_decs = best_subpolygon_decomposition(pentagon)
+    components: dict = {}
     genus_one = LatticePolygon([(0, 0), (2, 1), (1, 2)])
     hseg = LatticePolygon([(0, 0), (1, 0)])
     vseg = LatticePolygon([(0, 0), (0, 1)])
@@ -286,14 +279,14 @@ def cmd_reproduce(args):
         (
             "pentagon/F8/split-bound-interior",
             33,
-            _split_bound(pent_decs, {genus_one, hseg}, 8, f8, threads),
+            _split_bound(pent_decs, {genus_one, hseg}, 8, components, threads),
         )
     )
     rows.append(
         (
             "pentagon/F8/split-bound-flat",
             35,
-            _split_bound(pent_decs, {hseg, vseg}, 8, f8, threads),
+            _split_bound(pent_decs, {hseg, vseg}, 8, components, threads),
         )
     )
 
@@ -494,6 +487,8 @@ def _parse_args(argv):
                 parser.error(f"TORICODE_THREADS must be an integer, got {env!r}")
         if args.threads < 1:
             parser.error(f"--threads must be positive, got {args.threads}")
+    if getattr(args, "budget", None) is not None and args.budget < 1:
+        parser.error(f"--budget must be positive, got {args.budget}")
     return args
 
 
@@ -511,12 +506,9 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         payload, status = _COMMANDS[args.command](args)
-    except _GEOMETRY_ERRORS as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
     if args.output == "json":
         _emit_json(payload)
     elif args.output == "text":

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import BudgetExceeded, DegeneratePolygon, NoDecomposition
+from .errors import BudgetExceeded, DegeneratePolygon, InvariantViolation, NoDecomposition
 from .polygon import (
     LatticePolygon,
     minkowski_sum,
@@ -84,10 +84,10 @@ def _make_decomposition(parent, placed_sub, dirs, groups, exhaustive=True):
     parts = _sort_parts(_group_to_polygon(dirs, g) for g in groups)
     sub = placed_sub.translate_to_origin()
     x0, y0, _, _ = placed_sub.bounding_box()
-    assert all(parent.contains(v) for v in placed_sub.vertices)
-    assert (
-        minkowski_sum(*parts).translate_to_origin() == sub
-    ), "summands do not add up to the subpolygon"
+    if not all(parent.contains(v) for v in placed_sub.vertices):
+        raise InvariantViolation("subpolygon leaves the parent polygon")
+    if minkowski_sum(*parts).translate_to_origin() != sub:
+        raise InvariantViolation("summands do not add up to the subpolygon")
     return MinkowskiDecomposition(parent, sub, (x0, y0), parts, exhaustive)
 
 
@@ -134,34 +134,16 @@ class _EdgeEngine:
         self._max_memo[rem] = best
         return best
 
-    def partitions_with(self, target):
-        """All unordered partitions into exactly target groups."""
+    def partitions(self, min_count, max_count):
+        """All unordered partitions into min_count to max_count groups."""
         out = []
 
         def rec(rem, prev, acc):
             if not any(rem):
-                if len(acc) == target:
+                if len(acc) >= min_count:
                     out.append(tuple(acc))
                 return
-            if len(acc) >= target or len(acc) + self.max_parts(rem) < target:
-                return
-            for g in self.groups:
-                if g > prev or any(a > b for a, b in zip(g, rem)):
-                    continue
-                self.budget.tick()
-                rec(tuple(a - b for a, b in zip(rem, g)), g, acc + [g])
-
-        rec(self.total, self.total, [])
-        return out
-
-    def partitions_at_least(self, min_parts):
-        """All unordered partitions into min_parts or more groups."""
-        out = []
-
-        def rec(rem, prev, acc):
-            if not any(rem):
-                if len(acc) >= min_parts:
-                    out.append(tuple(acc))
+            if len(acc) >= max_count or len(acc) + self.max_parts(rem) < min_count:
                 return
             for g in self.groups:
                 if g > prev or any(a > b for a, b in zip(g, rem)):
@@ -198,8 +180,9 @@ def factor_polygon(
     engine = _EdgeEngine(poly, _Budget(budget))
     decs = [
         _make_decomposition(poly, poly, engine.dirs, groups)
-        for groups in engine.partitions_at_least(min_count)
-        if max_count is None or len(groups) <= max_count
+        for groups in engine.partitions(
+            min_count, sum(engine.total) if max_count is None else max_count
+        )
     ]
     decs.sort(key=lambda d: (-len(d.parts), _parts_key(d.parts)))
     return decs
@@ -225,7 +208,7 @@ def maximal_decompositions(
     top = engine.max_parts()
     decs = [
         _make_decomposition(poly, poly, engine.dirs, groups)
-        for groups in engine.partitions_with(top)
+        for groups in engine.partitions(top, top)
     ]
     decs.sort(key=lambda d: _parts_key(d.parts))
     return decs
@@ -320,7 +303,7 @@ def subpolygon_decomposition_search(
         for q, eng, ell in engines.values():
             if ell != best:
                 continue
-            for groups in eng.partitions_with(best):
+            for groups in eng.partitions(best, best):
                 dec = _make_decomposition(poly, q, eng.dirs, groups)
                 found.setdefault(_parts_key(dec.parts), dec)
         decs = tuple(sorted(found.values(), key=lambda d: _parts_key(d.parts)))

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DegreeMismatch,
     DivisionByZero,
+    InvariantViolation,
     NonPrimeCharacteristic,
     ReducibleModulus,
     TooLarge,
@@ -176,7 +177,8 @@ class FieldSpec:
             if all(self._pow_raw(g, (q - 1) // f) != 1 for f in factors):
                 gen = g
                 break
-        assert gen is not None
+        if gen is None:
+            raise InvariantViolation(f"no primitive element found in F_{q}")
         self.primitive_element = gen
         exp = [1]
         for _ in range(q - 2):
@@ -184,7 +186,8 @@ class FieldSpec:
         log = [-1] * q
         for i, v in enumerate(exp):
             log[v] = i
-        assert all(v >= 0 for v in log[1:]), "generator failed to cover units"
+        if min(log[1:]) < 0:
+            raise InvariantViolation("generator failed to cover units")
         self.exp_table = exp
         self.log_table = log
         self._exp2 = exp + exp

@@ -12,7 +12,13 @@ import math
 from fractions import Fraction
 from math import gcd
 
-from .errors import CoordinateOverflow, DegeneratePolygon, EmptyInput, NotApplicable
+from .errors import (
+    CoordinateOverflow,
+    DegeneratePolygon,
+    EmptyInput,
+    InvariantViolation,
+    NotApplicable,
+)
 
 Point = tuple[int, int]
 
@@ -94,7 +100,8 @@ class LatticePolygon:
             x0, y0 = vs[i]
             x1, y1 = vs[(i + 1) % n]
             s += x0 * y1 - x1 * y0
-        assert s > 0, "hull must be counterclockwise"
+        if s <= 0:
+            raise InvariantViolation("hull must be counterclockwise")
         return s
 
     @property
@@ -119,7 +126,8 @@ class LatticePolygon:
             return 0
         # volume2 = 2*interior + boundary - 2
         i2 = self.volume2 - self.boundary_count + 2
-        assert i2 % 2 == 0 and i2 >= 0
+        if i2 % 2 or i2 < 0:
+            raise InvariantViolation(f"Pick's theorem gives 2*interior = {i2}")
         return i2 // 2
 
     @property
@@ -140,7 +148,10 @@ class LatticePolygon:
             pts = sorted((x0 + t * dx, y0 + t * dy) for t in range(g + 1))
         else:
             pts = self._scanline()
-        assert len(pts) == self.num_lattice_points
+        if len(pts) != self.num_lattice_points:
+            raise InvariantViolation(
+                f"{len(pts)} lattice points listed, {self.num_lattice_points} counted"
+            )
         self._points = pts
         return pts
 
@@ -165,7 +176,8 @@ class LatticePolygon:
                 for y in ys:
                     lo = y if lo is None or y < lo else lo
                     hi = y if hi is None or y > hi else hi
-            assert lo is not None
+            if lo is None:
+                raise InvariantViolation(f"scanline x = {x} misses the polygon")
             pts.extend((x, y) for y in range(math.ceil(lo), math.floor(hi) + 1))
         return pts
 
@@ -280,7 +292,8 @@ class LatticePolygon:
         if self.dim < 2:
             raise DegeneratePolygon("genus needs a 2-dimensional polygon")
         g = self.volume2 + 2 - self.num_lattice_points
-        assert g == self.interior_count
+        if g != self.interior_count:
+            raise InvariantViolation(f"genus {g} is not the interior count")
         return g
 
     def scott_check(self) -> bool:
@@ -352,7 +365,8 @@ def _extend_to_basis(d):
     # returns a unimodular matrix with first column d (d primitive)
     x, y = d
     g, a, b = _xgcd(x, y)
-    assert g == 1
+    if g != 1:
+        raise InvariantViolation(f"direction {d} is not primitive")
     return ((x, -b), (y, a))
 
 
@@ -377,7 +391,8 @@ def _mat_apply(m, v):
 def _mat_inv_unimodular(m):
     (a, b), (c, d) = m
     det = a * d - b * c
-    assert det in (1, -1)
+    if det not in (1, -1):
+        raise InvariantViolation(f"matrix {m} is not unimodular")
     return ((d * det, -b * det), (-c * det, a * det))
 
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from toricode.bounds import (
     MaxZeroResult,
     _best_product_section,
     _check_consistency,
+    _closed_forms,
     _component_distance,
     _max_zero_exhaustive,
     certified_upper_bound,
@@ -47,7 +49,7 @@ from toricode.errors import (
     PolygonTooLargeForField,
 )
 from toricode.field import field_from_order
-from toricode.polygon import LatticePolygon
+from toricode.polygon import LatticePolygon, lattice_equivalence
 
 HEX9 = LatticePolygon([(1, 0), (2, 0), (0, 1), (1, 2), (3, 2), (3, 3)])
 P54 = LatticePolygon([(0, 0), (1, 0), (3, 1), (2, 2), (1, 2)])
@@ -106,6 +108,42 @@ def test_full_triangle():
         d_full_triangle(4, 5)
     tri = LatticePolygon([(0, 0), (2, 0), (0, 2)])
     assert d_full_triangle(2, 5) == exact_distance(tri, F5)
+
+
+def _triangles_up_to_translation(side):
+    found = {}
+    for a, b, c in itertools.combinations(itertools.product(range(side + 1), repeat=2), 3):
+        if (b[0] - a[0]) * (c[1] - a[1]) != (b[1] - a[1]) * (c[0] - a[0]):
+            tri = LatticePolygon([a, b, c]).translate_to_origin()
+            found[tri.vertices] = tri
+    return list(found.values())
+
+
+def test_standard_triangle_is_the_triangle_form_a_0_a():
+    # the oracle is the lattice-equivalence test the triangle-form
+    # matcher replaced
+    triangles = _triangles_up_to_translation(5)
+    assert len(triangles) == 1276
+    for tri in triangles:
+        side = isqrt(tri.volume2)
+        model = LatticePolygon([(0, 0), (side, 0), (0, side)])
+        standard = side * side == tri.volume2 and lattice_equivalence(tri, model) is not None
+        names = [name for name, _, _ in _closed_forms(tri, 7)]
+        assert ("standard-triangle" in names) == standard, tri
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_component_distance_matches_search(q):
+    field = field_from_order(q)
+    polys = {}
+    for r in range(3, 10):
+        for pts in itertools.combinations(itertools.product(range(3), repeat=2), r):
+            poly = LatticePolygon(list(pts))
+            if poly.dim == 2:
+                polys[poly.translate_to_origin().vertices] = poly
+    for poly in polys.values():
+        want = min_distance_exact(build_code(poly, field)).weight
+        assert _component_distance(poly, q, {}) == want, poly
 
 
 def test_rectangle_examples():

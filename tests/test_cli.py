@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import subprocess
 import sys
@@ -6,9 +8,12 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+import toricode.cli as cli_module
+from toricode import errors
 from toricode.cli import main
 
-SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_DIR = ROOT / "docs" / "schemas"
 
 HEXAGON = [[1, 0], [2, 0], [0, 1], [1, 2], [3, 2], [3, 3]]
 SKEW_TRIANGLE = [[0, 0], [1, 4], [4, 1]]
@@ -141,6 +146,47 @@ def test_modulus_of_wrong_degree_exits_2(capsys, tmp_path):
 def test_oversized_coordinates_exit_3(capsys, tmp_path):
     path = polygon_file(tmp_path, [[0, 0], [2**40, 0], [0, 1]])
     assert run(capsys, "info", "--polygon", path)[0] == 3
+
+
+_LIMIT_ERRORS = (
+    errors.TooLarge,
+    errors.CoordinateOverflow,
+    errors.InvariantViolation,
+    errors.BudgetExceeded,
+    errors.DeadlineExceeded,
+)
+_ERROR_CLASSES = [
+    cls
+    for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.ToricodeError)
+] + [ValueError, OSError]
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_class_sets_exit_code(capsys, tmp_path, monkeypatch, cls):
+    # README: 3 for a violated size limit or invariant, 2 for other bad input
+    def fail(path):
+        raise cls("injected failure")
+
+    monkeypatch.setattr(cli_module, "_read_polygon", fail)
+    status = main(["info", "--polygon", polygon_file(tmp_path, HEXAGON)])
+    captured = capsys.readouterr()
+    assert status == (3 if issubclass(cls, _LIMIT_ERRORS) else 2)
+    assert captured.out == ""
+    assert captured.err == "error: injected failure\n"
+
+
+def test_source_has_no_assert_statements():
+    # python -O strips assert, so runtime checks must raise instead
+    found = []
+    for path in sorted((ROOT / "src" / "toricode").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []
 
 
 def test_missing_q_is_a_usage_error(capsys, tmp_path):
@@ -302,6 +348,14 @@ def test_bounds_cut_decomposition_search_is_not_applicable(capsys, tmp_path, q):
     assert lower["value"] > entries["certified-upper"]["value"]
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_bounds_budget_below_one_is_a_usage_error(capsys, tmp_path, budget):
+    path = polygon_file(tmp_path, HEXAGON)
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--polygon", path, "--q", "8", "--budget", budget])
+    assert exc.value.code == 2
+
+
 # -- decompose ---------------------------------------------------------------------
 
 
@@ -320,6 +374,14 @@ def test_decompose_hexagon(capsys, tmp_path):
 def test_decompose_point_exits_2(capsys, tmp_path):
     path = polygon_file(tmp_path, [[4, 4]])
     assert run(capsys, "decompose", "--polygon", path)[0] == 2
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_decompose_budget_below_one_is_a_usage_error(capsys, tmp_path, budget):
+    path = polygon_file(tmp_path, HEXAGON)
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--polygon", path, "--budget", budget])
+    assert exc.value.code == 2
 
 
 def test_decompose_budget_flag(capsys, tmp_path):
