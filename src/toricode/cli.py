@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from operator import add
 
 from .bounds import (
     _component_distance,
@@ -149,7 +150,7 @@ def cmd_code(args):
         "n": code.n,
         "k": code.k,
         "monomials": [list(m) for m in code.monomials],
-        "generator": code.generator.tolist(),
+        "generator": code.generator,
     }
     return payload, 0
 
@@ -311,16 +312,44 @@ def cmd_reproduce(args):
 # -- output projections ----------------------------------------------------------
 
 
+def _value_strings(matrix, pad):
+    # the text of every value a generator entry can take, indexed by value
+    return [f"{pad}{v}" for v in range(int(matrix.max()) + 1)]
+
+
 def _emit_json(payload):
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write json.dumps(payload, indent=2, sort_keys=True) and a newline.
+
+    A `code` payload holds its generator as an ndarray, written row by row
+    from a table of indented value strings: with `indent` set, `json`
+    encodes in Python one element at a time, 65025 per row over F256.  The
+    splice relies on what `build_code` guarantees, at least one row and no
+    empty row (`json` would print those as `[]`).
+    """
+    matrix = payload.get("generator") if isinstance(payload, dict) else None
+    if matrix is None:
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return
+    text = json.dumps({**payload, "generator": None}, indent=2, sort_keys=True)
+    head, tail = text.split('"generator": null')
+    cells = _value_strings(matrix, " " * 6)
+    write = sys.stdout.write
+    write(head + '"generator": [')
+    for i, row in enumerate(matrix):
+        body = ",\n".join(map(cells.__getitem__, row.tolist()))
+        write(("," if i else "") + "\n    [\n" + body + "\n    ]")
+    write("\n  ]" + tail + "\n")
 
 
-def _dump_lines(monomial, row, qm):
-    # one line per torus point: exponent pair of (g^i, g^j), then the value
-    a, b = monomial
-    yield f"codeword ({a},{b})"
-    for col, value in enumerate(row):
-        yield f"{col // qm} {col % qm} {value}"
+def _generator_entries(payload, sep):
+    """Yield (monomial, entries) per generator row, one entry per torus point
+    (g^i, g^j) in column order, reading `i{sep}j{sep}value`."""
+    matrix = payload["generator"]
+    qm = payload["q"] - 1
+    cols = [f"{c // qm}{sep}{c % qm}{sep}" for c in range(matrix.shape[1])]
+    values = _value_strings(matrix, "")
+    for monomial, row in zip(payload["monomials"], matrix):
+        yield monomial, list(map(add, cols, map(values.__getitem__, row.tolist())))
 
 
 def _emit_text(command, payload):
@@ -344,9 +373,6 @@ def _emit_text(command, payload):
         out.append(f"modulus = {','.join(str(c) for c in payload['modulus'])}")
         out.append(f"translation = ({payload['translation'][0]},{payload['translation'][1]})")
         out.append(f"monomials: {_fmt_verts(payload['monomials'])}")
-        qm = payload["q"] - 1
-        for monomial, row in zip(payload["monomials"], payload["generator"]):
-            out.extend(_dump_lines(monomial, row, qm))
     elif command == "mindist":
         for key in ("q", "n", "k", "d"):
             out.append(f"{key} = {payload[key]}")
@@ -374,6 +400,9 @@ def _emit_text(command, payload):
                 f"computed {str(r['computed']):>4}  {mark}"
             )
     sys.stdout.write("\n".join(out) + "\n")
+    if command == "code":
+        for (a, b), entries in _generator_entries(payload, " "):
+            sys.stdout.write(f"codeword ({a},{b})\n" + "\n".join(entries) + "\n")
 
 
 def _emit_csv(command, payload):
@@ -391,10 +420,6 @@ def _emit_csv(command, payload):
         )
     elif command == "code":
         w.writerow(("monomial_a", "monomial_b", "i", "j", "value"))
-        qm = payload["q"] - 1
-        for (a, b), row in zip(payload["monomials"], payload["generator"]):
-            for col, value in enumerate(row):
-                w.writerow((a, b, col // qm, col % qm, value))
     elif command == "mindist":
         cols = ("q", "n", "k", "d", "exact", "enumerated")
         w.writerow(cols)
@@ -420,6 +445,10 @@ def _emit_csv(command, payload):
         for r in payload:
             w.writerow((r["source"], r["expected"], r["computed"], r["match"]))
     sys.stdout.write(buf.getvalue())
+    if command == "code":
+        for (a, b), entries in _generator_entries(payload, ","):
+            lead = f"{a},{b},"
+            sys.stdout.write(lead + f"\n{lead}".join(entries) + "\n")
 
 
 # -- argument handling -----------------------------------------------------------
@@ -472,7 +501,7 @@ def _parse_args(argv):
     reproduce = add("reproduce", "recompute the published example values", polygon=False,
                     compute=True)
     reproduce.add_argument("--long", action="store_true",
-                           help="include the runs estimated over a minute")
+                           help="include the two largest exhaustive searches")
 
     args = parser.parse_args(argv)
 

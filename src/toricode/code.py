@@ -56,10 +56,6 @@ class SectionPoly:
                 clean[(int(a), int(b))] = c
         self.terms = clean
 
-    def newton_polygon(self) -> LatticePolygon:
-        """Convex hull of the support."""
-        return LatticePolygon(list(self.terms))
-
     def shift(self, dx: int, dy: int) -> "SectionPoly":
         """Multiply by the monomial x^dx y^dy."""
         return SectionPoly({(a + dx, b + dy): c for (a, b), c in self.terms.items()})

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .errors import BudgetExceeded, DegeneratePolygon, InvariantViolation, NoDecomposition
+from .errors import BudgetExceeded, DegeneratePolygon, InvariantViolation
 from .polygon import (
     LatticePolygon,
     minkowski_sum,
@@ -160,10 +160,6 @@ def max_parts(poly: LatticePolygon, budget: int = DEFAULT_BUDGET) -> int:
     return _EdgeEngine(poly, _Budget(budget)).max_parts()
 
 
-def is_indecomposable(poly: LatticePolygon, budget: int = DEFAULT_BUDGET) -> bool:
-    return max_parts(poly, budget) <= 1
-
-
 def factor_polygon(
     poly: LatticePolygon,
     max_count: int | None = None,
@@ -188,16 +184,6 @@ def factor_polygon(
     return decs
 
 
-def proper_decompositions(
-    poly: LatticePolygon, budget: int = DEFAULT_BUDGET
-) -> list[MinkowskiDecomposition]:
-    """Decompositions with at least two parts; raises if none exist."""
-    decs = factor_polygon(poly, budget=budget, min_count=2)
-    if not decs:
-        raise NoDecomposition(f"{poly!r} is indecomposable")
-    return decs
-
-
 def maximal_decompositions(
     poly: LatticePolygon, budget: int = DEFAULT_BUDGET
 ) -> list[MinkowskiDecomposition]:
@@ -218,18 +204,13 @@ def _cross2(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
 
-def iter_subpolygons(poly: LatticePolygon, budget: int = DEFAULT_BUDGET):
+def _iter_subpolygons(poly, bud):
     """All convex polygons with vertices among the lattice points.
 
     Segments come from point pairs; two-dimensional subpolygons come
     from closed strictly convex chains anchored at their lex-min
     vertex.  Star traversals can emit a polygon twice, callers dedupe.
     """
-    bud = _Budget(budget)
-    yield from _iter_subpolygons(poly, bud)
-
-
-def _iter_subpolygons(poly, bud):
     pts = poly.lattice_points()
     n = len(pts)
     for i in range(n):

@@ -221,23 +221,6 @@ class LatticePolygon:
         ymin = min(y for _, y in self.vertices)
         return self.translate(-xmin, -ymin)
 
-    def apply_map(self, m, shift=(0, 0)) -> "LatticePolygon":
-        """Image under x -> M x + shift where M has determinant +-1."""
-        (a, b), (c, d) = m
-        if abs(a * d - b * c) != 1:
-            raise ValueError(f"matrix {m} is not unimodular")
-        sx, sy = shift
-        return LatticePolygon(
-            [(a * x + b * y + sx, c * x + d * y + sy) for x, y in self.vertices]
-        )
-
-    def dilate(self, k: int) -> "LatticePolygon":
-        if k < 0:
-            raise ValueError("dilation factor must be nonnegative")
-        if k == 0:
-            return LatticePolygon([(0, 0)])
-        return LatticePolygon([(k * x, k * y) for x, y in self.vertices])
-
     # -- queries ---------------------------------------------------------------
 
     def contains(self, pt) -> bool:

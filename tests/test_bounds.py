@@ -1,6 +1,5 @@
 import itertools
 import json
-import os
 import random
 from math import isqrt
 
@@ -613,10 +612,6 @@ def test_component_cap_counts_representatives():
     assert 0 < value < 255**2
 
 
-@pytest.mark.skipif(
-    not os.environ.get("TORICODE_LONG"),
-    reason="set TORICODE_LONG=1 to run the bound report over F256 (about 20 s)",
-)
 def test_report_pentagon_f256_keeps_component_entries():
     rep = full_report(P54, field_from_order(256))
     names = {e.name for e in rep.entries}

@@ -1,5 +1,7 @@
 import ast
+import csv
 import inspect
+import io
 import json
 import subprocess
 import sys
@@ -246,6 +248,69 @@ def test_code_respects_modulus(capsys, tmp_path):
     assert a["modulus"] == [1, 0, 1, 1]
     assert b["modulus"] == [1, 1, 0, 1]
     assert a["generator"] != b["generator"]
+
+
+# Per-entry encoders of the `code` payload, kept as oracles for the bulk
+# writers in `cli`: stdout must match them byte for byte in every format.
+
+
+def _oracle_json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _oracle_text(payload):
+    out = [f"{key} = {payload[key]}" for key in ("q", "n", "k")]
+    out.append(f"modulus = {','.join(str(c) for c in payload['modulus'])}")
+    out.append(f"translation = ({payload['translation'][0]},{payload['translation'][1]})")
+    out.append("monomials: " + " ".join(f"({x},{y})" for x, y in payload["monomials"]))
+    qm = payload["q"] - 1
+    for (a, b), row in zip(payload["monomials"], payload["generator"]):
+        out.append(f"codeword ({a},{b})")
+        out.extend(f"{col // qm} {col % qm} {value}" for col, value in enumerate(row))
+    return "\n".join(out) + "\n"
+
+
+def _oracle_csv(payload):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(("monomial_a", "monomial_b", "i", "j", "value"))
+    qm = payload["q"] - 1
+    for (a, b), row in zip(payload["monomials"], payload["generator"]):
+        for col, value in enumerate(row):
+            w.writerow((a, b, col // qm, col % qm, value))
+    return buf.getvalue()
+
+
+_ORACLES = {"json": _oracle_json, "text": _oracle_text, "csv": _oracle_csv}
+
+_SMALL_SHAPES = {
+    "point": [[0, 0]],
+    "segment": [[0, 0], [1, 0]],
+    "triangle": [[0, 0], [1, 0], [0, 1]],
+    "hexagon": HEXAGON,
+}
+_BULK_CASES = [
+    (name, verts, q)
+    for q in (3, 4, 5, 7, 8, 9, 16, 27, 49, 256)
+    for name, verts in _SMALL_SHAPES.items()
+    if name != "hexagon" or q >= 5  # the hexagon needs the box [0, 3]^2
+] + [
+    ("triangle20", [[0, 0], [20, 0], [0, 20]], 49),  # k = 231
+    ("triangle", _SMALL_SHAPES["triangle"], 257),  # entries above 255: uint16 generator
+]
+
+
+@pytest.mark.parametrize(
+    "verts,q", [c[1:] for c in _BULK_CASES], ids=[f"{c[0]}-F{c[2]}" for c in _BULK_CASES]
+)
+def test_code_output_matches_per_entry_encoders(capsys, tmp_path, verts, q):
+    argv = ["code", "--polygon", polygon_file(tmp_path, verts), "--q", str(q)]
+    payload, _ = cli_module.cmd_code(cli_module._parse_args(argv))
+    payload["generator"] = payload["generator"].tolist()
+    for fmt, oracle in _ORACLES.items():
+        status, out = run(capsys, *argv, "--output", fmt)
+        assert status == 0
+        assert out == oracle(payload), fmt
 
 
 # -- mindist -----------------------------------------------------------------------

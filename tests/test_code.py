@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from lattice_maps import apply_map
 from toricode import code as code_module
 from toricode.code import (
     DistanceResult,
@@ -154,7 +155,7 @@ def test_section_helpers():
     s = multiply_sections(x_minus(f, 2), x_minus(f, 3), f)
     # (x-2)(x-3) = x^2 - 5x + 6 = x^2 + 1 over F_5
     assert s.terms == {(2, 0): 1, (0, 0): 1}
-    assert s.newton_polygon() == LatticePolygon([(0, 0), (2, 0)])
+    assert LatticePolygon(list(s.terms)) == LatticePolygon([(0, 0), (2, 0)])
     assert s.shift(0, 2).terms == {(2, 2): 1, (0, 2): 1}
     assert SectionPoly({(1, 1): 0, (0, 0): 3}).terms == {(0, 0): 3}
 
@@ -245,7 +246,7 @@ def test_distribution_invariant_under_unimodular_maps():
                 if rng.random() < 0.5
                 else (m[0], (m[1][0] + s * m[0][0], m[1][1] + s * m[0][1]))
             )
-        image = poly.apply_map(m).translate_to_origin()
+        image = apply_map(poly, m).translate_to_origin()
         if image.fits_in_box(q) is None:
             continue
         f = field_from_order(q)

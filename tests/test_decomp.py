@@ -2,17 +2,18 @@ import random
 
 import pytest
 
+from lattice_maps import apply_map
 from toricode.decomp import (
+    DEFAULT_BUDGET,
+    _Budget,
+    _iter_subpolygons,
     best_subpolygon_decomposition,
     factor_polygon,
-    is_indecomposable,
-    iter_subpolygons,
     max_parts,
     maximal_decompositions,
-    proper_decompositions,
     subpolygon_decomposition_search,
 )
-from toricode.errors import DegeneratePolygon, NoDecomposition
+from toricode.errors import DegeneratePolygon
 from toricode.polygon import LatticePolygon, minkowski_sum
 
 HEX9 = LatticePolygon([(1, 0), (2, 0), (0, 1), (1, 2), (3, 2), (3, 3)])
@@ -56,10 +57,8 @@ def test_pentagon_splits_off_a_segment():
 
 
 def test_triangle_indecomposable():
-    assert is_indecomposable(Q1)
     assert max_parts(Q1) == 1
-    with pytest.raises(NoDecomposition):
-        proper_decompositions(Q1)
+    assert factor_polygon(Q1, min_count=2) == []
 
 
 def test_rectangle_decompositions():
@@ -142,7 +141,10 @@ def test_budget_fallback_not_exhaustive():
 
 
 def test_iter_subpolygons_contains_witnesses():
-    subs = {q.translate_to_origin().vertices for q in iter_subpolygons(HEX9)}
+    subs = {
+        q.translate_to_origin().vertices
+        for q in _iter_subpolygons(HEX9, _Budget(DEFAULT_BUDGET))
+    }
     assert ((0, 0), (1, 0), (1, 2), (0, 2)) in subs  # the tall rectangle
     assert ((0, 0), (2, 2), (2, 3), (0, 1)) in subs  # the parallelogram
     assert HEX9.translate_to_origin().vertices in subs
@@ -199,4 +201,4 @@ def test_property_unimodular_invariance_of_max_parts():
         if p.dim == 0:
             continue
         m = shears[rng.randrange(3)]
-        assert max_parts(p.apply_map(m)) == max_parts(p)
+        assert max_parts(apply_map(p, m)) == max_parts(p)
