@@ -8,6 +8,7 @@ size limit or internal invariant.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -454,7 +455,8 @@ def _emit_csv(command, payload):
 # -- argument handling -----------------------------------------------------------
 
 
-def _parse_args(argv):
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="toricode",
         description="Toric surface codes: geometry, exact distances, and bounds.",
@@ -502,7 +504,11 @@ def _parse_args(argv):
                     compute=True)
     reproduce.add_argument("--long", action="store_true",
                            help="include the two largest exhaustive searches")
+    return parser
 
+
+def _parse_args(argv):
+    parser = _parser()
     args = parser.parse_args(argv)
 
     if getattr(args, "q", None) is not None and args.q < 3:

@@ -155,35 +155,6 @@ class _EdgeEngine:
         return out
 
 
-def max_parts(poly: LatticePolygon, budget: int = DEFAULT_BUDGET) -> int:
-    """Maximum number of summands in any decomposition of the polygon."""
-    return _EdgeEngine(poly, _Budget(budget)).max_parts()
-
-
-def factor_polygon(
-    poly: LatticePolygon,
-    max_count: int | None = None,
-    budget: int = DEFAULT_BUDGET,
-    min_count: int = 1,
-) -> list[MinkowskiDecomposition]:
-    """Every decomposition of the polygon itself, largest part count first.
-
-    Decompositions are deduplicated up to summand reordering and
-    translation; max_count caps the number of summands when given.
-    """
-    if poly.dim == 0:
-        raise DegeneratePolygon("a single point has no decompositions")
-    engine = _EdgeEngine(poly, _Budget(budget))
-    decs = [
-        _make_decomposition(poly, poly, engine.dirs, groups)
-        for groups in engine.partitions(
-            min_count, sum(engine.total) if max_count is None else max_count
-        )
-    ]
-    decs.sort(key=lambda d: (-len(d.parts), _parts_key(d.parts)))
-    return decs
-
-
 def maximal_decompositions(
     poly: LatticePolygon, budget: int = DEFAULT_BUDGET
 ) -> list[MinkowskiDecomposition]:
@@ -200,53 +171,65 @@ def maximal_decompositions(
     return decs
 
 
-def _cross2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def _iter_subpolygons(poly, bud):
-    """All convex polygons with vertices among the lattice points.
+    """Every convex polygon on the lattice points, once per translation class.
 
-    Segments come from point pairs; two-dimensional subpolygons come
-    from closed strictly convex chains anchored at their lex-min
-    vertex.  Star traversals can emit a polygon twice, callers dedupe.
+    Segments come from point pairs.  Two-dimensional subpolygons come
+    from chains anchored at their lex-min vertex v0, extended by w only
+    when the chain turns left at its last point and w lies strictly
+    counterclockwise of that point around v0.  The other points are
+    lex-greater than v0, so they span less than a half turn around it:
+    such a chain is the counterclockwise vertex list of a convex polygon
+    (v0 lies strictly left of every edge not through it, so the chain
+    closes with left turns), and each polygon has exactly one such
+    chain.  A class is yielded at its first placement in walk order.
     """
     pts = poly.lattice_points()
     n = len(pts)
+    seen = set()
+
+    def place(chain):
+        # the chain is already the hull, counterclockwise from lex-min
+        x0 = min(x for x, _ in chain)
+        y0 = min(y for _, y in chain)
+        key = tuple((x - x0, y - y0) for x, y in chain)
+        if key in seen:
+            return None
+        seen.add(key)
+        q = LatticePolygon(chain)
+        if q.vertices != tuple(chain):
+            raise InvariantViolation(f"chain {chain} is not its own hull")
+        return q
+
     for i in range(n):
         for j in range(i + 1, n):
             bud.tick()
-            yield LatticePolygon([pts[i], pts[j]])
+            q = place((pts[i], pts[j]))
+            if q is not None:
+                yield q
     if poly.dim < 2:
         return
 
-    def chains(v0, cand, chain, used):
+    def chains(v0, cand, chain):
         bud.tick()
-        last = chain[-1]
-        e_last = (last[0] - chain[-2][0], last[1] - chain[-2][1])
         if len(chain) >= 3:
-            e_close = (v0[0] - last[0], v0[1] - last[1])
-            e_first = (chain[1][0] - v0[0], chain[1][1] - v0[1])
-            if _cross2(e_last, e_close) > 0 and _cross2(e_close, e_first) > 0:
-                yield LatticePolygon(chain)
-        for k, w in enumerate(cand):
-            if used[k]:
-                continue
-            e_new = (w[0] - last[0], w[1] - last[1])
-            if _cross2(e_last, e_new) <= 0:
-                continue
-            used[k] = True
-            yield from chains(v0, cand, chain + [w], used)
-            used[k] = False
+            q = place(chain)
+            if q is not None:
+                yield q
+        (ox, oy), (px, py), (lx, ly) = v0, chain[-2], chain[-1]
+        ex, ey = lx - px, ly - py
+        rx, ry = lx - ox, ly - oy
+        for w in cand:
+            wx, wy = w
+            # a left turn at the last point, and w counterclockwise of it around v0
+            if ex * (wy - ly) - ey * (wx - lx) > 0 and rx * (wy - oy) - ry * (wx - ox) > 0:
+                yield from chains(v0, cand, chain + [w])
 
     for i0 in range(n):
         v0 = pts[i0]
         cand = pts[i0 + 1 :]
-        used = [False] * len(cand)
-        for k, w in enumerate(cand):
-            used[k] = True
-            yield from chains(v0, cand, [v0, w], used)
-            used[k] = False
+        for w in cand:
+            yield from chains(v0, cand, [v0, w])
 
 
 @dataclass(frozen=True)
@@ -272,16 +255,13 @@ def subpolygon_decomposition_search(
         raise DegeneratePolygon("a single point admits no subpolygon search")
     bud = _Budget(budget)
     try:
-        engines = {}
+        engines = []
         for q in _iter_subpolygons(poly, bud):
-            key = q.translate_to_origin().vertices
-            if key in engines:
-                continue
             eng = _EdgeEngine(q, bud)
-            engines[key] = (q, eng, eng.max_parts())
-        best = max(ell for _, _, ell in engines.values())
+            engines.append((q, eng, eng.max_parts()))
+        best = max(ell for _, _, ell in engines)
         found = {}
-        for q, eng, ell in engines.values():
+        for q, eng, ell in engines:
             if ell != best:
                 continue
             for groups in eng.partitions(best, best):

@@ -486,6 +486,32 @@ def test_reproduce_csv(capsys):
 # -- process level ------------------------------------------------------------------
 
 
+def _main_in_process(capsys, argv):
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    return status, capsys.readouterr().out
+
+
+def test_main_calls_in_sequence_match_fresh_runs(capsys, tmp_path):
+    # the argument parser is built once per process and shared by every call
+    path = polygon_file(tmp_path, HEXAGON)
+    calls = [
+        ["bounds", "--polygon", path, "--q", "8"],
+        ["bounds", "--polygon", path, "--q", "8", "--budget", "0"],
+        ["code", "--polygon", path, "--q", "5"],
+        ["info", "--polygon", path],
+    ]
+    seen = [_main_in_process(capsys, argv) for argv in calls]
+    assert [status for status, _ in seen] == [0, 2, 0, 0]
+    for argv, (status, out) in zip(calls, seen):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "toricode", *argv], capture_output=True, text=True
+        )
+        assert (status, out) == (fresh.returncode, fresh.stdout)
+
+
 def test_module_entry_point(tmp_path):
     path = polygon_file(tmp_path, HEXAGON)
     proc = subprocess.run(

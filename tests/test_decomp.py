@@ -2,14 +2,14 @@ import random
 
 import pytest
 
+import toricode.decomp as decomp_module
+from factoring import factor_polygon, max_parts
 from lattice_maps import apply_map
 from toricode.decomp import (
     DEFAULT_BUDGET,
     _Budget,
     _iter_subpolygons,
     best_subpolygon_decomposition,
-    factor_polygon,
-    max_parts,
     maximal_decompositions,
     subpolygon_decomposition_search,
 )
@@ -202,3 +202,195 @@ def test_property_unimodular_invariance_of_max_parts():
             continue
         m = shears[rng.randrange(3)]
         assert max_parts(apply_map(p, m)) == max_parts(p)
+
+
+# -- the subpolygon walk against the star-walking oracle ---------------------------
+
+
+def _star_walk(poly, bud):
+    """The subpolygon walk before star traversals were pruned.
+
+    Every closed chain anchored at its lex-min point that turns left
+    at each point is hulled and yielded, so a pentagram comes back as
+    the pentagon on its points, once per winding order.
+    """
+    pts = poly.lattice_points()
+    n = len(pts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            bud.tick()
+            yield LatticePolygon([pts[i], pts[j]])
+    if poly.dim < 2:
+        return
+
+    def cross(a, b):
+        return a[0] * b[1] - a[1] * b[0]
+
+    def chains(v0, cand, chain, used):
+        bud.tick()
+        last = chain[-1]
+        e_last = (last[0] - chain[-2][0], last[1] - chain[-2][1])
+        if len(chain) >= 3:
+            e_close = (v0[0] - last[0], v0[1] - last[1])
+            e_first = (chain[1][0] - v0[0], chain[1][1] - v0[1])
+            if cross(e_last, e_close) > 0 and cross(e_close, e_first) > 0:
+                yield LatticePolygon(chain)
+        for k, w in enumerate(cand):
+            if used[k]:
+                continue
+            e_new = (w[0] - last[0], w[1] - last[1])
+            if cross(e_last, e_new) <= 0:
+                continue
+            used[k] = True
+            yield from chains(v0, cand, chain + [w], used)
+            used[k] = False
+
+    for i0 in range(n):
+        v0 = pts[i0]
+        cand = pts[i0 + 1 :]
+        used = [False] * len(cand)
+        for k, w in enumerate(cand):
+            used[k] = True
+            yield from chains(v0, cand, [v0, w], used)
+            used[k] = False
+
+
+def _star_walk_classes(poly, bud):
+    # the dedupe the search did on the star walk: each class at its first placement
+    seen = set()
+    for q in _star_walk(poly, bud):
+        key = _origin_key(q.vertices)
+        if key not in seen:
+            seen.add(key)
+            yield q
+
+
+def _origin_key(vertices):
+    # the vertices of LatticePolygon(vertices).translate_to_origin()
+    x0 = min(x for x, _ in vertices)
+    y0 = min(y for _, y in vertices)
+    return tuple((x - x0, y - y0) for x, y in vertices)
+
+
+def _placements(walk, poly, budget=DEFAULT_BUDGET):
+    """Placed vertices by translation class, and the ticks the walk spent."""
+    bud = _Budget(budget)
+    out = {}
+    for q in walk(poly, bud):
+        key = _origin_key(q.vertices)
+        assert key not in out, "a translation class came back twice"
+        out[key] = q.vertices
+    return out, budget - bud.left
+
+
+def _classes_in_box(span):
+    """Every polygon in [0, span]^2 up to translation, each mapped to the
+    translation classes of its subpolygons, points left out.
+
+    A proper subpolygon drawn on the lattice points misses some vertex
+    v, so it lies in the hull of the other points; recursing on those
+    hulls from the box reaches every class and every subpolygon.
+    """
+    memo = {}
+
+    def classes(poly):
+        key = poly.translate_to_origin().vertices
+        if key not in memo:
+            out = {key} if poly.dim else set()
+            for v in poly.vertices:
+                rest = [p for p in poly.lattice_points() if p != v]
+                if rest:
+                    out |= classes(LatticePolygon(rest))
+            memo[key] = out
+        return memo[key]
+
+    classes(LatticePolygon([(0, 0), (span, 0), (span, span), (0, span)]))
+    return {key: subs for key, subs in memo.items() if len(key) > 1}
+
+
+@pytest.fixture(scope="module")
+def small_box():
+    return _classes_in_box(3)
+
+
+def test_box_catalog_size(small_box):
+    # segments and two-dimensional polygons in [0,3]^2 up to translation
+    assert len(small_box) == 1657
+
+
+def test_iter_subpolygons_gives_every_class_once(small_box):
+    for key, subs in small_box.items():
+        poly = LatticePolygon(key)
+        found, _ = _placements(_iter_subpolygons, poly)
+        assert set(found) == subs, key
+        for placed in found.values():
+            assert all(poly.contains(v) for v in placed)
+
+
+def test_iter_subpolygons_matches_star_walk(small_box):
+    # the star walk grows about fivefold per lattice point; up to 8
+    # points it takes a few seconds over the whole [0,3]^2 catalog
+    checked = 0
+    for key in small_box:
+        poly = LatticePolygon(key)
+        if poly.num_lattice_points > 8:
+            continue
+        found, ticks = _placements(_iter_subpolygons, poly)
+        want, oracle_ticks = _placements(_star_walk_classes, poly)
+        assert found == want, key
+        assert ticks <= oracle_ticks, key
+        checked += 1
+    assert checked == 888
+
+
+def _seeded_polygons(seed, count, max_points):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = _random_polygon(rng, 4, rng.randint(3, 6))
+        if p.dim == 2 and p.num_lattice_points <= max_points:
+            out.append(p)
+    return out
+
+
+def test_iter_subpolygons_matches_star_walk_on_seeded_polygons():
+    for poly in _seeded_polygons(2005, 12, 10):
+        found, ticks = _placements(_iter_subpolygons, poly)
+        want, oracle_ticks = _placements(_star_walk_classes, poly)
+        assert found == want, poly
+        assert ticks <= oracle_ticks, poly
+
+
+def _star_walk_search(monkeypatch, poly, budget=DEFAULT_BUDGET):
+    with monkeypatch.context() as m:
+        m.setattr(decomp_module, "_iter_subpolygons", _star_walk_classes)
+        return subpolygon_decomposition_search(poly, budget)
+
+
+def _assert_same_search(found, want):
+    assert found.exhaustive
+    assert found.length == want.length
+    assert found.decompositions == want.decompositions
+    assert [d.translation for d in found.decompositions] == [
+        d.translation for d in want.decompositions
+    ]
+
+
+def test_search_matches_star_walk_search(monkeypatch):
+    exhaustive = 0
+    for poly in [HEX9, P54] + _seeded_polygons(2006, 16, 10):
+        want = _star_walk_search(monkeypatch, poly)
+        found = subpolygon_decomposition_search(poly)
+        if want.exhaustive:
+            _assert_same_search(found, want)
+            exhaustive += 1
+    assert exhaustive == 18
+
+
+def test_search_finishes_where_star_walk_ran_out(monkeypatch):
+    # 12 lattice points: the star walk needs 642,277 ticks for 379
+    # classes, more than the default budget of 200,000
+    poly = LatticePolygon([(1, 0), (3, 0), (4, 3), (3, 4), (2, 4)])
+    want = _star_walk_search(monkeypatch, poly, budget=10**6)
+    assert want.exhaustive
+    _assert_same_search(subpolygon_decomposition_search(poly), want)
