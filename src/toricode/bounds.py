@@ -17,6 +17,7 @@ import numpy as np
 
 from .code import (
     SectionPoly,
+    _log_grid,
     build_code,
     count_torus_zeros,
     evaluate_section,
@@ -32,6 +33,7 @@ from .errors import (
     InvariantViolation,
     NoDecomposition,
     PolygonTooLargeForField,
+    TooLarge,
 )
 from .field import FieldSpec, field_from_order
 from .polygon import LatticePolygon, lattice_equivalence
@@ -46,8 +48,16 @@ _CANDIDATE_CAP = 64
 # exact search over candidate tuples is done up to this many combinations
 _PAIRING_CAP = 10_000
 
+# the exact search counts mask unions in chunks of about this many bytes
+_PAIRING_BYTES = 1 << 21
+
 # parameter grid limit when matching against the rank-3 families
 _RANK3_SCAN_CAP = 16
+
+# bound reports evaluate sections and hold zero masks over the whole
+# torus; past 2^20 points (q above 1024) a report on the paper's
+# polygons took up to 47 s and 220 MB (F_2048), and F_65536 has 2^32
+_TORUS_CAP = 1 << 20
 
 # components of a decomposition are searched exhaustively only up to this
 # many scanned orbit representatives unless long runs were requested
@@ -284,12 +294,40 @@ def _run_directions(pts):
     return sorted(dirs)
 
 
-def _pencil_section(field, base, u, alphas) -> SectionPoly:
-    """Product of (X^u - alpha) factors, shifted to start at base."""
-    s = SectionPoly({(0, 0): 1})
-    for al in alphas:
-        s = multiply_sections(s, SectionPoly({u: 1, (0, 0): field.neg(al)}), field)
-    return s.shift(*base)
+class _CatalogEntry(NamedTuple):
+    """A split-form section, described by its pencils, with its zero count.
+
+    Each pencil (u, t, offset) is the product of X^u - g^(offset+i) over
+    i < t, for a primitive u and t < q-1; the section is the product of
+    the pencils times x^base.  X^u maps the torus onto F_q* with every
+    fibre of size q-1, so a pencil vanishes at exactly t(q-1) torus
+    points, and a product of two pencils on a unimodular pair (u, v),
+    an automorphism of the torus, at t1(q-1) + t2(q-1) - t1*t2.
+    """
+
+    zeros: int
+    base: tuple
+    pencils: tuple
+
+    def section(self, field) -> SectionPoly:
+        s = SectionPoly({(0, 0): 1})
+        for u, t, offset in self.pencils:
+            for i in range(t):
+                root = field.exp_table[(offset + i) % (field.q - 1)]
+                s = multiply_sections(s, SectionPoly({u: 1, (0, 0): field.neg(root)}), field)
+        return s.shift(*self.base)
+
+    def zero_mask(self, qm) -> np.ndarray:
+        """Torus points where the section vanishes, from exponents alone.
+
+        X^u = g^(offset+i) with i < t exactly where the log of X^u minus
+        offset is below t mod q-1.
+        """
+        mask = np.zeros(qm * qm, dtype=bool)
+        for (a, b), t, offset in self.pencils:
+            window = np.arange(2 * qm) % qm < t
+            mask |= window[_log_grid(qm, a, b, -offset)].ravel()
+        return mask
 
 
 def _catalog_sections(poly, field, variants=1):
@@ -298,9 +336,10 @@ def _catalog_sections(poly, field, variants=1):
     One pencil per lattice direction with a run, plus one product of
     two pencils per unimodular direction pair that spans a cell inside
     the polygon.  `variants` rotates the root choices to give callers
-    room to avoid common zeros.
+    room to avoid common zeros.  Entries carry their closed-form zero
+    counts and build their sections on demand.
     """
-    q = field.q
+    qm = field.q - 1
     pts = [tuple(p) for p in poly.lattice_points()]
     ptset = set(pts)
     out = []
@@ -310,13 +349,10 @@ def _catalog_sections(poly, field, variants=1):
         if t:
             runs[u] = (t, base)
 
-    def roots(length, offset):
-        return [field.exp_table[(offset + i) % (q - 1)] for i in range(length)]
-
     for u in sorted(runs):
         t, base = runs[u]
-        for j in range(max(1, min(variants, q - 1))):
-            out.append(_pencil_section(field, base, u, roots(t, j)))
+        for j in range(max(1, min(variants, qm))):
+            out.append(_CatalogEntry(t * qm, base, ((u, t, j),)))
 
     for u, v in itertools.combinations(sorted(runs), 2):
         if abs(u[0] * v[1] - u[1] * v[0]) != 1:
@@ -337,17 +373,12 @@ def _catalog_sections(poly, field, variants=1):
                     t2 += 1
                 if t2 < 1:
                     continue
-                score = (i + t2) * (q - 1) - i * t2
+                score = (i + t2) * qm - i * t2
                 if best is None or score > best[0]:
                     best = (score, p, i, t2)
         if best is not None:
-            _, p, t1, t2 = best
-            sec = multiply_sections(
-                _pencil_section(field, (0, 0), u, roots(t1, 0)),
-                _pencil_section(field, (0, 0), v, roots(t2, 0)),
-                field,
-            )
-            out.append(sec.shift(*p))
+            score, p, t1, t2 = best
+            out.append(_CatalogEntry(score, p, ((u, t1, 0), (v, t2, 0))))
     return out
 
 
@@ -359,7 +390,8 @@ def max_zero_section(
     Exhaustive over all coefficient vectors when q^#(P) fits in the
     budget; otherwise the best member of a catalog of split forms, with
     exhaustive=False to flag that the count is only a lower estimate of
-    the true maximum.
+    the true maximum.  The catalog winner's closed-form count is checked
+    against a count of its zeros.
     """
     q = field.q
     shift = poly.fits_in_box(q)
@@ -371,42 +403,68 @@ def max_zero_section(
         zeros, sections = _max_zero_exhaustive(boxed, field, cap=1)
         section, exhaustive = sections[0], True
     else:
-        best = None
-        for i, cand in enumerate(_catalog_sections(boxed, field)):
-            z = count_torus_zeros(cand, field)
-            if best is None or z > best[0]:
-                best = (z, i, cand)
-        if best is None:
-            pt = boxed.vertices[0]
-            best = (0, 0, SectionPoly({pt: 1}))
-        zeros, _, section = best
+        catalog = _catalog_sections(boxed, field)
+        if catalog:
+            # max keeps the first of equal scores, the lowest catalog index
+            best = max(catalog, key=lambda entry: entry.zeros)
+            zeros, section = best.zeros, best.section(field)
+            counted = count_torus_zeros(section, field)
+            if counted != zeros:
+                raise InvariantViolation(
+                    f"catalog section has {counted} torus zeros, its closed form {zeros}"
+                )
+        else:
+            zeros, section = 0, SectionPoly({boxed.vertices[0]: 1})
         exhaustive = False
     return MaxZeroResult(section.shift(-shift[0], -shift[1]), zeros, exhaustive)
 
 
 def _max_zero_candidates(poly, field, budget=DEFAULT_SECTION_BUDGET, cap=_CANDIDATE_CAP):
-    # candidate sections for one summand, highest zero counts first
+    """Candidate sections for one summand, most zeros first, with packed zero masks.
+
+    Catalog entries are ranked by their closed-form counts; the sort is
+    stable, so ties keep catalog order.  Row i of the mask array holds
+    the torus zeros of section i as uint64 words (see _packed).
+    """
     q = field.q
     if q ** poly.num_lattice_points <= budget:
         _, sections = _max_zero_exhaustive(poly, field, cap=cap)
-        return sections
-    scored = []
-    for i, cand in enumerate(_catalog_sections(poly, field, variants=q - 1)):
-        scored.append((-count_torus_zeros(cand, field), i, cand))
-    scored.sort(key=lambda s: s[:2])
-    return [cand for _, _, cand in scored[:cap]]
+        masks = (evaluate_section(s, field) == 0 for s in sections)
+    else:
+        kept = sorted(_catalog_sections(poly, field, variants=q - 1), key=lambda e: -e.zeros)[:cap]
+        sections = [e.section(field) for e in kept]
+        masks = (e.zero_mask(q - 1) for e in kept)
+    return sections, _packed(masks, len(sections), (q - 1) ** 2)
+
+
+def _packed(masks, rows, n):
+    """`rows` boolean masks of length n as rows of uint64 words, zero padded.
+
+    Masks are packed one at a time, so at most one unpacked mask is held.
+    """
+    out = np.zeros((rows, -(-n // 64) * 8), dtype=np.uint8)
+    for row, mask in zip(out, masks):
+        row[: -(-n // 8)] = np.packbits(mask)
+    return out.view(np.uint64)
 
 
 def _part_candidates(part, field, cache):
-    """Candidate sections of one summand with their zero masks, memoized.
+    """Candidate sections of one summand with their packed zero masks, memoized.
 
     Parts are stored at the origin, so equal summands of different
     decompositions share one entry of `cache`, keyed by their vertices.
     """
     if part.vertices not in cache:
-        cands = _max_zero_candidates(part, field)
-        cache[part.vertices] = (cands, [evaluate_section(s, field) == 0 for s in cands])
+        cache[part.vertices] = _max_zero_candidates(part, field)
     return cache[part.vertices]
+
+
+def _union_counts(masks, picks):
+    """Torus zeros of the union of masks[p][pick[p]], one count per row of picks."""
+    union = masks[0][picks[:, 0]]
+    for part in range(1, picks.shape[1]):
+        union |= masks[part][picks[:, part]]
+    return np.bitwise_count(union).sum(axis=1)
 
 
 def _best_product_section(dec, field, cache):
@@ -414,8 +472,11 @@ def _best_product_section(dec, field, cache):
 
     Candidate tuples are searched exactly when the combination count is
     small, else by greedy accumulation restarted from every choice of
-    the first factor.  `cache` holds the candidates of summands already
-    seen (see _part_candidates).  Returns (zeros, section) or None.
+    the first factor; both keep the first maximum in their order.  Zero
+    masks are packed into words and their unions counted in bulk, in
+    chunks of at most _PAIRING_BYTES.  `cache` holds the candidates of
+    summands already seen (see _part_candidates).  Returns (zeros,
+    section) or None.
     """
     cand_lists, masks = zip(*(_part_candidates(p, field, cache) for p in dec.parts))
     if any(not lst for lst in cand_lists):
@@ -425,28 +486,26 @@ def _best_product_section(dec, field, cache):
     for s in sizes:
         total *= s
 
-    best_count, best_pick = -1, None
     if total <= _PAIRING_CAP:
-        for pick in itertools.product(*(range(s) for s in sizes)):
-            union = masks[0][pick[0]]
-            for part, idx in enumerate(pick[1:], start=1):
-                union = union | masks[part][idx]
-            count = int(np.count_nonzero(union))
-            if count > best_count:
-                best_count, best_pick = count, pick
+        picks = np.array(list(itertools.product(*(range(s) for s in sizes))))
+        rows = max(1, _PAIRING_BYTES // masks[0][0].nbytes)
+        counts = np.concatenate(
+            [_union_counts(masks, picks[i : i + rows]) for i in range(0, total, rows)]
+        )
+        best = int(np.argmax(counts))
+        best_count, best_pick = int(counts[best]), tuple(picks[best].tolist())
     else:
+        best_count, best_pick = -1, None
         for first in range(sizes[0]):
             pick = [first]
             union = masks[0][first]
             for part in range(1, len(sizes)):
-                gains = [
-                    int(np.count_nonzero(union | masks[part][i]))
-                    for i in range(sizes[part])
-                ]
-                idx = max(range(sizes[part]), key=lambda i: (gains[i], -i))
+                gains = np.bitwise_count(union | masks[part]).sum(axis=1)
+                # argmax keeps the first of equal gains
+                idx = int(np.argmax(gains))
                 pick.append(idx)
                 union = union | masks[part][idx]
-            count = int(np.count_nonzero(union))
+            count = int(np.bitwise_count(union).sum())
             if count > best_count:
                 best_count, best_pick = count, tuple(pick)
 
@@ -466,6 +525,13 @@ def _best_product_section(dec, field, cache):
     return zeros, section
 
 
+def _check_torus_size(q):
+    if (q - 1) ** 2 > _TORUS_CAP:
+        raise TooLarge(
+            f"the torus of F_{q} has {(q - 1) ** 2} points; bound reports allow {_TORUS_CAP}"
+        )
+
+
 def certified_upper_bound(
     P: LatticePolygon, F: FieldSpec, decs: Sequence[MinkowskiDecomposition]
 ) -> tuple[int, SectionPoly]:
@@ -477,8 +543,10 @@ def certified_upper_bound(
     valid: the witness evaluates to a codeword of that weight.  A
     single catalog section on the whole polygon is kept as fallback.
     Summands that recur across decompositions are searched once.
+    Fields whose torus exceeds _TORUS_CAP points raise TooLarge.
     """
     q = F.q
+    _check_torus_size(q)
     if P.fits_in_box(q) is None:
         w, h = P.width_height()
         raise PolygonTooLargeForField(f"polygon spans {w}x{h}, too large for q = {q}")
@@ -868,9 +936,11 @@ def full_report(
     feeds the certified and hypothetical upper bounds plus the lower
     bound, and exact=True adds an exhaustive search.  All applicable
     entries are cross-checked before the report is returned; witness
-    sections are given in box-normalized coordinates.
+    sections are given in box-normalized coordinates.  Fields whose
+    torus exceeds _TORUS_CAP points raise TooLarge before any work.
     """
     q = F.q
+    _check_torus_size(q)
     shift = P.fits_in_box(q)
     if shift is None:
         w, h = P.width_height()

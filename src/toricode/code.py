@@ -26,7 +26,6 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -77,22 +76,23 @@ def multiply_sections(a: SectionPoly, b: SectionPoly, field: FieldSpec) -> Secti
     return SectionPoly(out)
 
 
-@lru_cache(maxsize=None)
-def _torus_exponents(qm: int):
-    # row-major over exponent pairs, second exponent fastest
-    i_idx = np.repeat(np.arange(qm, dtype=np.int64), qm)
-    j_idx = np.tile(np.arange(qm, dtype=np.int64), qm)
-    return i_idx, j_idx
+def _log_grid(qm: int, a: int, b: int, c_log: int = 0) -> np.ndarray:
+    """Discrete logs of g^c_log x^a y^b at the torus points, unreduced.
+
+    Entry (i, j), for the point (g^i, g^j), is the sum of a*i mod q-1
+    and b*j + c_log mod q-1, so it lies in [0, 2q-4] and the doubled exp
+    table reads it directly.  Exponents may be negative or exceed q-2.
+    """
+    e = np.arange(qm, dtype=np.int64)
+    return ((e * a) % qm)[:, None] + ((e * b + c_log) % qm)[None, :]
 
 
 def evaluate_section(s: SectionPoly, field: FieldSpec) -> np.ndarray:
     """Values of the section at all torus points, in torus_points order."""
     qm = field.q - 1
-    i_idx, j_idx = _torus_exponents(qm)
     acc = np.zeros(qm * qm, dtype=field.dtype)
     for (a, b), c in sorted(s.terms.items()):
-        logs = (i_idx * a + j_idx * b + field.log_table[c]) % qm
-        acc = field.add_np(acc, field.exp_np[logs])
+        acc = field.add_np(acc, field.exp_np[_log_grid(qm, a, b, field.log_table[c])].ravel())
     return acc
 
 
@@ -175,13 +175,11 @@ def build_code(polygon: LatticePolygon, field: FieldSpec) -> ToricCode:
     n = qm * qm
     if k * n > _GENERATOR_ENTRY_CAP:
         raise TooLarge(f"generator matrix with {k}x{n} entries is too large")
-    i_idx, j_idx = _torus_exponents(qm)
     log_generator = np.empty((k, n), dtype=np.int64)
-    generator = np.empty((k, n), dtype=field.dtype)
     for r, (m1, m2) in enumerate(monomials):
-        logs = (i_idx * m1 + j_idx * m2) % qm
-        log_generator[r] = logs
-        generator[r] = field.exp_np[logs]
+        log_generator[r] = _log_grid(qm, m1, m2).ravel()
+    np.subtract(log_generator, qm, out=log_generator, where=log_generator >= qm)
+    generator = field.exp_np[log_generator]
     if len({(m1 % qm, m2 % qm) for m1, m2 in monomials}) != k:
         raise InvariantViolation("monomial exponents collide mod q-1; the rows are dependent")
     return ToricCode(placed, field, shift, monomials, generator, log_generator)

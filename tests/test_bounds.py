@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -14,10 +15,14 @@ from toricode.bounds import (
     LowerBound,
     MaxZeroResult,
     _best_product_section,
+    _best_run,
+    _catalog_sections,
     _check_consistency,
     _closed_forms,
     _component_distance,
+    _max_zero_candidates,
     _max_zero_exhaustive,
+    _run_directions,
     certified_upper_bound,
     d_full_triangle,
     d_hirzebruch,
@@ -34,8 +39,10 @@ from toricode.bounds import (
 from toricode.code import (
     SectionPoly,
     build_code,
+    count_torus_zeros,
     evaluate_section,
     min_distance_exact,
+    multiply_sections,
     search_plan,
     weight_of_section,
 )
@@ -46,6 +53,7 @@ from toricode.errors import (
     InvariantViolation,
     NoDecomposition,
     PolygonTooLargeForField,
+    TooLarge,
 )
 from toricode.field import field_from_order
 from toricode.polygon import LatticePolygon, lattice_equivalence
@@ -399,6 +407,270 @@ def test_max_zero_exhaustive_matches_oracle(q):
             assert [s.terms for s in sections] == [s.terms for s in want_sections]
 
 
+# -- the section search against field-arithmetic oracles -----------------------
+#
+# The routines the exponent-domain search replaced: evaluation by
+# multiply-and-mod over every torus point, catalog sections built in
+# full and ranked by counting their zeros, and pairing loops over
+# boolean masks.
+
+
+def evaluate_section_oracle(s, field):
+    qm = field.q - 1
+    i_idx = np.repeat(np.arange(qm, dtype=np.int64), qm)
+    j_idx = np.tile(np.arange(qm, dtype=np.int64), qm)
+    acc = np.zeros(qm * qm, dtype=field.dtype)
+    for (a, b), c in sorted(s.terms.items()):
+        logs = (i_idx * a + j_idx * b + field.log_table[c]) % qm
+        acc = field.add_np(acc, field.exp_np[logs])
+    return acc
+
+
+def zero_mask_oracle(s, field):
+    return evaluate_section_oracle(s, field) == 0
+
+
+def _pencil_section_oracle(field, base, u, alphas):
+    s = SectionPoly({(0, 0): 1})
+    for al in alphas:
+        s = multiply_sections(s, SectionPoly({u: 1, (0, 0): field.neg(al)}), field)
+    return s.shift(*base)
+
+
+def catalog_sections_oracle(poly, field, variants=1):
+    """The split-form catalog with every section built, in catalog order."""
+    q = field.q
+    pts = [tuple(p) for p in poly.lattice_points()]
+    ptset = set(pts)
+    out = []
+    runs = {}
+    for u in _run_directions(pts):
+        t, base = _best_run(ptset, u)
+        if t:
+            runs[u] = (t, base)
+
+    def roots(length, offset):
+        return [field.exp_table[(offset + i) % (q - 1)] for i in range(length)]
+
+    for u in sorted(runs):
+        t, base = runs[u]
+        for j in range(max(1, min(variants, q - 1))):
+            out.append(_pencil_section_oracle(field, base, u, roots(t, j)))
+
+    for u, v in itertools.combinations(sorted(runs), 2):
+        if abs(u[0] * v[1] - u[1] * v[0]) != 1:
+            continue
+        best = None
+        for p in pts:
+            t1 = 0
+            x, y = p
+            while (x + u[0], y + u[1]) in ptset:
+                x, y, t1 = x + u[0], y + u[1], t1 + 1
+            for i in range(1, t1 + 1):
+                t2 = 0
+                cx, cy = p[0] + i * u[0], p[1] + i * u[1]
+                while (
+                    (p[0] + v[0] * (t2 + 1), p[1] + v[1] * (t2 + 1)) in ptset
+                    and (cx + v[0] * (t2 + 1), cy + v[1] * (t2 + 1)) in ptset
+                ):
+                    t2 += 1
+                if t2 < 1:
+                    continue
+                score = (i + t2) * (q - 1) - i * t2
+                if best is None or score > best[0]:
+                    best = (score, p, i, t2)
+        if best is not None:
+            _, p, t1, t2 = best
+            sec = multiply_sections(
+                _pencil_section_oracle(field, (0, 0), u, roots(t1, 0)),
+                _pencil_section_oracle(field, (0, 0), v, roots(t2, 0)),
+                field,
+            )
+            out.append(sec.shift(*p))
+    return out
+
+
+def catalog_candidates_oracle(poly, field, cap=64):
+    """Catalog sections ranked by counted zeros, then catalog index."""
+    scored = []
+    for i, cand in enumerate(catalog_sections_oracle(poly, field, variants=field.q - 1)):
+        scored.append((-int(np.count_nonzero(zero_mask_oracle(cand, field))), i, cand))
+    scored.sort(key=lambda s: s[:2])
+    return [cand for _, _, cand in scored[:cap]]
+
+
+def best_pick_oracle(masks, pairing_cap):
+    """Exact search over all candidate tuples, or greedy from every first factor."""
+    sizes = [len(m) for m in masks]
+    total = 1
+    for s in sizes:
+        total *= s
+    best_count, best_pick = -1, None
+    if total <= pairing_cap:
+        for pick in itertools.product(*(range(s) for s in sizes)):
+            union = masks[0][pick[0]]
+            for part, idx in enumerate(pick[1:], start=1):
+                union = union | masks[part][idx]
+            count = int(np.count_nonzero(union))
+            if count > best_count:
+                best_count, best_pick = count, pick
+    else:
+        for first in range(sizes[0]):
+            pick = [first]
+            union = masks[0][first]
+            for part in range(1, len(sizes)):
+                gains = [
+                    int(np.count_nonzero(union | masks[part][i]))
+                    for i in range(sizes[part])
+                ]
+                idx = max(range(sizes[part]), key=lambda i: (gains[i], -i))
+                pick.append(idx)
+                union = union | masks[part][idx]
+            count = int(np.count_nonzero(union))
+            if count > best_count:
+                best_count, best_pick = count, tuple(pick)
+    return best_count, best_pick
+
+
+def best_product_oracle(dec, field, pairing_cap):
+    cand_lists = [bounds_module._max_zero_candidates(p, field)[0] for p in dec.parts]
+    masks = [[zero_mask_oracle(s, field) for s in lst] for lst in cand_lists]
+    count, pick = best_pick_oracle(masks, pairing_cap)
+    section = cand_lists[0][pick[0]]
+    for part, idx in enumerate(pick[1:], start=1):
+        section = multiply_sections(section, cand_lists[part][idx], field)
+    section = section.shift(*dec.translation)
+    assert count == int(np.count_nonzero(zero_mask_oracle(section, field)))
+    return count, section
+
+
+ORACLE_QS = [3, 4, 5, 7, 8, 9, 16, 27, 49, 64]
+
+
+def _section_search_polygons():
+    polys = [
+        LatticePolygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
+        LatticePolygon([(0, 0), (4, 0), (0, 1)]),
+        HEX9, P54, Q1, SKEW_TRIANGLE, BOX22,
+    ]
+    rng = random.Random(8)
+    while len(polys) < 12:
+        poly = LatticePolygon([(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(5)])
+        if poly.dim == 2:
+            polys.append(poly)
+    return polys
+
+
+def _boxed(poly, q):
+    shift = poly.fits_in_box(q)
+    return None if shift is None else poly.translate(*shift)
+
+
+def _unpacked(words, n):
+    return np.unpackbits(words.view(np.uint8), axis=1)[:, :n].astype(bool)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_evaluate_section_matches_oracle(q):
+    field = field_from_order(q)
+    rng = random.Random(q)
+    for _ in range(20):
+        terms = {
+            (rng.randint(-2 * q, 2 * q), rng.randint(-2 * q, 2 * q)): rng.randrange(1, q)
+            for _ in range(rng.randint(1, 4))
+        }
+        # negative exponents and exponents of q-1 and beyond
+        terms[(-1, q - 1)] = 1
+        terms[(q, -q - 3)] = rng.randrange(1, q)
+        s = SectionPoly(terms)
+        assert np.array_equal(evaluate_section(s, field), evaluate_section_oracle(s, field))
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_catalog_scores_and_masks_match_oracle(q):
+    field = field_from_order(q)
+    negative = 0
+    for poly in _section_search_polygons():
+        boxed = _boxed(poly, q)
+        if boxed is None:
+            continue
+        entries = _catalog_sections(boxed, field, variants=q - 1)
+        sections = [e.section(field) for e in entries]
+        assert sections == catalog_sections_oracle(boxed, field, variants=q - 1)
+        for entry, section in zip(entries, sections):
+            want = zero_mask_oracle(section, field)
+            assert entry.zeros == int(np.count_nonzero(want)), (poly.vertices, entry)
+            assert np.array_equal(entry.zero_mask(q - 1), want), (poly.vertices, entry)
+            negative += any(min(u) < 0 for u, _, _ in entry.pencils)
+    if q >= 7:
+        assert negative > 0
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_max_zero_candidates_match_oracle(q):
+    field = field_from_order(q)
+    n = (q - 1) ** 2
+    for poly in _section_search_polygons():
+        part = _boxed(poly, q)
+        if part is None:
+            continue
+        sections, words = _max_zero_candidates(part, field, budget=0)
+        assert sections == catalog_candidates_oracle(part, field), poly.vertices
+        want = [zero_mask_oracle(s, field) for s in sections]
+        assert np.array_equal(_unpacked(words, n), np.array(want).reshape(len(want), n))
+        sections, words = _max_zero_candidates(part, field)
+        want = [zero_mask_oracle(s, field) for s in sections]
+        assert np.array_equal(_unpacked(words, n), np.array(want).reshape(len(want), n))
+
+
+@pytest.mark.parametrize("catalog", [False, True], ids=["default", "catalog"])
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_best_product_section_matches_oracle(q, catalog, monkeypatch):
+    field = field_from_order(q)
+    if catalog:
+        candidates = functools.partial(bounds_module._max_zero_candidates, budget=0)
+        monkeypatch.setattr(bounds_module, "_max_zero_candidates", candidates)
+    # small chunks, so that the exact search crosses chunk boundaries
+    monkeypatch.setattr(bounds_module, "_PAIRING_BYTES", 1000)
+    pairing_cap = bounds_module._PAIRING_CAP
+    branches = {"exact": 0, "greedy": 0}
+    for poly in _section_search_polygons():
+        boxed = _boxed(poly, q)
+        if boxed is None or boxed.num_lattice_points > 10:
+            continue
+        for dec in best_subpolygon_decomposition(boxed):
+            sizes = [len(bounds_module._max_zero_candidates(p, field)[0]) for p in dec.parts]
+            for branch, cap in (("exact", pairing_cap), ("greedy", 0)):
+                if branch == "exact" and int(np.prod(sizes)) > cap:
+                    continue
+                monkeypatch.setattr(bounds_module, "_PAIRING_CAP", cap)
+                got = _best_product_section(dec, field, {})
+                want = best_product_oracle(dec, field, cap)
+                assert got[0] == want[0] and got[1] == want[1], (poly.vertices, dec.parts)
+                branches[branch] += len(dec.parts) > 1
+    assert branches["exact"] > 0 and branches["greedy"] > 0
+
+
+def test_catalog_zero_count_is_checked(monkeypatch):
+    res = max_zero_section(P54, F8, budget=0)
+    assert not res.exhaustive
+    assert res.zeros == count_torus_zeros(res.section, F8)
+    monkeypatch.setattr(bounds_module, "count_torus_zeros", lambda s, f: res.zeros - 1)
+    with pytest.raises(InvariantViolation):
+        max_zero_section(P54, F8, budget=0)
+
+
+def test_bound_reports_refuse_huge_tori():
+    field = field_from_order(2048)
+    with pytest.raises(TooLarge):
+        certified_upper_bound(P54, field, [])
+    with pytest.raises(TooLarge):
+        full_report(P54, field)
+    # the largest field under the cap still runs
+    value, _ = certified_upper_bound(LatticePolygon([(0, 0)]), field_from_order(1024), [])
+    assert value == 1023**2
+
+
 # -- certified upper bounds -----------------------------------------------------
 
 
@@ -617,6 +889,31 @@ def test_report_pentagon_f256_keeps_component_entries():
     names = {e.name for e in rep.entries}
     assert "decomposition-lower" in names
     assert any(name.startswith("product-bound") for name in names)
+    assert [(e.name, e.value, e.applicable) for e in rep.entries] == [
+        ("certified-upper", 64515, True),
+        ("product-bound[0]", 64485, False),
+        ("product-bound[1]", 64515, False),
+        ("decomposition-lower", 64485, True),
+    ]
+
+
+def test_report_pentagon_f128_entries():
+    rep = full_report(P54, field_from_order(128))
+    assert [(e.name, e.value, e.applicable) for e in rep.entries] == [
+        ("certified-upper", 15875, True),
+        ("product-bound[0]", 15855, False),
+        ("product-bound[1]", 15875, False),
+        ("decomposition-lower", 15855, True),
+    ]
+
+
+def test_report_hexagon_f256_entries():
+    rep = full_report(HEX9, field_from_order(256))
+    assert [(e.name, e.value, e.applicable) for e in rep.entries] == [
+        ("certified-upper", 64262, True),
+        ("product-bound[0]", 64260, False),
+        ("decomposition-lower", 64260, True),
+    ]
 
 
 def test_report_point_and_segment():

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ SCHEMA_DIR = ROOT / "docs" / "schemas"
 
 HEXAGON = [[1, 0], [2, 0], [0, 1], [1, 2], [3, 2], [3, 3]]
 SKEW_TRIANGLE = [[0, 0], [1, 4], [4, 1]]
+PENTAGON = [[0, 0], [1, 0], [3, 1], [2, 2], [1, 2]]
 
 
 def polygon_file(tmp_path, vertices, name="poly.json"):
@@ -148,6 +150,20 @@ def test_modulus_of_wrong_degree_exits_2(capsys, tmp_path):
 def test_oversized_coordinates_exit_3(capsys, tmp_path):
     path = polygon_file(tmp_path, [[0, 0], [2**40, 0], [0, 1]])
     assert run(capsys, "info", "--polygon", path)[0] == 3
+
+
+def test_bounds_over_huge_field_exits_3_quickly(capsys, tmp_path):
+    # the torus of F_65536 has 2^32 points; the report refuses it before
+    # the decomposition search and before any torus-sized array
+    path = polygon_file(tmp_path, PENTAGON)
+    start = time.perf_counter()
+    status = main(["bounds", "--polygon", path, "--q", "65536"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert elapsed < 30
 
 
 _LIMIT_ERRORS = (
