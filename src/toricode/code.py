@@ -33,7 +33,7 @@ from .errors import InvariantViolation, PolygonTooLargeForField, SupportOutsideP
 from .field import FieldSpec
 from .polygon import LatticePolygon
 
-# suffix tables hold one precomputed codeword per row; these caps keep
+# suffix tables hold one precomputed codeword per column; these caps keep
 # a table under ~32 MB and keep odd-characteristic lookups cheap
 _SUFFIX_ROWS_CHAR2 = 1 << 17
 _SUFFIX_ROWS_ODD = 1 << 15
@@ -243,21 +243,22 @@ def _suffix_depth(field, rows, n):
 
 
 def _build_suffix_table(field, log_generator, depth):
-    """Codewords of all coefficient choices on the last `depth` rows.
+    """Codewords of all coefficient choices on the last `depth` rows, one per column.
 
-    Table row sum(v_j q^j) holds the codeword with coefficient v_j on
-    generator row k-1-j; prefixes of the table serve smaller depths.
+    Column sum(v_j q^j) of the (n, q^depth) table holds the codeword with
+    coefficient v_j on generator row k-1-j; column prefixes serve
+    smaller depths.
     """
     q = field.q
     k, n = log_generator.shape
-    table = np.zeros((1, n), dtype=field.dtype)
+    table = np.zeros((n, 1), dtype=field.dtype)
     for j in range(depth):
         row = k - 1 - j
         blocks = [table]
         for v in range(1, q):
             scaled = field.exp_np[log_generator[row] + field.log_table[v]]
-            blocks.append(field.add_np(table, scaled[None, :]))
-        table = np.concatenate(blocks, axis=0)
+            blocks.append(field.add_np(table, scaled[:, None]))
+        table = np.concatenate(blocks, axis=1)
     return table
 
 
@@ -358,8 +359,8 @@ class _SearchContext:
         self.f = f
         self.depth = depth
         self.suffix = _build_suffix_table(self.field, log_rows, depth)
-        self.match_buf = np.empty(self.suffix.shape, dtype=bool)
-        # zero counts are at most n; the narrowest dtype keeps the row sum cheap
+        self.match_buf = np.empty(self.suffix.size, dtype=bool)
+        # zero counts are at most n; the narrowest dtype keeps the column sum cheap
         self.count_dtype = np.min_scalar_type(self.n)
 
     def row(self, r, c):
@@ -405,16 +406,22 @@ class _SearchContext:
         scanned, completed flag).
         """
         fixed, walked, depth = self.layout(task)
-        table = self.suffix[: self.field.q**depth]
-        buf = self.match_buf[: table.shape[0]].view(np.uint8)
+        width = self.field.q**depth
+        table = self.suffix[:, :width]
+        # contiguous, so each zero count is a sum down one column
+        buf = self.match_buf[: self.n * width].reshape(self.n, width)
+        counts_u8 = buf.view(np.uint8)
         hist = np.zeros(self.n + 1, dtype=np.int64) if want_hist else None
         best = 0
         scanned = 0
         for base in self.bases(fixed, walked):
-            # base + table row vanishes exactly where the row equals -base
-            np.equal(table, self.field.neg_np(base)[None, :], out=buf.view(bool))
-            counts = buf.sum(axis=1, dtype=self.count_dtype)
-            scanned += table.shape[0]
+            # base - column vanishes exactly where the column equals base.  The
+            # columns run over every choice on the table's rows, a set negation
+            # maps onto itself, so these are the zero counts of base + column,
+            # permuted; the maximum and the histogram do not see the order.
+            np.equal(table, base[:, None], out=buf)
+            counts = counts_u8.sum(axis=0, dtype=self.count_dtype)
+            scanned += width
             if want_hist:
                 hist += np.bincount(counts, minlength=self.n + 1)
             else:

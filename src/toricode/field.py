@@ -275,7 +275,8 @@ class FieldSpec:
         """Elementwise field addition of two code arrays."""
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        return self.add_table()[a.astype(np.int64), b.astype(np.int64)]
+        # one gather from the flat table at a*q + b, broadcast like a + b
+        return self.add_table().ravel().take(np.multiply(a, self.q, dtype=np.intp) + b)
 
     def neg_np(self, a: np.ndarray) -> np.ndarray:
         """Elementwise additive inverse of a code array."""

@@ -364,14 +364,16 @@ def test_mindist_deadline_is_reported_honestly(capsys, tmp_path):
 def test_mindist_checkpoint_resume(capsys, tmp_path):
     path = polygon_file(tmp_path, HEXAGON)
     ckpt = str(tmp_path / "state.json")
-    # the hexagon over F9 takes several times the deadline
-    run(capsys, "mindist", "--polygon", path, "--q", "9",
-        "--deadline", "0.05", "--checkpoint", ckpt)
-    status, out = run(capsys, "mindist", "--polygon", path, "--q", "9",
+    # the hexagon over F13 takes many times the deadline, so the first run is cut
+    status, out = run(capsys, "mindist", "--polygon", path, "--q", "13",
+                      "--deadline", "0.05", "--checkpoint", ckpt)
+    assert status == 0
+    assert json.loads(out)["exact"] is False
+    status, out = run(capsys, "mindist", "--polygon", path, "--q", "13",
                       "--checkpoint", ckpt)
     assert status == 0
     payload = json.loads(out)
-    assert payload["d"] == 42 and payload["exact"]
+    assert payload["d"] == 110 and payload["exact"]
 
 
 # -- bounds ------------------------------------------------------------------------

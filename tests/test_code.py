@@ -313,16 +313,16 @@ def test_deadline_returns_upper_bound():
 
 
 def test_checkpoint_resume(tmp_path):
-    # the hexagon over F9 takes several times the deadline
+    # the hexagon over F13 takes many times the deadline, so the first run is cut
     path = str(tmp_path / "search.json")
-    code = build_code(HEX9, field_from_order(9))
+    code = build_code(HEX9, field_from_order(13))
     first = min_distance_exact(code, deadline=0.05, checkpoint=path)
-    code2 = build_code(HEX9, field_from_order(9))
+    assert not first.exact
+    code2 = build_code(HEX9, field_from_order(13))
     second = min_distance_exact(code2, checkpoint=path)
-    assert second.exact and second.weight == 42
-    assert second.enumerated == (9**9 - 1) // 8
-    if not first.exact:
-        assert first.enumerated < second.enumerated
+    assert second.exact and second.weight == 110
+    assert second.enumerated == (13**9 - 1) // 12
+    assert first.enumerated < second.enumerated
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])
@@ -362,10 +362,10 @@ def test_suffix_table_matches_messages():
     square = LatticePolygon([(0, 0), (1, 0), (0, 1), (1, 1)])
     code = build_code(square, f)
     table = _build_suffix_table(f, code.log_generator, 2)
-    assert table.shape == (9, code.n)
+    assert table.shape == (code.n, 9)
     for idx in range(9):
         msg = [0, 0, idx // 3, idx % 3]  # digit j scales row k-1-j
-        assert np.array_equal(table[idx], code.evaluate_message(msg))
+        assert np.array_equal(table[:, idx], code.evaluate_message(msg))
 
 
 def test_rank_detects_dependence():
@@ -416,6 +416,10 @@ def test_engine_matches_brute_force(walk, monkeypatch):
         build_code(LatticePolygon([(2, 1)]), field_from_order(7)),
         build_code(LatticePolygon([(0, 0), (3, 0)]), field_from_order(8)),
         build_code(Q1, field_from_order(9)),
+        # n = 225, 256, 324: uint8 and uint16 zero counts, XOR and gathered addition
+        build_code(LatticePolygon([(0, 0), (1, 0), (0, 1), (1, 1)]), field_from_order(16)),
+        build_code(LatticePolygon([(0, 0), (3, 0)]), field_from_order(17)),
+        build_code(LatticePolygon([(0, 0), (0, 2)]), field_from_order(19)),
     ]
     codes += [_random_code(rng, q) for q in (3, 4, 5, 7, 8, 9) for _ in range(4)]
     frames = set()

@@ -164,6 +164,22 @@ def test_add_table_matches_scalar():
                 assert int(t[a, b]) == f.add(a, b)
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 81, 243])
+def test_add_np_matches_2d_gather_on_broadcast_shapes(q):
+    # the flat gather must agree with the (q, q) table indexed by both
+    # operands, and broadcast as a + b does, e.g. (m,1,n) with (1,q,n)
+    f = field_from_order(q)
+    rng = np.random.default_rng(q)
+    shapes = [((7,), (7,)), ((4, 1, 6), (1, 3, 6)), ((5, 1), (1, 4)), ((3, 8), (8,))]
+    for sa, sb in shapes:
+        a = rng.integers(0, q, sa).astype(f.dtype)
+        b = rng.integers(0, q, sb).astype(f.dtype)
+        got = f.add_np(a, b)
+        want = f.add_table()[a.astype(np.int64), b.astype(np.int64)]
+        assert got.shape == np.broadcast_shapes(sa, sb) and got.dtype == f.dtype
+        assert np.array_equal(got, want)
+
+
 def test_add_np_char2_is_xor():
     f = field_from_order(8)
     a = np.array([0, 1, 5, 7], dtype=f.dtype)
