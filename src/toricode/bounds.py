@@ -8,6 +8,7 @@ matches a polygon against all of the above.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd, isqrt
@@ -36,7 +37,7 @@ from .errors import (
     TooLarge,
 )
 from .field import FieldSpec, field_from_order
-from .polygon import LatticePolygon, lattice_equivalence
+from .polygon import LatticePolygon, _xgcd, normal_form
 
 # exhaustive section maximization is allowed up to this many coefficient
 # vectors; larger spaces fall back to the split-form catalog
@@ -330,13 +331,13 @@ class _CatalogEntry(NamedTuple):
         return mask
 
 
-def _catalog_sections(poly, field, variants=1):
+def _catalog_sections(poly, field):
     """Split-form candidate sections supported inside the polygon.
 
-    One pencil per lattice direction with a run, plus one product of
-    two pencils per unimodular direction pair that spans a cell inside
-    the polygon.  `variants` rotates the root choices to give callers
-    room to avoid common zeros.  Entries carry their closed-form zero
+    One pencil per lattice direction with a run, in each of its q-1
+    root rotations, which give products room to avoid common zeros,
+    plus one product of two pencils per unimodular direction pair that
+    spans a cell inside the polygon.  Entries carry their closed-form zero
     counts and build their sections on demand.
     """
     qm = field.q - 1
@@ -351,7 +352,7 @@ def _catalog_sections(poly, field, variants=1):
 
     for u in sorted(runs):
         t, base = runs[u]
-        for j in range(max(1, min(variants, qm))):
+        for j in range(qm):
             out.append(_CatalogEntry(t * qm, base, ((u, t, j),)))
 
     for u, v in itertools.combinations(sorted(runs), 2):
@@ -390,8 +391,9 @@ def max_zero_section(
     Exhaustive over all coefficient vectors when q^#(P) fits in the
     budget; otherwise the best member of a catalog of split forms, with
     exhaustive=False to flag that the count is only a lower estimate of
-    the true maximum.  The catalog winner's closed-form count is checked
-    against a count of its zeros.
+    the true maximum.  Both come from the first candidate of
+    _max_zero_candidates; the catalog winner's count, read from its
+    exponent mask, is checked against a count of its zeros.
     """
     q = field.q
     shift = poly.fits_in_box(q)
@@ -399,23 +401,18 @@ def max_zero_section(
         w, h = poly.width_height()
         raise PolygonTooLargeForField(f"polygon spans {w}x{h}, too large for q = {q}")
     boxed = poly.translate(*shift)
-    if q ** boxed.num_lattice_points <= budget:
-        zeros, sections = _max_zero_exhaustive(boxed, field, cap=1)
-        section, exhaustive = sections[0], True
-    else:
-        catalog = _catalog_sections(boxed, field)
-        if catalog:
-            # max keeps the first of equal scores, the lowest catalog index
-            best = max(catalog, key=lambda entry: entry.zeros)
-            zeros, section = best.zeros, best.section(field)
-            counted = count_torus_zeros(section, field)
-            if counted != zeros:
-                raise InvariantViolation(
-                    f"catalog section has {counted} torus zeros, its closed form {zeros}"
-                )
-        else:
-            zeros, section = 0, SectionPoly({boxed.vertices[0]: 1})
-        exhaustive = False
+    # a single point has no catalog section, and its q messages are
+    # searched whatever the budget
+    budget = max(budget, q)
+    sections, masks = _max_zero_candidates(boxed, field, budget=budget, cap=1)
+    section, zeros = sections[0], int(np.bitwise_count(masks[0]).sum())
+    exhaustive = q ** boxed.num_lattice_points <= budget
+    if not exhaustive:
+        counted = count_torus_zeros(section, field)
+        if counted != zeros:
+            raise InvariantViolation(
+                f"catalog section has {counted} torus zeros, its mask {zeros}"
+            )
     return MaxZeroResult(section.shift(-shift[0], -shift[1]), zeros, exhaustive)
 
 
@@ -431,7 +428,7 @@ def _max_zero_candidates(poly, field, budget=DEFAULT_SECTION_BUDGET, cap=_CANDID
         _, sections = _max_zero_exhaustive(poly, field, cap=cap)
         masks = (evaluate_section(s, field) == 0 for s in sections)
     else:
-        kept = sorted(_catalog_sections(poly, field, variants=q - 1), key=lambda e: -e.zeros)[:cap]
+        kept = sorted(_catalog_sections(poly, field), key=lambda e: -e.zeros)[:cap]
         sections = [e.section(field) for e in kept]
         masks = (e.zero_mask(q - 1) for e in kept)
     return sections, _packed(masks, len(sections), (q - 1) ** 2)
@@ -582,13 +579,15 @@ class LowerBound(NamedTuple):
 
 
 def _component_distance(part, q, cache, threads=1, deadline=None, long_runs=False):
-    """Exact distance of one summand, memoized in `cache` by shape.
+    """Exact distance of one summand, memoized in `cache` by normal form.
 
-    The first matching closed form wins; a summand none matches is
-    searched, refusing searches over the component cap unless long
-    runs were requested.
+    Equivalent polygons give monomially equivalent codes, so summands
+    equivalent under a unimodular map share one entry.  The first
+    matching closed form wins; a summand none matches is searched,
+    refusing searches over the component cap unless long runs were
+    requested.
     """
-    key = part.translate_to_origin().vertices
+    key = normal_form(part)[0]
     if key in cache:
         return cache[key]
     val = next((value for _, value, _ in _closed_forms(part, q)), None)
@@ -658,64 +657,50 @@ def mainthm_lower_bound(
 # -- pattern matchers -----------------------------------------------------------
 
 
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    return old_r, old_s, old_t
-
-
 def _match_triangle(poly):
-    """Parameters (a, b, c), a >= b + c, for a triangle, else None.
+    """Least (a, b, c) with a >= b + c and poly equivalent to conv{(0,0),(a,0),(b,c)}.
 
-    Tries every edge as the base; b is sheared into [0, c) so the
-    hypothesis gets its best chance.
+    Returns None when there is none.  Each counterclockwise edge in turn
+    goes onto [0, a] x {0} with the apex above it at height c.  The
+    shears fixing the base move the apex's x through one class mod c,
+    and the reflection swapping the base's ends turns x into a - x, so
+    b = x mod c and (a - x) mod c are the least candidates for that
+    edge; a larger b only weakens a >= b + c.
     """
     vs = poly.vertices
     if poly.dim != 2 or len(vs) != 3:
         return None
     hits = []
     for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            k = 3 - i - j
-            ex, ey = vs[j][0] - vs[i][0], vs[j][1] - vs[i][1]
-            a = gcd(abs(ex), abs(ey))
-            px, py = ex // a, ey // a
-            _, u, v = _xgcd(px, py)
-            wx, wy = vs[k][0] - vs[i][0], vs[k][1] - vs[i][1]
-            c = px * wy - py * wx
-            if c <= 0:
-                continue
-            b = (u * wx + v * wy) % c
+        (ox, oy), (ex, ey), (wx, wy) = vs[i], vs[(i + 1) % 3], vs[(i + 2) % 3]
+        a = gcd(ex - ox, ey - oy)
+        px, py = (ex - ox) // a, (ey - oy) // a
+        _, u, v = _xgcd(px, py)
+        c = px * (wy - oy) - py * (wx - ox)
+        x = u * (wx - ox) + v * (wy - oy)
+        for b in (x % c, (a - x) % c):
             if a >= b + c:
                 hits.append((a, b, c))
     return min(hits) if hits else None
 
 
-def _match_rectangle(poly):
-    if poly.dim != 2 or len(poly.vertices) != 4 or poly.volume2 % 2:
+def _match_rectangle(poly, form):
+    """(d, e), d <= e, for the d x e box with normal form `form`, else None."""
+    if len(form) != 4 or poly.volume2 % 2:
         return None
     area = poly.volume2 // 2
     for d in range(1, isqrt(area) + 1):
         if area % d:
             continue
         e = area // d
-        model = LatticePolygon([(0, 0), (d, 0), (d, e), (0, e)])
-        if lattice_equivalence(poly, model) is not None:
+        if normal_form(LatticePolygon([(0, 0), (d, 0), (d, e), (0, e)]))[0] == form:
             return d, e
     return None
 
 
-def _match_hirzebruch(poly):
-    """(d, e, r) with r >= 1 for a twisted box, else None."""
-    if poly.dim != 2 or len(poly.vertices) != 4:
+def _match_hirzebruch(poly, form):
+    """(d, e, r) with r >= 1 for the twisted box with normal form `form`, else None."""
+    if len(form) != 4:
         return None
     v2 = poly.volume2
     for d in range(1, isqrt(v2) + 1):
@@ -726,8 +711,11 @@ def _match_hirzebruch(poly):
             if rest % (2 * d):
                 continue
             e = rest // (2 * d)
+            # edges of lattice length d, e + rd, d and e
+            if 2 * (d + e) + r * d != poly.boundary_count:
+                continue
             model = LatticePolygon([(0, 0), (d, 0), (0, e), (d, e + r * d)])
-            if lattice_equivalence(poly, model) is not None:
+            if normal_form(model)[0] == form:
                 return d, e, r
     return None
 
@@ -752,30 +740,36 @@ def _rank3_volume2(case, a, b, c, r):
     return 2 * w * s - s * b - r * s * s + a * b
 
 
-def _match_rank3(poly, case):
-    """Family parameters (a, b, c, r) matching poly, else None."""
-    if poly.dim != 2:
-        return None
-    v2 = poly.volume2
-    tgt = (v2, poly.num_lattice_points, poly.interior_count)
+@functools.cache
+def _rank3_members(case, volume2):
+    """Family members of doubled area volume2, by normal form.
+
+    Walks the (a, b, c, r) grid below _RANK3_SCAN_CAP in order, filtered
+    on the closed-form area, and maps each member's normal form to the
+    first parameters that reach it.  Cached per process: a bound report
+    and each of its components look up the same few areas.
+    """
+    members = {}
     r_range = (1,) if case == "III" else range(1, _RANK3_SCAN_CAP)
     for a in range(1, _RANK3_SCAN_CAP):
         for b in range(a + 1 if case == "III" else 1, _RANK3_SCAN_CAP):
             for c in range(1, _RANK3_SCAN_CAP):
                 for r in r_range:
                     cv = _rank3_volume2(case, a, b, c, r)
-                    if cv > v2 and case != "III":
+                    if cv > volume2 and case != "III":
                         break
-                    if cv != v2:
+                    if cv != volume2:
                         continue
                     cand = _rank3_polygon(case, a, b, c, r)
                     if cand.volume2 != cv:
                         raise InvariantViolation(f"family-{case} area {cand.volume2} is not {cv}")
-                    if (cand.num_lattice_points, cand.interior_count) != tgt[1:]:
-                        continue
-                    if lattice_equivalence(poly, cand) is not None:
-                        return a, b, c, r
-    return None
+                    members.setdefault(normal_form(cand)[0], (a, b, c, r))
+    return members
+
+
+def _match_rank3(poly, form, case):
+    """Family parameters (a, b, c, r) for the normal form `form`, else None."""
+    return _rank3_members(case, poly.volume2).get(form)
 
 
 def _closed_forms(poly, q):
@@ -807,11 +801,12 @@ def _closed_forms(poly, q):
                 f"equivalent to the right triangle of side {a}",
             )
         yield "triangle", d_triangle(a, b, c, q), f"triangle form (a,b,c)={tri} with a >= b+c"
-    box = _match_rectangle(poly)
+    form = normal_form(poly)[0]
+    box = _match_rectangle(poly, form)
     if box is not None and q > max(box) + 1:
         d, e = box
         yield "rectangle", d_rectangle(d, e, q), f"equivalent to the {d}x{e} box"
-    hz = _match_hirzebruch(poly)
+    hz = _match_hirzebruch(poly, form)
     if hz is not None and hz[1] + hz[0] * hz[2] < q - 1:
         yield (
             "hirzebruch",
@@ -819,7 +814,7 @@ def _closed_forms(poly, q):
             f"equivalent to the twisted box (d,e,r)={hz}",
         )
     for case in _RANK3_CASES:
-        params = _match_rank3(poly, case)
+        params = _match_rank3(poly, form, case)
         if params is None:
             continue
         try:

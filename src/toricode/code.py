@@ -88,7 +88,10 @@ def _log_grid(qm: int, a: int, b: int, c_log: int = 0) -> np.ndarray:
 
 
 def evaluate_section(s: SectionPoly, field: FieldSpec) -> np.ndarray:
-    """Values of the section at all torus points, in torus_points order."""
+    """Values of the section at all torus points, in _log_grid's order.
+
+    Index i*(q-1) + j holds the value at (g^i, g^j).
+    """
     qm = field.q - 1
     acc = np.zeros(qm * qm, dtype=field.dtype)
     for (a, b), c in sorted(s.terms.items()):

@@ -135,7 +135,6 @@ class FieldSpec:
         self.exp_np = np.array(self.exp_table + self.exp_table, dtype=self.dtype)
         self.log_np = np.array(self.log_table, dtype=np.int64)
         self._add_table = None
-        self._neg_table = None
 
     # -- representation helpers -------------------------------------------
 
@@ -278,16 +277,6 @@ class FieldSpec:
         # one gather from the flat table at a*q + b, broadcast like a + b
         return self.add_table().ravel().take(np.multiply(a, self.q, dtype=np.intp) + b)
 
-    def neg_np(self, a: np.ndarray) -> np.ndarray:
-        """Elementwise additive inverse of a code array."""
-        if self.p == 2:
-            return a
-        if self._neg_table is None:
-            self._neg_table = np.array(
-                [self.neg(c) for c in range(self.q)], dtype=self.dtype
-            )
-        return self._neg_table[a.astype(np.int64)]
-
     def scale_np(self, a: np.ndarray, s: int) -> np.ndarray:
         """Elementwise product of a code array with one scalar."""
         if s == 0:
@@ -299,15 +288,6 @@ class FieldSpec:
         out = self.exp_np[np.maximum(idx, 0)]
         out[a == 0] = 0
         return out
-
-    def torus_points(self) -> list[tuple[int, int]]:
-        """All (x, y) with x, y nonzero, row-major in the exponents.
-
-        Point index i*(q-1) + j maps to (g^i, g^j), so the second
-        exponent varies fastest.
-        """
-        units = self.exp_table
-        return [(x, y) for x in units for y in units]
 
     def __repr__(self):
         return f"FieldSpec(q={self.q}, p={self.p}, e={self.e}, modulus={list(self.modulus)})"

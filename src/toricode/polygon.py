@@ -344,15 +344,6 @@ def sort_directions_ccw(dirs):
     return sorted(dirs, key=_angle_key)
 
 
-def _extend_to_basis(d):
-    # returns a unimodular matrix with first column d (d primitive)
-    x, y = d
-    g, a, b = _xgcd(x, y)
-    if g != 1:
-        raise InvariantViolation(f"direction {d} is not primitive")
-    return ((x, -b), (y, a))
-
-
 def _xgcd(a, b):
     if b == 0:
         return (a, 1, 0) if a >= 0 else (-a, -1, 0)
@@ -379,93 +370,74 @@ def _mat_inv_unimodular(m):
     return ((d * det, -b * det), (-c * det, a * det))
 
 
-def lattice_equivalence(p: LatticePolygon, q: LatticePolygon):
-    """Find (M, t) with q = M p + t, M unimodular, or return None.
-
-    Checks every rotation of q's vertex cycle and the reflected cycle,
-    so orientation-reversing equivalences are found too.
-    """
-    if p.dim != q.dim:
-        return None
-    if p.dim == 0:
-        px, py = p.vertices[0]
-        qx, qy = q.vertices[0]
-        return ((1, 0), (0, 1)), (qx - px, qy - py)
-    if p.dim == 1:
-        return _segment_equivalence(p, q)
-    if (
-        len(p.vertices) != len(q.vertices)
-        or p.volume2 != q.volume2
-        or p.boundary_count != q.boundary_count
-    ):
-        return None
-    vp = p.vertices
-    n = len(vp)
-    ep = [_sub(vp[(i + 1) % n], vp[i]) for i in range(n)]
-    for cycle in _candidate_cycles(q.vertices):
-        eq = [_sub(cycle[(i + 1) % n], cycle[i]) for i in range(n)]
-        m = _solve_map(ep[0], ep[1], eq[0], eq[1])
-        if m is None:
-            continue
-        t = _sub(cycle[0], _mat_apply(m, vp[0]))
-        if all(
-            _add(_mat_apply(m, vp[i]), t) == cycle[i] for i in range(n)
-        ):
-            return m, t
-    return None
-
-
 def _sub(a, b):
     return (a[0] - b[0], a[1] - b[1])
 
 
-def _add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
+def normal_form(poly: LatticePolygon):
+    """Canonical vertex cycle under unimodular maps and translations.
 
+    Returns (vertices, (M, t)) where vertices lists M v + t over the
+    polygon's vertices v in one cyclic order, M unimodular.  Two
+    polygons are lattice equivalent exactly when their vertex tuples
+    are equal.
 
-def _candidate_cycles(vs):
+    Each vertex in turn, in both orientations, goes to the origin with
+    its outgoing primitive edge direction on (1, 0) and the polygon
+    above the edge.  That fixes the map up to the shears fixing (1, 0),
+    and the shear that brings the next vertex's x into [0, y) fixes it
+    completely.  The least of these 2n vertex cycles is kept (Grinis &
+    Kasprzyk, "Normal forms of convex lattice polytopes",
+    arXiv:1301.6641).  A point becomes ((0, 0),) and a segment of
+    lattice length g becomes ((0, 0), (g, 0)).
+    """
+    vs = poly.vertices
     n = len(vs)
-    fwd = list(vs)
-    rev = [vs[0]] + list(reversed(vs[1:]))
-    for r in range(n):
-        yield fwd[r:] + fwd[:r]
-        yield rev[r:] + rev[:r]
+    if n == 1:
+        return ((0, 0),), (((1, 0), (0, 1)), _sub((0, 0), vs[0]))
+    # the reversed ring walks the same polygon clockwise; a map of
+    # determinant -1 turns it counterclockwise again
+    rings = ((1, vs), (-1, vs[:1] + vs[:0:-1])) if n > 2 else ((1, vs),)
+    starts = []
+    for sign, ring in rings:
+        for i in range(n):
+            cycle = ring[i:] + ring[:i]
+            ex, ey = _sub(cycle[1], cycle[0])
+            g = gcd(ex, ey)
+            dx, dy = ex // g, ey // g
+            _, a, b = _xgcd(dx, dy)
+            c, d = -sign * dy, sign * dx
+            head = (g, 0)
+            if n > 2:
+                wx, wy = _sub(cycle[2], cycle[0])
+                x, y = a * wx + b * wy, c * wx + d * wy
+                k = -(x // y)
+                a, b = a + k * c, b + k * d
+                head = (g, 0), (x + k * y, y)
+            starts.append((head, ((a, b), (c, d)), cycle))
+    # only the starts whose first edge and next vertex are least can
+    # give the least cycle, so only they are mapped in full
+    lead = min(head for head, _, _ in starts)
+    best = None
+    for head, m, cycle in starts:
+        if head != lead:
+            continue
+        image = tuple(_mat_apply(m, _sub(v, cycle[0])) for v in cycle)
+        if best is None or image < best[0]:
+            best = image, (m, _sub((0, 0), _mat_apply(m, cycle[0])))
+    return best
 
 
-def _solve_map(a0, a1, b0, b1):
-    # M [a0 a1] = [b0 b1], integral with |det| = 1, or None
-    det = a0[0] * a1[1] - a0[1] * a1[0]
-    if det == 0:
-        return None
-    # M = B adj(A) / det(A)
-    num = (
-        (b0[0] * a1[1] - b1[0] * a0[1], -b0[0] * a1[0] + b1[0] * a0[0]),
-        (b0[1] * a1[1] - b1[1] * a0[1], -b0[1] * a1[0] + b1[1] * a0[0]),
-    )
-    if any(x % det for row in num for x in row):
-        return None
-    m = tuple(tuple(x // det for x in row) for row in num)
-    if abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) != 1:
-        return None
-    return m
+def lattice_equivalence(p: LatticePolygon, q: LatticePolygon):
+    """Find (M, t) with q = M p + t, M unimodular, or return None.
 
-
-def _segment_equivalence(p, q):
-    (px0, py0), (px1, py1) = p.vertices
-    (qx0, qy0), (qx1, qy1) = q.vertices
-    gp = gcd(abs(px1 - px0), abs(py1 - py0))
-    gq = gcd(abs(qx1 - qx0), abs(qy1 - qy0))
-    if gp != gq:
+    The polygons are equivalent exactly when their normal forms agree;
+    the map is then p's normal-form map followed by the inverse of q's,
+    so orientation-reversing equivalences are found too.
+    """
+    form_p, (mp, tp) = normal_form(p)
+    form_q, (mq, tq) = normal_form(q)
+    if form_p != form_q:
         return None
-    dp = ((px1 - px0) // gp, (py1 - py0) // gp)
-    dq = ((qx1 - qx0) // gq, (qy1 - qy0) // gq)
-    ep = _extend_to_basis(dp)
-    for target in (dq, (-dq[0], -dq[1])):
-        m = _mat_mul(_extend_to_basis(target), _mat_inv_unimodular(ep))
-        img = [_mat_apply(m, v) for v in p.vertices]
-        # translate first image point onto the right endpoint
-        cand = LatticePolygon(img)
-        t = _sub(q.vertices[0], cand.vertices[0])
-        if {_add(v, t) for v in img} == set(q.vertices):
-            return m, t
-    return None
+    inv = _mat_inv_unimodular(mq)
+    return _mat_mul(inv, mp), _mat_apply(inv, _sub(tp, tq))

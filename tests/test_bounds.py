@@ -7,8 +7,10 @@ from math import isqrt
 import numpy as np
 import pytest
 
+import matcher_oracles
 import toricode.bounds as bounds_module
 import toricode.code as code_module
+from lattice_maps import apply_map, classes_in_box, find_equivalence, random_unimodular
 from toricode.bounds import (
     _COMPONENT_SEARCH_CAP,
     BoundEntry,
@@ -20,8 +22,10 @@ from toricode.bounds import (
     _check_consistency,
     _closed_forms,
     _component_distance,
+    _match_triangle,
     _max_zero_candidates,
     _max_zero_exhaustive,
+    _rank3_polygon,
     _run_directions,
     certified_upper_bound,
     d_full_triangle,
@@ -56,7 +60,7 @@ from toricode.errors import (
     TooLarge,
 )
 from toricode.field import field_from_order
-from toricode.polygon import LatticePolygon, lattice_equivalence
+from toricode.polygon import LatticePolygon
 
 HEX9 = LatticePolygon([(1, 0), (2, 0), (0, 1), (1, 2), (3, 2), (3, 3)])
 P54 = LatticePolygon([(0, 0), (1, 0), (3, 1), (2, 2), (1, 2)])
@@ -134,9 +138,85 @@ def test_standard_triangle_is_the_triangle_form_a_0_a():
     for tri in triangles:
         side = isqrt(tri.volume2)
         model = LatticePolygon([(0, 0), (side, 0), (0, side)])
-        standard = side * side == tri.volume2 and lattice_equivalence(tri, model) is not None
+        standard = side * side == tri.volume2 and find_equivalence(tri, model) is not None
         names = [name for name, _, _ in _closed_forms(tri, 7)]
         assert ("standard-triangle" in names) == standard, tri
+
+
+def test_triangle_form_is_the_least_valid_form():
+    # brute force over every conv{(0,0),(a,0),(b,c)} with a >= b + c
+    triangles = _triangles_up_to_translation(5)
+    forms = [_match_triangle(tri) for tri in triangles]
+    assert forms == [matcher_oracles.match_triangle(tri) for tri in triangles]
+    assert any(form is not None and form[1] > 0 for form in forms)
+
+
+def _equivalence_classes(span):
+    """One polygon per lattice equivalence class in [0, span]^2, by the oracle search."""
+    reps = {}
+    for key in classes_in_box(span):
+        poly = LatticePolygon(key)
+        if poly.dim < 2:
+            continue
+        group = reps.setdefault((len(key), poly.volume2, poly.boundary_count), [])
+        if all(find_equivalence(other, poly) is None for other in group):
+            group.append(poly)
+    return [poly for group in reps.values() for poly in group]
+
+
+@functools.cache
+def _closed_form_polygons():
+    """The classes in [0,3]^2, seeded images of them, and seeded images
+    of every rank-3 family member with parameters up to 3."""
+    rng = random.Random(20261018)
+    classes = _equivalence_classes(3)
+    images = [
+        apply_map(poly, random_unimodular(rng), (rng.randint(-5, 5), rng.randint(-5, 5)))
+        for poly in classes
+    ]
+    members = {}
+    for case in bounds_module._RANK3_CASES:
+        for a, b, c, r in itertools.product(range(1, 4), repeat=4):
+            if case != "III" or b > a:
+                members.setdefault(_rank3_polygon(case, a, b, c, r), None)
+    family = [apply_map(poly, random_unimodular(rng)) for poly in members]
+    return classes, images, family
+
+
+@functools.cache
+def _oracle_matches(poly):
+    return (
+        matcher_oracles.match_triangle(poly),
+        matcher_oracles.match_rectangle(poly),
+        matcher_oracles.match_hirzebruch(poly),
+        {case: matcher_oracles.match_rank3(poly, case) for case in bounds_module._RANK3_CASES},
+    )
+
+
+def _oracle_closed_forms(poly, q):
+    # _closed_forms itself, with every matcher replaced by its oracle
+    tri, box, hz, family = _oracle_matches(poly)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds_module, "_match_triangle", lambda p: tri)
+        patch.setattr(bounds_module, "_match_rectangle", lambda p, form: box)
+        patch.setattr(bounds_module, "_match_hirzebruch", lambda p, form: hz)
+        patch.setattr(bounds_module, "_match_rank3", lambda p, form, case: family[case])
+        return list(_closed_forms(poly, q))
+
+
+@pytest.mark.parametrize("q", [7, 8, 11, 16, 32])
+def test_closed_forms_match_oracles(q):
+    classes, images, family = _closed_form_polygons()
+    assert len(classes) == 148
+    names = set()
+    for poly in classes + images + family:
+        got = list(_closed_forms(poly, q))
+        assert got == _oracle_closed_forms(poly, q), poly
+        names.update(name for name, _, _ in got)
+    want = {"standard-triangle", "triangle", "rectangle", "hirzebruch"}
+    if q > 7:
+        want |= {f"family-{case}" for case in bounds_module._RANK3_CASES}
+    assert want <= names
 
 
 @pytest.mark.parametrize("q", [7, 8])
@@ -148,9 +228,13 @@ def test_component_distance_matches_search(q):
             poly = LatticePolygon(list(pts))
             if poly.dim == 2:
                 polys[poly.translate_to_origin().vertices] = poly
+    # one cache shared by every polygon, as a report shares it across
+    # components: its keys must tell inequivalent polygons apart
+    shared = {}
     for poly in polys.values():
         want = min_distance_exact(build_code(poly, field)).weight
         assert _component_distance(poly, q, {}) == want, poly
+        assert _component_distance(poly, q, shared) == want, poly
 
 
 def test_rectangle_examples():
@@ -327,9 +411,10 @@ def test_max_zero_unit_triangle():
 
 
 def test_max_zero_point():
-    res = max_zero_section(LatticePolygon([(2, 3)]), F5)
-    assert res.zeros == 0
-    assert res.section.terms == {(2, 3): 1}
+    for budget in (0, 300_000):
+        res = max_zero_section(LatticePolygon([(2, 3)]), F5, budget=budget)
+        assert res.zeros == 0 and res.exhaustive
+        assert res.section.terms == {(2, 3): 1}
 
 
 def test_max_zero_genus_one_triangle():
@@ -594,7 +679,7 @@ def test_catalog_scores_and_masks_match_oracle(q):
         boxed = _boxed(poly, q)
         if boxed is None:
             continue
-        entries = _catalog_sections(boxed, field, variants=q - 1)
+        entries = _catalog_sections(boxed, field)
         sections = [e.section(field) for e in entries]
         assert sections == catalog_sections_oracle(boxed, field, variants=q - 1)
         for entry, section in zip(entries, sections):

@@ -58,9 +58,7 @@ def _rank(matrix, field):
         for r in range(rank + 1, k):
             f = int(rows[r][col])
             if f:
-                rows[r] = field.add_np(
-                    rows[r], field.neg_np(field.scale_np(rows[rank], f))
-                )
+                rows[r] = field.add_np(rows[r], field.scale_np(rows[rank], field.neg(f)))
         rank += 1
         if rank == k:
             break

@@ -4,7 +4,7 @@ import pytest
 
 import toricode.decomp as decomp_module
 from factoring import factor_polygon, max_parts
-from lattice_maps import apply_map
+from lattice_maps import apply_map, classes_in_box
 from toricode.decomp import (
     DEFAULT_BUDGET,
     _Budget,
@@ -283,34 +283,9 @@ def _placements(walk, poly, budget=DEFAULT_BUDGET):
     return out, budget - bud.left
 
 
-def _classes_in_box(span):
-    """Every polygon in [0, span]^2 up to translation, each mapped to the
-    translation classes of its subpolygons, points left out.
-
-    A proper subpolygon drawn on the lattice points misses some vertex
-    v, so it lies in the hull of the other points; recursing on those
-    hulls from the box reaches every class and every subpolygon.
-    """
-    memo = {}
-
-    def classes(poly):
-        key = poly.translate_to_origin().vertices
-        if key not in memo:
-            out = {key} if poly.dim else set()
-            for v in poly.vertices:
-                rest = [p for p in poly.lattice_points() if p != v]
-                if rest:
-                    out |= classes(LatticePolygon(rest))
-            memo[key] = out
-        return memo[key]
-
-    classes(LatticePolygon([(0, 0), (span, 0), (span, span), (0, span)]))
-    return {key: subs for key, subs in memo.items() if len(key) > 1}
-
-
 @pytest.fixture(scope="module")
 def small_box():
-    return _classes_in_box(3)
+    return classes_in_box(3)
 
 
 def test_box_catalog_size(small_box):

@@ -10,7 +10,21 @@ from toricode.errors import (
     ReducibleModulus,
     TooLarge,
 )
+from toricode.code import SectionPoly, evaluate_section
 from toricode.field import field_from_order, make_field
+
+
+def _torus_points(f):
+    """All (x, y) with x, y nonzero; index i*(q-1) + j holds (g^i, g^j)."""
+    units = f.exp_table
+    return [(x, y) for x in units for y in units]
+
+
+def _evaluated_points(f):
+    """The torus points in evaluate_section's order, read off x and y."""
+    xs = evaluate_section(SectionPoly({(1, 0): 1}), f).tolist()
+    ys = evaluate_section(SectionPoly({(0, 1): 1}), f).tolist()
+    return list(zip(xs, ys))
 
 
 def test_gf8_explicit_modulus_generator_and_cube():
@@ -60,7 +74,7 @@ def test_gf2_trivial_unit_group():
     f = field_from_order(2)
     assert f.exp_table == [1]
     assert f.primitive_element == 1
-    assert f.torus_points() == [(1, 1)]
+    assert _evaluated_points(f) == [(1, 1)]
 
 
 def test_order_validation():
@@ -112,13 +126,15 @@ def test_division_by_zero():
 
 def test_torus_points_gf3_row_major():
     f = field_from_order(3)
-    assert f.torus_points() == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert _torus_points(f) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert _evaluated_points(f) == _torus_points(f)
 
 
 def test_torus_points_count():
     for q in (4, 5, 8, 9):
         f = field_from_order(q)
-        pts = f.torus_points()
+        pts = _torus_points(f)
+        assert _evaluated_points(f) == pts
         assert len(pts) == (q - 1) ** 2
         assert len(set(pts)) == len(pts)
 

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from lattice_maps import apply_map
+from lattice_maps import apply_map, classes_in_box, find_equivalence, random_unimodular
 from toricode.errors import (
     CoordinateOverflow,
     DegeneratePolygon,
@@ -14,6 +15,7 @@ from toricode.polygon import (
     convex_hull,
     lattice_equivalence,
     minkowski_sum,
+    normal_form,
     polygon_from_edges,
     sort_directions_ccw,
 )
@@ -224,34 +226,55 @@ def test_lattice_equivalence_segments_and_points():
     assert lattice_equivalence(pa, pb) == (((1, 0), (0, 1)), (-4, -2))
 
 
+def test_normal_form_shapes():
+    assert normal_form(LatticePolygon([(3, -2)])) == (((0, 0),), (((1, 0), (0, 1)), (-3, 2)))
+    assert normal_form(LatticePolygon([(1, 1), (7, 5)]))[0] == ((0, 0), (2, 0))
+    # the standard triangle of side 2 and the hexagon, in every orientation
+    for m in [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((2, 1), (1, 1)), ((-1, 3), (0, -1))]:
+        img = apply_map(LatticePolygon([(0, 0), (2, 0), (0, 2)]), m, (5, -3))
+        assert normal_form(img)[0] == ((0, 0), (2, 0), (0, 2))
+        assert normal_form(apply_map(HEX9, m, (1, 4)))[0] == (
+            (0, 0), (1, 0), (0, 1), (-5, 4), (-7, 5), (-3, 2)
+        )
+
+
+def test_normal_form_agrees_with_cycle_search():
+    # every pair of segments and polygons in [0,3]^2, up to translation,
+    # that share the invariants the old search filtered on
+    groups = {}
+    for key in classes_in_box(3):
+        p = LatticePolygon(key)
+        groups.setdefault((p.dim, len(key), p.volume2, p.boundary_count), []).append(p)
+    assert sum(len(group) for group in groups.values()) == 1657
+    pairs = equivalent = 0
+    for group in groups.values():
+        forms = []
+        for p in group:
+            form, (m, t) = normal_form(p)
+            # the form is the image's vertex cycle, counterclockwise, from
+            # a first edge on (1, 0) and a next vertex with 0 <= x < y
+            image = apply_map(p, m, t)
+            i = image.vertices.index((0, 0))
+            assert form == image.vertices[i:] + image.vertices[:i]
+            assert form[1][0] > 0 == form[1][1]
+            if len(form) > 2:
+                assert 0 <= form[2][0] < form[2][1]
+            forms.append(form)
+        for (p, fp), (q, fq) in itertools.combinations(zip(group, forms), 2):
+            want = find_equivalence(p, q)
+            assert (fp == fq) == (want is not None), (p, q)
+            found = lattice_equivalence(p, q)
+            assert (found is None) == (want is None), (p, q)
+            if found is not None:
+                assert apply_map(p, *found) == q
+                equivalent += 1
+            pairs += 1
+    assert (pairs, equivalent) == (29826, 13314)
+
+
 def _random_polygon(rng, span=8, npts=8):
     pts = [(rng.randint(0, span), rng.randint(0, span)) for _ in range(npts)]
     return LatticePolygon(pts)
-
-
-def _random_unimodular(rng):
-    m = ((1, 0), (0, 1))
-    for _ in range(rng.randint(1, 4)):
-        k = rng.randint(-3, 3)
-        if rng.random() < 0.5:
-            s = ((1, k), (0, 1))
-        else:
-            s = ((1, 0), (k, 1))
-        m = (
-            (
-                m[0][0] * s[0][0] + m[0][1] * s[1][0],
-                m[0][0] * s[0][1] + m[0][1] * s[1][1],
-            ),
-            (
-                m[1][0] * s[0][0] + m[1][1] * s[1][0],
-                m[1][0] * s[0][1] + m[1][1] * s[1][1],
-            ),
-        )
-    if rng.random() < 0.5:
-        m = ((-m[0][0], -m[0][1]), (-m[1][0], -m[1][1]))
-    if rng.random() < 0.5:
-        m = (m[1], m[0])  # swap rows, flips orientation
-    return m
 
 
 def test_property_point_count_matches_brute_force():
@@ -299,7 +322,7 @@ def test_property_unimodular_invariants():
     rng = random.Random(1004)
     for _ in range(500):
         p = _random_polygon(rng)
-        m = _random_unimodular(rng)
+        m = random_unimodular(rng)
         img = apply_map(p, m, (rng.randint(-9, 9), rng.randint(-9, 9)))
         assert img.num_lattice_points == p.num_lattice_points
         assert img.boundary_count == p.boundary_count
@@ -312,7 +335,7 @@ def test_property_equivalence_roundtrip():
     hits = 0
     for _ in range(300):
         p = _random_polygon(rng, npts=rng.randint(2, 8))
-        m = _random_unimodular(rng)
+        m = random_unimodular(rng)
         img = apply_map(p, m, (rng.randint(-6, 6), rng.randint(-6, 6)))
         found = lattice_equivalence(p, img)
         assert found is not None
