@@ -28,6 +28,7 @@ from .code import (
 )
 from .decomp import DEFAULT_BUDGET, MinkowskiDecomposition, best_subpolygon_decomposition
 from .errors import (
+    BudgetExceeded,
     DeadlineExceeded,
     FieldTooSmall,
     HypothesisViolated,
@@ -37,7 +38,7 @@ from .errors import (
     TooLarge,
 )
 from .field import FieldSpec, field_from_order
-from .polygon import LatticePolygon, _xgcd, normal_form
+from .polygon import LatticePolygon, _run_directions, _xgcd, normal_form
 
 # exhaustive section maximization is allowed up to this many coefficient
 # vectors; larger spaces fall back to the split-form catalog
@@ -240,6 +241,17 @@ def _lead_zero_counts(rows, lead, field):
     return counts[:, [qm] + field.log_table[1:]].ravel()
 
 
+def _zero_counts(poly, field):
+    """Lattice points of the polygon and the zero counts of its messages.
+
+    Messages have leading coefficient 1 and are ordered by lead
+    position, then lexicographically (see _lead_zero_counts).
+    """
+    pts = [tuple(p) for p in poly.lattice_points()]
+    rows = [evaluate_section(SectionPoly({p: 1}), field) for p in pts]
+    return pts, np.concatenate([_lead_zero_counts(rows, lead, field) for lead in range(len(pts))])
+
+
 def _max_zero_exhaustive(poly, field, cap=None):
     """Maximum zero count over all sections supported on the polygon.
 
@@ -249,10 +261,8 @@ def _max_zero_exhaustive(poly, field, cap=None):
     sections in that order.
     """
     q = field.q
-    pts = [tuple(p) for p in poly.lattice_points()]
+    pts, counts = _zero_counts(poly, field)
     k = len(pts)
-    rows = [evaluate_section(SectionPoly({p: 1}), field) for p in pts]
-    counts = np.concatenate([_lead_zero_counts(rows, lead, field) for lead in range(k)])
     best = int(counts.max())
     winners = np.flatnonzero(counts == best)[:cap]
     sections = []
@@ -281,18 +291,6 @@ def _best_run(ptset, u):
         if t > best:
             best, base = t, p
     return best, base
-
-
-def _run_directions(pts):
-    dirs = set()
-    for (x1, y1), (x2, y2) in itertools.combinations(pts, 2):
-        dx, dy = x2 - x1, y2 - y1
-        g = gcd(abs(dx), abs(dy))
-        dx, dy = dx // g, dy // g
-        if dx < 0 or (dx == 0 and dy < 0):
-            dx, dy = -dx, -dy
-        dirs.add((dx, dy))
-    return sorted(dirs)
 
 
 class _CatalogEntry(NamedTuple):
@@ -426,12 +424,37 @@ def _max_zero_candidates(poly, field, budget=DEFAULT_SECTION_BUDGET, cap=_CANDID
     q = field.q
     if q ** poly.num_lattice_points <= budget:
         _, sections = _max_zero_exhaustive(poly, field, cap=cap)
-        masks = (evaluate_section(s, field) == 0 for s in sections)
+        masks = _zero_rows(sections, field)
     else:
         kept = sorted(_catalog_sections(poly, field), key=lambda e: -e.zeros)[:cap]
         sections = [e.section(field) for e in kept]
         masks = (e.zero_mask(q - 1) for e in kept)
     return sections, _packed(masks, len(sections), (q - 1) ** 2)
+
+
+def _zero_rows(sections, field):
+    """Zero masks of the sections, each equal to evaluate_section(s) == 0.
+
+    Sections are evaluated together, in chunks of rows whose index
+    arrays take about _PAIRING_BYTES, one broadcast gather and addition
+    per monomial; the masks are yielded one row at a time.
+    """
+    qm = field.q - 1
+    n = qm * qm
+    grids = {}
+    step = max(1, _PAIRING_BYTES // (8 * n))
+    for i in range(0, len(sections), step):
+        chunk = sections[i : i + step]
+        acc = np.zeros((len(chunk), n), dtype=field.dtype)
+        for m in sorted({m for s in chunk for m in s.terms}):
+            if m not in grids:
+                grids[m] = _log_grid(qm, *m).ravel() % qm
+            coeffs = np.array([s.terms.get(m, 0) for s in chunk])
+            # log 0 is -1; those rows are zeroed after the gather
+            term = field.exp_np[grids[m][None, :] + field.log_np[coeffs][:, None] % qm]
+            term[coeffs == 0] = 0
+            acc = field.add_np(acc, term)
+        yield from acc == 0
 
 
 def _packed(masks, rows, n):
@@ -456,6 +479,29 @@ def _part_candidates(part, field, cache):
     return cache[part.vertices]
 
 
+def _most_zeros(part, field, cache):
+    """Most torus zeros among the candidate sections of one summand.
+
+    The same count as the top row of _max_zero_candidates' masks, but
+    without building the candidates: the exhaustive maximum, or the
+    best closed-form catalog count.  The exhaustive maximum is the
+    length minus the distance of the summand's code, so equivalent
+    summands share it and it is memoized in `cache` by normal form;
+    a catalog count is memoized by the summand itself.
+    """
+    if part in cache:
+        return cache[part]
+    if field.q ** part.num_lattice_points <= DEFAULT_SECTION_BUDGET:
+        key = normal_form(part)[0]
+        if key not in cache:
+            cache[key] = int(_zero_counts(part, field)[1].max())
+        most = cache[key]
+    else:
+        most = max((e.zeros for e in _catalog_sections(part, field)), default=0)
+    cache[part] = most
+    return most
+
+
 def _union_counts(masks, picks):
     """Torus zeros of the union of masks[p][pick[p]], one count per row of picks."""
     union = masks[0][picks[:, 0]]
@@ -464,16 +510,38 @@ def _union_counts(masks, picks):
     return np.bitwise_count(union).sum(axis=1)
 
 
+def _greedy_picks(masks):
+    """Greedy accumulation from every choice of the first factor at once.
+
+    Row f starts from candidate f of the first part, then takes from
+    each further part the candidate adding the most zeros to the row's
+    union, the first of equal gains.  Gains are counted in chunks of
+    rows of at most _PAIRING_BYTES.  Returns the picks, one row per
+    first factor, and the zero count of each row's union.
+    """
+    union = masks[0].copy()
+    picks = [np.arange(len(union))]
+    for part in masks[1:]:
+        rows = max(1, _PAIRING_BYTES // part.nbytes)
+        idx = np.concatenate([
+            np.bitwise_count(union[i : i + rows, None, :] | part[None]).sum(axis=2).argmax(axis=1)
+            for i in range(0, len(union), rows)
+        ])
+        picks.append(idx)
+        union |= part[idx]
+    return np.stack(picks, axis=1), np.bitwise_count(union).sum(axis=1)
+
+
 def _best_product_section(dec, field, cache):
     """Product over the parts of a decomposition maximizing total zeros.
 
     Candidate tuples are searched exactly when the combination count is
     small, else by greedy accumulation restarted from every choice of
-    the first factor; both keep the first maximum in their order.  Zero
-    masks are packed into words and their unions counted in bulk, in
-    chunks of at most _PAIRING_BYTES.  `cache` holds the candidates of
-    summands already seen (see _part_candidates).  Returns (zeros,
-    section) or None.
+    the first factor (see _greedy_picks); both keep the first maximum
+    in their order.  Zero masks are packed into words and their unions
+    counted in bulk, in chunks of at most _PAIRING_BYTES.  `cache` holds
+    the candidates of summands already seen (see _part_candidates).
+    Returns (zeros, section) or None.
     """
     cand_lists, masks = zip(*(_part_candidates(p, field, cache) for p in dec.parts))
     if any(not lst for lst in cand_lists):
@@ -484,27 +552,17 @@ def _best_product_section(dec, field, cache):
         total *= s
 
     if total <= _PAIRING_CAP:
-        picks = np.array(list(itertools.product(*(range(s) for s in sizes))))
+        # rows in itertools.product order: the last part varies fastest
+        picks = np.indices(sizes).reshape(len(sizes), -1).T
         rows = max(1, _PAIRING_BYTES // masks[0][0].nbytes)
         counts = np.concatenate(
             [_union_counts(masks, picks[i : i + rows]) for i in range(0, total, rows)]
         )
-        best = int(np.argmax(counts))
-        best_count, best_pick = int(counts[best]), tuple(picks[best].tolist())
     else:
-        best_count, best_pick = -1, None
-        for first in range(sizes[0]):
-            pick = [first]
-            union = masks[0][first]
-            for part in range(1, len(sizes)):
-                gains = np.bitwise_count(union | masks[part]).sum(axis=1)
-                # argmax keeps the first of equal gains
-                idx = int(np.argmax(gains))
-                pick.append(idx)
-                union = union | masks[part][idx]
-            count = int(np.bitwise_count(union).sum())
-            if count > best_count:
-                best_count, best_pick = count, tuple(pick)
+        picks, counts = _greedy_picks(masks)
+    # argmax keeps the first maximum in row order
+    best = int(np.argmax(counts))
+    best_count, best_pick = int(counts[best]), tuple(picks[best].tolist())
 
     section = cand_lists[0][best_pick[0]]
     for part, idx in enumerate(best_pick[1:], start=1):
@@ -539,7 +597,9 @@ def certified_upper_bound(
     torus zeros exactly.  The result (q-1)^2 - zeros is unconditionally
     valid: the witness evaluates to a codeword of that weight.  A
     single catalog section on the whole polygon is kept as fallback.
-    Summands that recur across decompositions are searched once.
+    Summands that recur across decompositions are searched once, and a
+    decomposition whose factors' best zero counts add up to no more
+    than the best section so far is passed over.
     Fields whose torus exceeds _TORUS_CAP points raise TooLarge.
     """
     q = F.q
@@ -550,7 +610,13 @@ def certified_upper_bound(
     base = max_zero_section(P, F)
     best_zeros, best_section = base.zeros, base.section
     cache: dict = {}
+    most: dict = {}
     for dec in decs:
+        # a product vanishes exactly where some factor does, so it has at
+        # most the sum of its factors' best counts; a decomposition that
+        # cannot pass the best section so far is passed over
+        if sum(_most_zeros(p, F, most) for p in dec.parts) <= best_zeros:
+            continue
         got = _best_product_section(dec, F, cache)
         if got is None:
             continue
@@ -558,18 +624,6 @@ def certified_upper_bound(
         if zeros > best_zeros:
             best_zeros, best_section = zeros, section
     return (q - 1) ** 2 - best_zeros, best_section
-
-
-def hasse_weil_interval(g: int, q: int) -> tuple[int, int]:
-    """Integer range allowed for the point count of a genus-g curve.
-
-    Exact integer arithmetic: the irrational 2g*sqrt(q) is compared via
-    isqrt(4 g^2 q), and the lower end is clamped at zero.
-    """
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
-    s = isqrt(4 * g * g * q)
-    return max(0, 1 + q - s), 1 + q + s
 
 
 class LowerBound(NamedTuple):
@@ -582,13 +636,17 @@ def _component_distance(part, q, cache, threads=1, deadline=None, long_runs=Fals
     """Exact distance of one summand, memoized in `cache` by normal form.
 
     Equivalent polygons give monomially equivalent codes, so summands
-    equivalent under a unimodular map share one entry.  The first
-    matching closed form wins; a summand none matches is searched,
+    equivalent under a unimodular map share one entry; the summand
+    itself is a key too, so one seen before needs no normal form.  The
+    first matching closed form wins; a summand none matches is searched,
     refusing searches over the component cap unless long runs were
     requested.
     """
+    if part in cache:
+        return cache[part]
     key = normal_form(part)[0]
     if key in cache:
+        cache[part] = cache[key]
         return cache[key]
     val = next((value for _, value, _ in _closed_forms(part, q)), None)
     if val is None:
@@ -605,7 +663,7 @@ def _component_distance(part, q, cache, threads=1, deadline=None, long_runs=Fals
         if not res.exact:
             raise DeadlineExceeded("component distance search was cut short")
         val = res.weight
-    cache[key] = val
+    cache[key] = cache[part] = val
     return val
 
 
@@ -623,11 +681,9 @@ def mainthm_lower_bound(
     The value is the minimum over all maximal decompositions of the sum
     of component distances minus (ell-1)(q-1)^2; the bound is only
     guaranteed at the minimizer, so every maximal decomposition must be
-    supplied, and the search that found them must have been
-    exhaustive.  It applies once q >= (4 I(P) + 3)^2, or already for
+    supplied.  It applies once q >= (4 I(P) + 3)^2, or already for
     q > #(P) + ell when every component is one-dimensional or a point.
-    Below the threshold, or after a search cut off by its budget, the
-    value is still reported, as conditional.
+    Below the threshold the value is still reported, as conditional.
     """
     decs = [d for d in decs if d.ell >= 1]
     if not decs:
@@ -649,8 +705,7 @@ def mainthm_lower_bound(
     all_flat = all(p.interior_count == 0 for d in decs for p in d.parts)
     relaxed = P.num_lattice_points + ell + 1
     threshold = min(strong, relaxed) if all_flat else strong
-    exhaustive = all(d.exhaustive for d in decs)
-    applicable = exhaustive and (q >= strong or (all_flat and q >= relaxed))
+    applicable = q >= strong or (all_flat and q >= relaxed)
     return LowerBound(value, applicable, threshold)
 
 
@@ -929,10 +984,13 @@ def full_report(
 
     Pattern matchers contribute closed forms, the decomposition search
     feeds the certified and hypothetical upper bounds plus the lower
-    bound, and exact=True adds an exhaustive search.  All applicable
-    entries are cross-checked before the report is returned; witness
-    sections are given in box-normalized coordinates.  Fields whose
-    torus exceeds _TORUS_CAP points raise TooLarge before any work.
+    bound, and exact=True adds an exhaustive search.  A decomposition
+    search that runs out of its budget leaves out the product and lower
+    bound entries, and the certified upper bound then uses no
+    decomposition.  All applicable entries are cross-checked before the
+    report is returned; witness sections are given in box-normalized
+    coordinates.  Fields whose torus exceeds _TORUS_CAP points raise
+    TooLarge before any work.
     """
     q = F.q
     _check_torus_size(q)
@@ -946,9 +1004,12 @@ def full_report(
         for name, value, provenance in _closed_forms(boxed, q)
     ]
 
-    decs = [] if boxed.dim == 0 else best_subpolygon_decomposition(
-        boxed, budget if budget is not None else DEFAULT_BUDGET
-    )
+    try:
+        decs = [] if boxed.dim == 0 else best_subpolygon_decomposition(
+            boxed, budget if budget is not None else DEFAULT_BUDGET
+        )
+    except BudgetExceeded:
+        decs = []
 
     exact_d = None
     partial_upper = None
@@ -1009,9 +1070,7 @@ def full_report(
                 boxed, q, maximal, threads=threads, deadline=deadline,
                 long_runs=long_runs, _cache=cache,
             )
-            if not all(d.exhaustive for d in maximal):
-                status = "but the decomposition search was not exhaustive"
-            elif lb.applicable:
+            if lb.applicable:
                 status = "applicable"
             else:
                 status = f"conditional at q = {q}"

@@ -1,27 +1,62 @@
-"""Minkowski decompositions of lattice polygons.
+"""Minkowski length and maximal decompositions of lattice polygons.
 
-A decomposition of a polygon matches a partition of its primitive edge
-multiset into groups that each sum to zero: any group, walked in
-angular order, closes up into a convex summand, and summing the parts
-merges the multisets back together.  Segments carry both directions in
-their multiset, which keeps the correspondence exact for degenerate
-summands.
+The Minkowski length L(P) is the largest number of summands of
+dimension at least 1 in a Minkowski sum whose lattice translate lies in
+P.  Three elementary facts make one small search exact.
+
+(a) Every summand of dimension at least 1 contains a primitive segment,
+    one lattice step of an edge.  So a sum of l such summands inside P
+    contains a zonotope sum of l primitive segments inside P.
+
+(b) In a sum of L(P) summands inside P, every summand Q has L(Q) = 1.
+    Otherwise Q contains a translate of A + B with A and B of dimension
+    at least 1; replacing Q by A + B gives L(P) + 1 summands whose sum
+    lies in a translate of the old sum, hence in P.
+
+(c) L(Q) = 1 implies #(Q) <= 4: among five lattice points two agree mod
+    2, so their midpoint is a lattice point and Q contains a segment of
+    lattice length 2, the sum of two primitive segments.  The polygons
+    with at most 4 points and L = 1 are the primitive segments, the
+    unimodular triangles (doubled area 1) and the triangles of doubled
+    area 3 with primitive edges.  A longer segment and a polygon with a
+    non-primitive edge contain a segment of length 2.  A quadrilateral
+    with 4 points splits along a diagonal into two unimodular
+    triangles, so its fourth vertex lies on the next lattice line
+    parallel to that diagonal, and convexity makes it a unit
+    parallelogram, the sum of two segments.  A triangle with 4 points
+    has an edge of length 2, or 3 boundary points and one interior
+    point, doubled area 3 by Pick's formula.  Every triangle of that
+    last kind is equivalent to T0 = conv{(1,0),(0,1),(2,2)}: with one
+    edge on [(0,0),(1,0)] the third vertex is at height 3, a shear
+    brings its x into {0, 1, 2}, and only x = 2 leaves the other two
+    edges primitive (Soprunov & Soprunova, "Toric surface codes and
+    Minkowski length of polygons", SIAM J. Discrete Math. 23, 2009).
+
+So the maximal decompositions are the largest multisets of these L = 1
+shapes whose sum has a lattice translate in P.  Each shape is stored
+with its lex-min vertex at the origin, and so is each sum, since the
+lex-min vertex of a sum is the sum of the lex-min vertices.  A search
+adds shapes in non-decreasing index and keeps the set T of positions
+of the sum's lex-min vertex that keep the sum inside P: adding a shape
+with vertices v intersects the translates T - v, because P is convex.
+A largest sum S fits at one position only: if it fit at t and t + u,
+then S + [0, u] would fit, one summand more.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+from bisect import bisect_left
+from dataclasses import dataclass
+from math import gcd
 
 from .errors import BudgetExceeded, DegeneratePolygon, InvariantViolation
-from .polygon import (
-    LatticePolygon,
-    minkowski_sum,
-    polygon_from_edges,
-    sort_directions_ccw,
-)
+from .polygon import LatticePolygon, _run_directions, minkowski_sum
 
 DEFAULT_BUDGET = 200_000
+
+# every L = 1 shape contains a primitive segment u, whose widths along
+# these functionals sum to |u1| + |u2| + |u1 + u2| + |u1 - u2| >= 3
+_WIDTH_FUNCTIONALS = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
 class _Budget:
@@ -34,19 +69,6 @@ class _Budget:
         self.left -= k
         if self.left < 0:
             raise BudgetExceeded("search budget exhausted")
-
-
-def _edge_basis(poly):
-    em = poly.edge_multiset()
-    dirs = tuple(sort_directions_ccw(em.keys()))
-    return dirs, tuple(em[d] for d in dirs)
-
-
-def _group_to_polygon(dirs, group):
-    edges = []
-    for d, c in zip(dirs, group):
-        edges.extend([d] * c)
-    return polygon_from_edges((0, 0), edges).translate_to_origin()
 
 
 def _parts_key(parts):
@@ -70,7 +92,6 @@ class MinkowskiDecomposition:
     subpolygon: LatticePolygon
     translation: tuple[int, int]
     parts: tuple[LatticePolygon, ...]
-    exhaustive: bool = field(default=True, compare=False)
 
     @property
     def ell(self) -> int:
@@ -80,156 +101,128 @@ class MinkowskiDecomposition:
         return len(self.parts)
 
 
-def _make_decomposition(parent, placed_sub, dirs, groups, exhaustive=True):
-    parts = _sort_parts(_group_to_polygon(dirs, g) for g in groups)
+def _make_decomposition(parent, placed_sub, parts):
+    parts = _sort_parts(p.translate_to_origin() for p in parts)
     sub = placed_sub.translate_to_origin()
     x0, y0, _, _ = placed_sub.bounding_box()
     if not all(parent.contains(v) for v in placed_sub.vertices):
         raise InvariantViolation("subpolygon leaves the parent polygon")
     if minkowski_sum(*parts).translate_to_origin() != sub:
         raise InvariantViolation("summands do not add up to the subpolygon")
-    return MinkowskiDecomposition(parent, sub, (x0, y0), parts, exhaustive)
+    return MinkowskiDecomposition(parent, sub, (x0, y0), parts)
 
 
-class _EdgeEngine:
-    """Partition search over one polygon's primitive edge multiset."""
+class _Grid:
+    """The polygon's lattice points as the set bits of one integer.
 
-    def __init__(self, poly, budget):
-        self.dirs, self.total = _edge_basis(poly)
-        self.budget = budget
-        self.groups = self._zero_sum_groups()
-        self._max_memo = {}
+    Point (x, y) is bit (x - x0) * stride + (y - y0).  The stride leaves
+    `height` empty rows above each column, so subtracting a vector whose
+    y is at most the height in absolute value, as every vector of a
+    shape drawn on the polygon's directions is, never carries a point
+    into a neighbouring column.
+    """
 
-    def _zero_sum_groups(self):
-        dirs, total = self.dirs, self.total
-        out = []
-        for g in product(*(range(c + 1) for c in total)):
-            self.budget.tick()
-            if not any(g):
-                continue
-            if (
-                sum(c * d[0] for c, d in zip(g, dirs)) == 0
-                and sum(c * d[1] for c, d in zip(g, dirs)) == 0
-            ):
-                out.append(g)
-        return out
+    def __init__(self, poly):
+        x0, y0, _, y1 = poly.bounding_box()
+        self.origin = x0, y0
+        self.stride = 2 * (y1 - y0) + 1
+        self.points = self._mask(poly.lattice_points())
+        # cuts[f][c]: the points whose value of f is below its least value + c
+        self.cuts = []
+        for a, b in _WIDTH_FUNCTIONALS:
+            levels = {}
+            for x, y in poly.lattice_points():
+                levels.setdefault(a * x + b * y, []).append((x, y))
+            lo, hi = min(levels), max(levels)
+            cut, acc = [0], 0
+            for c in range(lo, hi + 1):
+                acc |= self._mask(levels.get(c, ()))
+                cut.append(acc)
+            self.cuts.append(cut)
 
-    def max_parts(self, rem=None):
-        """Largest number of zero-sum groups the multiset splits into."""
-        rem = self.total if rem is None else rem
-        if not any(rem):
-            return 0
-        if rem in self._max_memo:
-            return self._max_memo[rem]
-        first = next(i for i, c in enumerate(rem) if c)
-        best = 0
-        for g in self.groups:
-            if g[first] == 0 or any(a > b for a, b in zip(g, rem)):
-                continue
-            self.budget.tick()
-            sub = tuple(a - b for a, b in zip(rem, g))
-            cand = 1 + self.max_parts(sub)
-            if cand > best:
-                best = cand
-        self._max_memo[rem] = best
-        return best
+    def _mask(self, pts):
+        (x0, y0), s = self.origin, self.stride
+        return sum(1 << ((x - x0) * s + y - y0) for x, y in pts)
 
-    def partitions(self, min_count, max_count):
-        """All unordered partitions into min_count to max_count groups."""
-        out = []
+    def shift(self, v):
+        return v[0] * self.stride + v[1]
 
-        def rec(rem, prev, acc):
-            if not any(rem):
-                if len(acc) >= min_count:
-                    out.append(tuple(acc))
-                return
-            if len(acc) >= max_count or len(acc) + self.max_parts(rem) < min_count:
-                return
-            for g in self.groups:
-                if g > prev or any(a > b for a, b in zip(g, rem)):
-                    continue
-                self.budget.tick()
-                rec(tuple(a - b for a, b in zip(rem, g)), g, acc + [g])
+    def point(self, t):
+        """The point of a one-point set."""
+        if t & (t - 1):
+            raise InvariantViolation("a largest sum fits at more than one position")
+        x, y = divmod(t.bit_length() - 1, self.stride)
+        return self.origin[0] + x, self.origin[1] + y
 
-        rec(self.total, self.total, [])
-        return out
+    def room(self, t):
+        """How many more L = 1 shapes a sum with positions T can take, at most.
+
+        If S + R fits at t, every vertex r of R has t + r in T, so R's
+        width along each functional is at most T's.  Widths add over the
+        shapes of R, and each shape's widths sum to at least 3.
+        """
+        total = 0
+        for cut in self.cuts:
+            levels = range(len(cut))
+            first = bisect_left(levels, True, key=lambda c: t & cut[c] != 0)
+            last = bisect_left(levels, True, key=lambda c: t & cut[c] == t)
+            total += last - first
+        return total // 3
 
 
-def maximal_decompositions(
-    poly: LatticePolygon, budget: int = DEFAULT_BUDGET
-) -> list[MinkowskiDecomposition]:
-    """All decompositions of the polygon with the largest part count."""
-    if poly.dim == 0:
-        raise DegeneratePolygon("a single point has no decompositions")
-    engine = _EdgeEngine(poly, _Budget(budget))
-    top = engine.max_parts()
-    decs = [
-        _make_decomposition(poly, poly, engine.dirs, groups)
-        for groups in engine.partitions(top, top)
-    ]
-    decs.sort(key=lambda d: _parts_key(d.parts))
-    return decs
+def _shapes(poly, bud):
+    """Vertices, lex-min first at the origin, of the candidate L = 1 shapes.
 
-
-def _iter_subpolygons(poly, bud):
-    """Every convex polygon on the lattice points, once per translation class.
-
-    Segments come from point pairs.  Two-dimensional subpolygons come
-    from chains anchored at their lex-min vertex v0, extended by w only
-    when the chain turns left at its last point and w lies strictly
-    counterclockwise of that point around v0.  The other points are
-    lex-greater than v0, so they span less than a half turn around it:
-    such a chain is the counterclockwise vertex list of a convex polygon
-    (v0 lies strictly left of every edge not through it, so the chain
-    closes with left turns), and each polygon has exactly one such
-    chain.  A class is yielded at its first placement in walk order.
+    Segments come first, one per primitive direction with a lattice run,
+    then unimodular triangles, then triangles of doubled area 3 with
+    primitive edges, each from a pair of those directions.  The search
+    drops the triangles that have no translate in the polygon.
     """
     pts = poly.lattice_points()
-    n = len(pts)
-    seen = set()
+    bud.tick(len(pts) * (len(pts) - 1) // 2)
+    dirs = _run_directions(pts)
+    bud.tick(len(dirs) * (len(dirs) - 1) // 2)
+    triangles = {1: [], 3: []}
+    for i, (ax, ay) in enumerate(dirs):
+        for bx, by in dirs[i + 1 :]:
+            det = abs(ax * by - ay * bx)
+            if det in triangles and gcd(bx - ax, by - ay) == 1:
+                triangles[det].append(((0, 0), (ax, ay), (bx, by)))
+    return [((0, 0), u) for u in dirs] + triangles[1] + triangles[3]
 
-    def place(chain):
-        # the chain is already the hull, counterclockwise from lex-min
-        x0 = min(x for x, _ in chain)
-        y0 = min(y for _, y in chain)
-        key = tuple((x - x0, y - y0) for x, y in chain)
-        if key in seen:
-            return None
-        seen.add(key)
-        q = LatticePolygon(chain)
-        if q.vertices != tuple(chain):
-            raise InvariantViolation(f"chain {chain} is not its own hull")
-        return q
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            bud.tick()
-            q = place((pts[i], pts[j]))
-            if q is not None:
-                yield q
-    if poly.dim < 2:
-        return
+def _largest_multisets(shapes, grid, bud):
+    """Every largest multiset of shapes that fits, with its positions.
 
-    def chains(v0, cand, chain):
+    Returns the size and a list of (shape indices, position set) pairs.
+    """
+    best, found = 0, []
+
+    def visit(chosen, t, options):
+        nonlocal best, found
         bud.tick()
-        if len(chain) >= 3:
-            q = place(chain)
-            if q is not None:
-                yield q
-        (ox, oy), (px, py), (lx, ly) = v0, chain[-2], chain[-1]
-        ex, ey = lx - px, ly - py
-        rx, ry = lx - ox, ly - oy
-        for w in cand:
-            wx, wy = w
-            # a left turn at the last point, and w counterclockwise of it around v0
-            if ex * (wy - ly) - ey * (wx - lx) > 0 and rx * (wy - oy) - ry * (wx - ox) > 0:
-                yield from chains(v0, cand, chain + [w])
+        depth = len(chosen)
+        if depth > best:
+            best, found = depth, []
+        if depth == best:
+            found.append((chosen, t))
+        if depth + grid.room(t) < best:
+            return
+        kids = []
+        for i, shifts in options:
+            nt = t
+            for k in shifts:
+                nt &= t >> k
+            if nt:
+                kids.append((i, shifts, nt))
+        # a shape that no longer fits never fits again further down
+        options = [(i, shifts) for i, shifts, _ in kids]
+        for j, (i, _, nt) in enumerate(kids):
+            visit(chosen + (i,), nt, options[j:])
 
-    for i0 in range(n):
-        v0 = pts[i0]
-        cand = pts[i0 + 1 :]
-        for w in cand:
-            yield from chains(v0, cand, [v0, w])
+    shifts = [tuple(grid.shift(v) for v in verts[1:]) for verts in shapes]
+    visit((), grid.points, list(enumerate(shifts)))
+    return best, found
 
 
 @dataclass(frozen=True)
@@ -238,39 +231,42 @@ class SubpolygonSearch:
 
     length: int
     decompositions: tuple[MinkowskiDecomposition, ...]
-    exhaustive: bool
+
+    @property
+    def exhaustive(self) -> bool:
+        """Always true: a search that runs out of budget raises instead."""
+        return True
 
 
 def subpolygon_decomposition_search(
     poly: LatticePolygon, budget: int = DEFAULT_BUDGET
 ) -> SubpolygonSearch:
-    """Largest part count over subpolygons, with every witness.
+    """Minkowski length of the polygon, with every maximal decomposition.
 
-    Returns the maximum number of Minkowski summands over all convex
-    subpolygons drawn on the polygon's lattice points, together with
-    all distinct summand multisets achieving it.  Falls back to a
-    greedy, non-exhaustive answer when the budget runs out.
+    Returns L(P) and one decomposition per distinct summand multiset
+    achieving it, each at the one position where its sum fits.  The
+    budget counts one tick per pair of lattice points and per pair of
+    segment directions listed, and one per search node; running out
+    raises BudgetExceeded.
     """
     if poly.dim == 0:
         raise DegeneratePolygon("a single point admits no subpolygon search")
     bud = _Budget(budget)
-    try:
-        engines = []
-        for q in _iter_subpolygons(poly, bud):
-            eng = _EdgeEngine(q, bud)
-            engines.append((q, eng, eng.max_parts()))
-        best = max(ell for _, _, ell in engines)
-        found = {}
-        for q, eng, ell in engines:
-            if ell != best:
-                continue
-            for groups in eng.partitions(best, best):
-                dec = _make_decomposition(poly, q, eng.dirs, groups)
-                found.setdefault(_parts_key(dec.parts), dec)
-        decs = tuple(sorted(found.values(), key=lambda d: _parts_key(d.parts)))
-        return SubpolygonSearch(best, decs, True)
-    except BudgetExceeded:
-        return _greedy_search(poly, budget)
+    shapes = _shapes(poly, bud)
+    grid = _Grid(poly)
+    best, found = _largest_multisets(shapes, grid, bud)
+    # each shape used, built once, with its bounding box at the origin
+    used = {i for chosen, _ in found for i in chosen}
+    polys = {i: LatticePolygon(shapes[i]).translate_to_origin() for i in used}
+    decs = []
+    for chosen, t in found:
+        parts = [polys[i] for i in chosen]
+        total = minkowski_sum(*parts)
+        # the sum's lex-min vertex, its first, goes to the one position
+        (lx, ly), (px, py) = total.vertices[0], grid.point(t)
+        decs.append(_make_decomposition(poly, total.translate(px - lx, py - ly), parts))
+    decs.sort(key=lambda d: _parts_key(d.parts))
+    return SubpolygonSearch(best, tuple(decs))
 
 
 def best_subpolygon_decomposition(
@@ -278,56 +274,3 @@ def best_subpolygon_decomposition(
 ) -> list[MinkowskiDecomposition]:
     """All subpolygon decompositions with the largest summand count."""
     return list(subpolygon_decomposition_search(poly, budget).decompositions)
-
-
-def _greedy_search(poly, budget):
-    # cheap lower estimate: longest lattice run in a few directions plus
-    # whatever the polygon itself splits into under a reduced budget
-    pts = set(poly.lattice_points())
-    dirs = set(poly.edge_multiset()) | {(1, 0), (0, 1), (1, 1), (1, -1)}
-    candidates = []
-    for d in dirs:
-        for p in pts:
-            run = 0
-            x, y = p
-            while (x + d[0], y + d[1]) in pts:
-                x, y = x + d[0], y + d[1]
-                run += 1
-            if run:
-                seg = LatticePolygon([p, (x, y)])
-                unit = LatticePolygon([(0, 0), d]).translate_to_origin()
-                x0, y0, _, _ = seg.bounding_box()
-                candidates.append(
-                    MinkowskiDecomposition(
-                        poly,
-                        seg.translate_to_origin(),
-                        (x0, y0),
-                        _sort_parts([unit] * run),
-                        False,
-                    )
-                )
-    try:
-        for dec in maximal_decompositions(poly, budget=min(budget, 50_000)):
-            candidates.append(
-                MinkowskiDecomposition(
-                    poly, dec.subpolygon, dec.translation, dec.parts, False
-                )
-            )
-    except BudgetExceeded:
-        x0, y0, _, _ = poly.bounding_box()
-        candidates.append(
-            MinkowskiDecomposition(
-                poly,
-                poly.translate_to_origin(),
-                (x0, y0),
-                (poly.translate_to_origin(),),
-                False,
-            )
-        )
-    best = max(len(c.parts) for c in candidates)
-    found = {}
-    for c in candidates:
-        if len(c.parts) == best:
-            found.setdefault(_parts_key(c.parts), c)
-    decs = tuple(sorted(found.values(), key=lambda d: _parts_key(d.parts)))
-    return SubpolygonSearch(best, decs, False)

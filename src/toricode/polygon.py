@@ -8,6 +8,7 @@ Minkowski summands are often segments.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from math import gcd
@@ -71,12 +72,11 @@ class LatticePolygon:
     lexicographically smallest one, so equal polygons compare equal.
     """
 
-    __slots__ = ("vertices", "_points", "_edges")
+    __slots__ = ("vertices", "_points")
 
     def __init__(self, points):
         self.vertices = convex_hull(points)
         self._points = None
-        self._edges = None
 
     @property
     def dim(self) -> int:
@@ -181,39 +181,18 @@ class LatticePolygon:
             pts.extend((x, y) for y in range(math.ceil(lo), math.floor(hi) + 1))
         return pts
 
-    # -- edges ---------------------------------------------------------------
-
-    def edge_multiset(self) -> dict[tuple[int, int], int]:
-        """Primitive edge directions with their lattice lengths.
-
-        Counterclockwise orientation for a 2-dim polygon.  A segment
-        contributes both directions so that multisets stay additive
-        under Minkowski sums.  A point has no edges.
-        """
-        if self._edges is not None:
-            return dict(self._edges)
-        vs = self.vertices
-        out: dict[tuple[int, int], int] = {}
-        if len(vs) == 2:
-            (x0, y0), (x1, y1) = vs
-            g = gcd(abs(x1 - x0), abs(y1 - y0))
-            d = ((x1 - x0) // g, (y1 - y0) // g)
-            out[d] = g
-            out[(-d[0], -d[1])] = g
-        elif len(vs) > 2:
-            n = len(vs)
-            for i in range(n):
-                (ax, ay), (bx, by) = vs[i], vs[(i + 1) % n]
-                g = gcd(abs(bx - ax), abs(by - ay))
-                d = ((bx - ax) // g, (by - ay) // g)
-                out[d] = out.get(d, 0) + g
-        self._edges = dict(out)
-        return out
-
     # -- transforms ----------------------------------------------------------
 
     def translate(self, dx: int, dy: int) -> "LatticePolygon":
-        return LatticePolygon([(x + dx, y + dy) for x, y in self.vertices])
+        if not dx and not dy:
+            return self  # immutable, so the polygon itself will do
+        # a translation keeps the counterclockwise order and the lex-min
+        # first vertex, so the moved vertices are already the hull
+        out = object.__new__(LatticePolygon)
+        out.vertices = tuple((x + int(dx), y + int(dy)) for x, y in self.vertices)
+        _check_points(out.vertices)
+        out._points = None
+        return out
 
     def translate_to_origin(self) -> "LatticePolygon":
         """Translate so the bounding box corner sits at (0, 0)."""
@@ -314,34 +293,23 @@ def minkowski_sum(*polys: LatticePolygon) -> LatticePolygon:
     return acc
 
 
-def polygon_from_edges(start: Point, edges) -> LatticePolygon:
-    """Walk edge vectors from a start point and take the hull.
+def _run_directions(pts):
+    """Primitive directions, lex-positive and sorted, of the lattice runs.
 
-    The edges must sum to zero; the walk closes up and its hull is the
-    polygon they bound when taken in angular order.
+    A pair of points whose difference is g times a primitive u spans a
+    run of g steps along u inside any convex polygon holding both, so
+    these are exactly the directions of the polygon's primitive
+    segments.
     """
-    x, y = start
-    pts = [(x, y)]
-    for dx, dy in edges:
-        x, y = x + dx, y + dy
-        pts.append((x, y))
-    if (x, y) != start:
-        raise DegeneratePolygon("edge vectors do not close up")
-    return LatticePolygon(pts)
-
-
-def _angle_key(v):
-    # counterclockwise from (1, 0): half-plane index, then -cot of the angle,
-    # which increases strictly within each open half-plane
-    x, y = v
-    if y == 0:
-        return (0 if x > 0 else 1, Fraction(-(1 << 62)))
-    return (0 if y > 0 else 1, Fraction(-x, y))
-
-
-def sort_directions_ccw(dirs):
-    """Sort direction vectors counterclockwise starting from (1, 0)."""
-    return sorted(dirs, key=_angle_key)
+    dirs = set()
+    for (x1, y1), (x2, y2) in itertools.combinations(pts, 2):
+        dx, dy = x2 - x1, y2 - y1
+        g = gcd(abs(dx), abs(dy))
+        dx, dy = dx // g, dy // g
+        if dx < 0 or (dx == 0 and dy < 0):
+            dx, dy = -dx, -dy
+        dirs.add((dx, dy))
+    return sorted(dirs)
 
 
 def _xgcd(a, b):
@@ -351,23 +319,9 @@ def _xgcd(a, b):
     return g, y, x - (a // b) * y
 
 
-def _mat_mul(m, n):
-    (a, b), (c, d) = m
-    (e, f), (g, h) = n
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
 def _mat_apply(m, v):
     (a, b), (c, d) = m
     return (a * v[0] + b * v[1], c * v[0] + d * v[1])
-
-
-def _mat_inv_unimodular(m):
-    (a, b), (c, d) = m
-    det = a * d - b * c
-    if det not in (1, -1):
-        raise InvariantViolation(f"matrix {m} is not unimodular")
-    return ((d * det, -b * det), (-c * det, a * det))
 
 
 def _sub(a, b):
@@ -426,18 +380,3 @@ def normal_form(poly: LatticePolygon):
         if best is None or image < best[0]:
             best = image, (m, _sub((0, 0), _mat_apply(m, cycle[0])))
     return best
-
-
-def lattice_equivalence(p: LatticePolygon, q: LatticePolygon):
-    """Find (M, t) with q = M p + t, M unimodular, or return None.
-
-    The polygons are equivalent exactly when their normal forms agree;
-    the map is then p's normal-form map followed by the inverse of q's,
-    so orientation-reversing equivalences are found too.
-    """
-    form_p, (mp, tp) = normal_form(p)
-    form_q, (mq, tq) = normal_form(q)
-    if form_p != form_q:
-        return None
-    inv = _mat_inv_unimodular(mq)
-    return _mat_mul(inv, mp), _mat_apply(inv, _sub(tp, tq))

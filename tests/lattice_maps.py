@@ -1,13 +1,13 @@
-"""Unimodular images of polygons, small polygon catalogs, and the
-vertex-cycle equivalence search, shared by the property tests.
+"""Unimodular images of polygons, small polygon catalogs, and lattice
+equivalence, shared by the property tests.
 
-`find_equivalence` is the search that `polygon.lattice_equivalence`
-ran before it compared normal forms; the tests keep it as the oracle.
+`lattice_equivalence` compares normal forms.  `find_equivalence` is the
+vertex-cycle search it replaced; the tests keep it as the oracle.
 """
 
 from math import gcd
 
-from toricode.polygon import LatticePolygon
+from toricode.polygon import LatticePolygon, normal_form
 
 
 def apply_map(poly, m, shift=(0, 0)):
@@ -59,6 +59,21 @@ def classes_in_box(span):
 
     classes(LatticePolygon([(0, 0), (span, 0), (span, span), (0, span)]))
     return {key: subs for key, subs in memo.items() if len(key) > 1}
+
+
+def lattice_equivalence(p, q):
+    """Find (M, t) with q = M p + t, M unimodular, or return None.
+
+    The polygons are equivalent exactly when their normal forms agree;
+    the map is then p's normal-form map followed by the inverse of q's,
+    so orientation-reversing equivalences are found too.
+    """
+    form_p, (mp, tp) = normal_form(p)
+    form_q, (mq, tq) = normal_form(q)
+    if form_p != form_q:
+        return None
+    inv = _inverse(mq)
+    return _mat_mul(inv, mp), _mat_apply(inv, _sub(tp, tq))
 
 
 def find_equivalence(p, q):

@@ -25,8 +25,10 @@ from toricode.bounds import (
     _match_triangle,
     _max_zero_candidates,
     _max_zero_exhaustive,
+    _most_zeros,
     _rank3_polygon,
     _run_directions,
+    _zero_rows,
     certified_upper_bound,
     d_full_triangle,
     d_hirzebruch,
@@ -34,7 +36,6 @@ from toricode.bounds import (
     d_segment,
     d_triangle,
     full_report,
-    hasse_weil_interval,
     mainthm_lower_bound,
     max_zero_section,
     rank3_family_distance,
@@ -810,6 +811,82 @@ def test_product_section_shared_cache_matches_fresh(q):
         assert set(shared) == {p.vertices for dec in decs for p in dec.parts}
 
 
+def certified_oracle(poly, field, decs):
+    """certified_upper_bound without passing over any decomposition."""
+    base = max_zero_section(poly, field)
+    best_zeros, best_section = base.zeros, base.section
+    for dec in decs:
+        got = _best_product_section(dec, field, {})
+        if got is not None and got[0] > best_zeros:
+            best_zeros, best_section = got
+    return (field.q - 1) ** 2 - best_zeros, best_section
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13, 16])
+def test_certified_passes_over_only_hopeless_decompositions(q, monkeypatch):
+    field = field_from_order(q)
+    products = []
+    real = bounds_module._best_product_section
+    monkeypatch.setattr(
+        bounds_module, "_best_product_section", lambda *a: products.append(1) or real(*a)
+    )
+    decs_seen = 0
+    for poly in _section_search_polygons() + [BOX22, LatticePolygon([(0, 0), (3, 0), (0, 3)])]:
+        boxed = _boxed(poly, q)
+        if boxed is None or boxed.num_lattice_points > 10:
+            continue
+        decs = best_subpolygon_decomposition(boxed)
+        decs_seen += len(decs)
+        got = certified_upper_bound(boxed, field, decs)
+        assert got == certified_oracle(boxed, field, decs), poly.vertices
+    # most decompositions cannot beat the best section and are skipped
+    assert 0 < len(products) < decs_seen
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 27, 49, 64, 81])
+def test_most_zeros_is_the_best_candidate_count(q):
+    field = field_from_order(q)
+    shared: dict = {}
+    # the summands of the search polygons' decompositions, T0, and some
+    # small polygons that are no summands, segments of length 2 included
+    parts = {
+        p
+        for poly in _section_search_polygons()
+        if _boxed(poly, q) is not None
+        for dec in best_subpolygon_decomposition(_boxed(poly, q))
+        for p in dec.parts
+    }
+    parts |= {
+        LatticePolygon(vs)
+        for vs in (
+            [(1, 0), (0, 1), (2, 2)], [(0, 0), (1, 0), (0, 1)], [(0, 0), (2, 0)],
+            [(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 0), (2, 0), (0, 1)], Q1.vertices,
+        )
+    }
+    # equivalent images share the normal-form entry of the exhaustive count
+    rng = random.Random(q)
+    parts |= {
+        apply_map(p, random_unimodular(rng)).translate_to_origin()
+        for p in sorted(parts, key=lambda p: p.vertices)
+    }
+    for part in sorted(parts, key=lambda p: p.vertices):
+        if part.fits_in_box(q) is None:
+            continue
+        _, words = _max_zero_candidates(part, field)
+        want = int(np.bitwise_count(words).sum(axis=1).max())
+        assert _most_zeros(part, field, shared) == want == _most_zeros(part, field, {})
+
+
+def test_zero_rows_in_small_chunks(monkeypatch):
+    field = field_from_order(9)
+    _, sections = _max_zero_exhaustive(P54, field, cap=40)
+    monkeypatch.setattr(bounds_module, "_PAIRING_BYTES", 8 * 64 * 3)
+    rows = list(_zero_rows(sections, field))
+    assert len(rows) == len(sections) > 3
+    for row, s in zip(rows, sections):
+        assert np.array_equal(row, evaluate_section(s, field) == 0)
+
+
 def test_product_zero_count_is_checked(monkeypatch):
     dec = best_subpolygon_decomposition(HEX9)[0]
     monkeypatch.setattr(bounds_module, "count_torus_zeros", lambda s, f: -1)
@@ -843,30 +920,6 @@ def test_evaluate_message_checks_length():
         code.evaluate_message([1] * (code.k + 1))
 
 
-# -- point count interval -------------------------------------------------------
-
-
-def test_hasse_weil_examples():
-    assert hasse_weil_interval(0, 7) == (8, 8)
-    assert hasse_weil_interval(1, 49) == (36, 64)
-    assert hasse_weil_interval(6, 8) == (0, 42)
-    with pytest.raises(ValueError):
-        hasse_weil_interval(-1, 7)
-
-
-def test_hasse_weil_genus_zero():
-    for q in (2, 3, 4, 5, 7, 8, 9, 16, 101):
-        assert hasse_weil_interval(0, q) == (q + 1, q + 1)
-
-
-def test_hasse_weil_contains_true_counts():
-    # a line has q-1 torus points and genus 0; interval is about the
-    # projective count, so this is a smoke check of monotonicity in g
-    lo1, hi1 = hasse_weil_interval(1, 7)
-    lo2, hi2 = hasse_weil_interval(2, 7)
-    assert lo2 <= lo1 <= hi1 <= hi2
-
-
 # -- the decomposition lower bound ----------------------------------------------
 
 
@@ -891,15 +944,6 @@ def test_mainthm_spiked_triangle():
     lb = mainthm_lower_bound(SKEW_TRIANGLE, 8, decs)
     assert lb == LowerBound(28, False, 15)
     assert mainthm_lower_bound(SKEW_TRIANGLE, 16, decs).applicable
-
-
-def test_mainthm_needs_exhaustive_search():
-    decs = best_subpolygon_decomposition(HEX9)
-    cut = [
-        MinkowskiDecomposition(d.parent, d.subpolygon, d.translation, d.parts, False)
-        for d in decs
-    ]
-    assert mainthm_lower_bound(HEX9, 13, cut) == LowerBound(108, False, 13)
 
 
 def test_mainthm_no_decomposition():

@@ -2,19 +2,24 @@ import random
 
 import pytest
 
+import factoring
 import toricode.decomp as decomp_module
-from factoring import factor_polygon, max_parts
+from factoring import (
+    factor_polygon,
+    iter_subpolygons,
+    max_parts,
+    maximal_decompositions,
+    walk_search,
+)
 from lattice_maps import apply_map, classes_in_box
 from toricode.decomp import (
     DEFAULT_BUDGET,
     _Budget,
-    _iter_subpolygons,
     best_subpolygon_decomposition,
-    maximal_decompositions,
     subpolygon_decomposition_search,
 )
-from toricode.errors import DegeneratePolygon
-from toricode.polygon import LatticePolygon, minkowski_sum
+from toricode.errors import BudgetExceeded, DegeneratePolygon
+from toricode.polygon import LatticePolygon, minkowski_sum, normal_form
 
 HEX9 = LatticePolygon([(1, 0), (2, 0), (0, 1), (1, 2), (3, 2), (3, 3)])
 P54 = LatticePolygon([(0, 0), (1, 0), (3, 1), (2, 2), (1, 2)])
@@ -134,16 +139,17 @@ def test_subpolygon_search_segment():
     assert found.exhaustive
 
 
-def test_budget_fallback_not_exhaustive():
-    found = subpolygon_decomposition_search(HEX9, budget=40)
-    assert not found.exhaustive
-    assert found.length >= 2
+def test_budget_exhausted_raises():
+    with pytest.raises(BudgetExceeded):
+        subpolygon_decomposition_search(HEX9, budget=1)
+    with pytest.raises(BudgetExceeded):
+        best_subpolygon_decomposition(HEX9, budget=1)
 
 
 def test_iter_subpolygons_contains_witnesses():
     subs = {
         q.translate_to_origin().vertices
-        for q in _iter_subpolygons(HEX9, _Budget(DEFAULT_BUDGET))
+        for q in iter_subpolygons(HEX9, _Budget(DEFAULT_BUDGET))
     }
     assert ((0, 0), (1, 0), (1, 2), (0, 2)) in subs  # the tall rectangle
     assert ((0, 0), (2, 2), (2, 3), (0, 1)) in subs  # the parallelogram
@@ -296,7 +302,7 @@ def test_box_catalog_size(small_box):
 def test_iter_subpolygons_gives_every_class_once(small_box):
     for key, subs in small_box.items():
         poly = LatticePolygon(key)
-        found, _ = _placements(_iter_subpolygons, poly)
+        found, _ = _placements(iter_subpolygons, poly)
         assert set(found) == subs, key
         for placed in found.values():
             assert all(poly.contains(v) for v in placed)
@@ -310,7 +316,7 @@ def test_iter_subpolygons_matches_star_walk(small_box):
         poly = LatticePolygon(key)
         if poly.num_lattice_points > 8:
             continue
-        found, ticks = _placements(_iter_subpolygons, poly)
+        found, ticks = _placements(iter_subpolygons, poly)
         want, oracle_ticks = _placements(_star_walk_classes, poly)
         assert found == want, key
         assert ticks <= oracle_ticks, key
@@ -330,7 +336,7 @@ def _seeded_polygons(seed, count, max_points):
 
 def test_iter_subpolygons_matches_star_walk_on_seeded_polygons():
     for poly in _seeded_polygons(2005, 12, 10):
-        found, ticks = _placements(_iter_subpolygons, poly)
+        found, ticks = _placements(iter_subpolygons, poly)
         want, oracle_ticks = _placements(_star_walk_classes, poly)
         assert found == want, poly
         assert ticks <= oracle_ticks, poly
@@ -338,8 +344,8 @@ def test_iter_subpolygons_matches_star_walk_on_seeded_polygons():
 
 def _star_walk_search(monkeypatch, poly, budget=DEFAULT_BUDGET):
     with monkeypatch.context() as m:
-        m.setattr(decomp_module, "_iter_subpolygons", _star_walk_classes)
-        return subpolygon_decomposition_search(poly, budget)
+        m.setattr(factoring, "iter_subpolygons", _star_walk_classes)
+        return walk_search(poly, budget)
 
 
 def _assert_same_search(found, want):
@@ -352,14 +358,9 @@ def _assert_same_search(found, want):
 
 
 def test_search_matches_star_walk_search(monkeypatch):
-    exhaustive = 0
     for poly in [HEX9, P54] + _seeded_polygons(2006, 16, 10):
         want = _star_walk_search(monkeypatch, poly)
-        found = subpolygon_decomposition_search(poly)
-        if want.exhaustive:
-            _assert_same_search(found, want)
-            exhaustive += 1
-    assert exhaustive == 18
+        _assert_same_search(subpolygon_decomposition_search(poly), want)
 
 
 def test_search_finishes_where_star_walk_ran_out(monkeypatch):
@@ -367,5 +368,113 @@ def test_search_finishes_where_star_walk_ran_out(monkeypatch):
     # classes, more than the default budget of 200,000
     poly = LatticePolygon([(1, 0), (3, 0), (4, 3), (3, 4), (2, 4)])
     want = _star_walk_search(monkeypatch, poly, budget=10**6)
-    assert want.exhaustive
     _assert_same_search(subpolygon_decomposition_search(poly), want)
+
+
+# -- the search over sums of L = 1 shapes against the walk ------------------------
+
+
+def _equivalence_classes(keys):
+    out = {}
+    for key in keys:
+        poly = LatticePolygon(key)
+        out.setdefault(normal_form(poly)[0], poly)
+    return list(out.values())
+
+
+def test_search_matches_walk_on_box_classes(small_box):
+    classes = _equivalence_classes(small_box)
+    assert len(classes) == 151
+    for poly in classes:
+        _assert_same_search(subpolygon_decomposition_search(poly), walk_search(poly))
+
+
+def test_search_matches_walk_on_seeded_classes_in_larger_box():
+    # seeded polygons in [0,4]^2, one per equivalence class, where the
+    # walk finishes within its default budget
+    rng = random.Random(2007)
+    seen, checked = set(), 0
+    while checked < 30:
+        poly = _random_polygon(rng, 4, rng.randint(3, 7))
+        key = normal_form(poly)[0]
+        if poly.dim == 0 or key in seen:
+            continue
+        seen.add(key)
+        try:
+            want = walk_search(poly)
+        except BudgetExceeded:
+            continue
+        _assert_same_search(subpolygon_decomposition_search(poly), want)
+        checked += 1
+
+
+def _box(d):
+    return LatticePolygon([(0, 0), (d, 0), (d, d), (0, d)])
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_search_on_boxes(d):
+    # the walk runs out of its default budget on these boxes
+    found = subpolygon_decomposition_search(_box(d))
+    assert found.length == 2 * d
+    (dec,) = found.decompositions
+    assert dec.parts == (SEG_V,) * d + (SEG_H,) * d
+    assert dec.translation == (0, 0)
+    assert dec.subpolygon == _box(d)
+
+
+def test_search_on_side_six_triangle():
+    tri = LatticePolygon([(0, 0), (6, 0), (0, 6)])
+    found = subpolygon_decomposition_search(tri)
+    assert found.length == 6
+    assert len(found.decompositions) == 84
+    keys = {tuple(p.vertices for p in d.parts) for d in found.decompositions}
+    assert len(keys) == 84
+    for dec in found.decompositions:
+        assert dec.ell == 6
+        placed = dec.subpolygon.translate(*dec.translation)
+        assert all(tri.contains(v) for v in placed.vertices)
+
+
+T0 = LatticePolygon([(1, 0), (0, 1), (2, 2)])
+
+
+def test_length_one_shapes(small_box):
+    # fact (c): a polygon with at most 4 points has Minkowski length 1
+    # exactly when it is a primitive segment, a unimodular triangle, or
+    # a triangle with primitive edges and doubled area 3, which is T0
+    counted = {1: 0, 3: 0, "segment": 0}
+    for key in small_box:
+        poly = LatticePolygon(key)
+        if poly.num_lattice_points > 4:
+            continue
+        if poly.dim == 1:
+            shape = poly.num_lattice_points == 2
+            kind = "segment"
+        else:
+            kind = poly.volume2
+            shape = len(key) == 3 and (kind == 1 or (kind == 3 and poly.boundary_count == 3))
+        assert (walk_search(poly).length == 1) == shape, key
+        if shape:
+            counted[kind] += 1
+            if kind == 3:
+                assert normal_form(poly)[0] == normal_form(T0)[0]
+    assert counted[1] > 0 and counted[3] > 0 and counted["segment"] > 0
+
+
+def test_listed_shapes_are_the_length_one_classes(small_box):
+    # the shapes the search lists for the 3x3 box that have a translate
+    # in it are exactly its subpolygon classes of Minkowski length 1
+    box = _box(3)
+    subs = small_box[box.vertices]
+    fitting = set()
+    for verts in decomp_module._shapes(box, _Budget(DEFAULT_BUDGET)):
+        key = LatticePolygon(verts).translate_to_origin().vertices
+        if key in subs:
+            fitting.add(key)
+    # by fact (c), checked above, only classes with at most 4 points qualify
+    small = [LatticePolygon(key) for key in subs]
+    ones = {
+        p.vertices for p in small if p.num_lattice_points <= 4 and walk_search(p).length == 1
+    }
+    assert fitting == ones

@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from lattice_maps import apply_map, classes_in_box, find_equivalence, random_unimodular
+from factoring import edge_multiset, polygon_from_edges, sort_directions_ccw
+from lattice_maps import (
+    apply_map,
+    classes_in_box,
+    find_equivalence,
+    lattice_equivalence,
+    random_unimodular,
+)
 from toricode.errors import (
     CoordinateOverflow,
     DegeneratePolygon,
@@ -13,11 +20,8 @@ from toricode.errors import (
 from toricode.polygon import (
     LatticePolygon,
     convex_hull,
-    lattice_equivalence,
     minkowski_sum,
     normal_form,
-    polygon_from_edges,
-    sort_directions_ccw,
 )
 
 HEX9 = LatticePolygon([(1, 0), (2, 0), (0, 1), (1, 2), (3, 2), (3, 3)])
@@ -79,7 +83,7 @@ def test_counts_segment_and_point():
 
 
 def test_edge_multiset():
-    assert HEX9.edge_multiset() == {
+    assert edge_multiset(HEX9) == {
         (1, -1): 1,
         (1, 0): 1,
         (1, 2): 1,
@@ -88,8 +92,8 @@ def test_edge_multiset():
         (-1, -1): 1,
     }
     seg = LatticePolygon([(0, 0), (4, 2)])
-    assert seg.edge_multiset() == {(2, 1): 2, (-2, -1): 2}
-    assert LatticePolygon([(3, 3)]).edge_multiset() == {}
+    assert edge_multiset(seg) == {(2, 1): 2, (-2, -1): 2}
+    assert edge_multiset(LatticePolygon([(3, 3)])) == {}
 
 
 def test_minkowski_pentagon_splits():
@@ -126,6 +130,17 @@ def test_transforms():
     sheared = apply_map(HEX9, ((1, 1), (0, 1)))
     assert sheared.volume2 == HEX9.volume2
     assert sheared.num_lattice_points == HEX9.num_lattice_points
+    assert P54.translate(0, 0) is P54
+    # translating keeps the canonical vertex order of a fresh hull
+    rng = random.Random(11)
+    for _ in range(200):
+        pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 6))]
+        poly = LatticePolygon(pts)
+        dx, dy = rng.randint(-9, 9), rng.randint(-9, 9)
+        moved = poly.translate(dx, dy)
+        hull = LatticePolygon([(x + dx, y + dy) for x, y in poly.vertices])
+        assert moved.vertices == hull.vertices
+        assert moved.lattice_points() == [(x + dx, y + dy) for x, y in poly.lattice_points()]
 
 
 def test_fits_in_box():
@@ -302,7 +317,7 @@ def test_property_minkowski_counts_and_edges():
         assert s.num_lattice_points >= a.num_lattice_points + b.num_lattice_points - 1
         assert s.volume2 >= a.volume2 + b.volume2
         if a.dim == 2 and b.dim == 2:
-            ea, eb, es = a.edge_multiset(), b.edge_multiset(), s.edge_multiset()
+            ea, eb, es = edge_multiset(a), edge_multiset(b), edge_multiset(s)
             merged = dict(ea)
             for d, g in eb.items():
                 merged[d] = merged.get(d, 0) + g
