@@ -24,7 +24,6 @@ from .code import (
     evaluate_section,
     min_distance_exact,
     multiply_sections,
-    search_plan,
 )
 from .decomp import DEFAULT_BUDGET, MinkowskiDecomposition, best_subpolygon_decomposition
 from .errors import (
@@ -61,9 +60,9 @@ _RANK3_SCAN_CAP = 16
 # polygons took up to 47 s and 220 MB (F_2048), and F_65536 has 2^32
 _TORUS_CAP = 1 << 20
 
-# components of a decomposition are searched exhaustively only up to this
-# many scanned orbit representatives unless long runs were requested
-_COMPONENT_SEARCH_CAP = 5_000_000
+# exact summand distances of this process, keyed by (summand, q) and by
+# (normal form, q); see _component_distance
+_DISTANCES: dict = {}
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -241,27 +240,18 @@ def _lead_zero_counts(rows, lead, field):
     return counts[:, [qm] + field.log_table[1:]].ravel()
 
 
-def _zero_counts(poly, field):
-    """Lattice points of the polygon and the zero counts of its messages.
-
-    Messages have leading coefficient 1 and are ordered by lead
-    position, then lexicographically (see _lead_zero_counts).
-    """
-    pts = [tuple(p) for p in poly.lattice_points()]
-    rows = [evaluate_section(SectionPoly({p: 1}), field) for p in pts]
-    return pts, np.concatenate([_lead_zero_counts(rows, lead, field) for lead in range(len(pts))])
-
-
 def _max_zero_exhaustive(poly, field, cap=None):
     """Maximum zero count over all sections supported on the polygon.
 
     Scalar multiples share a zero set, so messages are normalized to a
     leading coefficient 1 and ordered by lead position, then
-    lexicographically.  Returns the count and the first `cap` maximizing
-    sections in that order.
+    lexicographically (see _lead_zero_counts).  Returns the count and
+    the first `cap` maximizing sections in that order.
     """
     q = field.q
-    pts, counts = _zero_counts(poly, field)
+    pts = [tuple(p) for p in poly.lattice_points()]
+    rows = [evaluate_section(SectionPoly({p: 1}), field) for p in pts]
+    counts = np.concatenate([_lead_zero_counts(rows, lead, field) for lead in range(len(pts))])
     k = len(pts)
     best = int(counts.max())
     winners = np.flatnonzero(counts == best)[:cap]
@@ -483,23 +473,19 @@ def _most_zeros(part, field, cache):
     """Most torus zeros among the candidate sections of one summand.
 
     The same count as the top row of _max_zero_candidates' masks, but
-    without building the candidates: the exhaustive maximum, or the
-    best closed-form catalog count.  The exhaustive maximum is the
-    length minus the distance of the summand's code, so equivalent
-    summands share it and it is memoized in `cache` by normal form;
-    a catalog count is memoized by the summand itself.
+    without building the candidates.  Where those come from the
+    exhaustive search, the count is the length (q-1)^2 minus the
+    distance of the summand's code (see _component_distance).  Otherwise
+    it is the best closed-form catalog count, memoized in `cache` by the
+    summand; the code's length minus its distance would be a looser
+    bound there.
     """
-    if part in cache:
-        return cache[part]
-    if field.q ** part.num_lattice_points <= DEFAULT_SECTION_BUDGET:
-        key = normal_form(part)[0]
-        if key not in cache:
-            cache[key] = int(_zero_counts(part, field)[1].max())
-        most = cache[key]
-    else:
-        most = max((e.zeros for e in _catalog_sections(part, field)), default=0)
-    cache[part] = most
-    return most
+    q = field.q
+    if q ** part.num_lattice_points <= DEFAULT_SECTION_BUDGET:
+        return (q - 1) ** 2 - _component_distance(part, q)
+    if part not in cache:
+        cache[part] = max((e.zeros for e in _catalog_sections(part, field)), default=0)
+    return cache[part]
 
 
 def _union_counts(masks, picks):
@@ -632,39 +618,37 @@ class LowerBound(NamedTuple):
     threshold: int
 
 
-def _component_distance(part, q, cache, threads=1, deadline=None, long_runs=False):
-    """Exact distance of one summand, memoized in `cache` by normal form.
+def _component_distance(part, q, threads=1, deadline=None):
+    """Exact distance of one summand over F_q, memoized in _DISTANCES.
 
     Equivalent polygons give monomially equivalent codes, so summands
-    equivalent under a unimodular map share one entry; the summand
-    itself is a key too, so one seen before needs no normal form.  The
-    first matching closed form wins; a summand none matches is searched,
-    refusing searches over the component cap unless long runs were
-    requested.
+    equivalent under a unimodular map share the entry keyed by their
+    normal form; the summand itself is a key too, so one seen before
+    needs no normal form.  The first matching closed form wins; a
+    summand none matches is searched as it is, since its normal form
+    need not fit the box [0, q-2]^2.  A search cut short by the
+    deadline raises DeadlineExceeded and stores nothing.
     """
-    if part in cache:
-        return cache[part]
-    key = normal_form(part)[0]
-    if key in cache:
-        cache[part] = cache[key]
-        return cache[key]
-    val = next((value for _, value, _ in _closed_forms(part, q)), None)
+    if (part, q) in _DISTANCES:
+        return _DISTANCES[part, q]
+    key = (normal_form(part)[0], q)
+    val = _DISTANCES.get(key)
     if val is None:
-        field = cache.get("__field__")
-        if field is None:
-            field = cache["__field__"] = field_from_order(q)
-        code = build_code(part, field)
-        representatives = search_plan(code).representatives
-        if representatives > _COMPONENT_SEARCH_CAP and not long_runs:
-            raise DeadlineExceeded(
-                f"component needs {representatives} representatives; rerun with long runs enabled"
-            )
+        val = next((value for _, value, _ in _closed_forms(part, q)), None)
+    if val is None:
+        code = build_code(part, field_from_order(q))
         res = min_distance_exact(code, threads=threads, deadline=deadline)
         if not res.exact:
             raise DeadlineExceeded("component distance search was cut short")
         val = res.weight
-    cache[key] = cache[part] = val
+    _DISTANCES[key] = _DISTANCES[part, q] = val
     return val
+
+
+def _decomposition_value(dec, q, threads=1, deadline=None):
+    """Sum of the exact distances of dec's summands minus (ell-1)(q-1)^2."""
+    comps = [_component_distance(p, q, threads, deadline) for p in dec.parts]
+    return upper_bound_from_decomposition(dec, q, comps)
 
 
 def mainthm_lower_bound(
@@ -673,8 +657,6 @@ def mainthm_lower_bound(
     decs: Sequence[MinkowskiDecomposition],
     threads: int = 1,
     deadline: Optional[float] = None,
-    long_runs: bool = False,
-    _cache: Optional[dict] = None,
 ) -> LowerBound:
     """Decomposition lower bound with its applicability threshold.
 
@@ -690,15 +672,7 @@ def mainthm_lower_bound(
         raise NoDecomposition("no decomposition supplied")
     ell = max(d.ell for d in decs)
     decs = [d for d in decs if d.ell == ell]
-    cache = _cache if _cache is not None else {}
-    values = []
-    for dec in decs:
-        comps = [
-            _component_distance(p, q, cache, threads, deadline, long_runs)
-            for p in dec.parts
-        ]
-        values.append(upper_bound_from_decomposition(dec, q, comps))
-    value = min(values)
+    value = min(_decomposition_value(d, q, threads, deadline) for d in decs)
 
     interior = P.interior_count
     strong = (4 * interior + 3) ** 2
@@ -975,7 +949,6 @@ def full_report(
     P: LatticePolygon,
     F: FieldSpec,
     exact: bool = False,
-    long_runs: bool = False,
     threads: int = 1,
     deadline: Optional[float] = None,
     budget: Optional[int] = None,
@@ -984,10 +957,15 @@ def full_report(
 
     Pattern matchers contribute closed forms, the decomposition search
     feeds the certified and hypothetical upper bounds plus the lower
-    bound, and exact=True adds an exhaustive search.  A decomposition
-    search that runs out of its budget leaves out the product and lower
-    bound entries, and the certified upper bound then uses no
-    decomposition.  All applicable entries are cross-checked before the
+    bound, and exact=True adds an exhaustive search.  Every decomposition
+    the search returns is maximal; the product and lower bound entries
+    come from the exact distances of their summands (see
+    _component_distance), whose searches, like the exact one, are each
+    bounded by `deadline` seconds.  A decomposition search that runs out
+    of its budget leaves out the product and lower bound entries, and the
+    certified upper bound then uses no decomposition.  A summand search
+    cut short by the deadline leaves out the product and lower bound
+    entries only.  All applicable entries are cross-checked before the
     report is returned; witness sections are given in box-normalized
     coordinates.  Fields whose torus exceeds _TORUS_CAP points raise
     TooLarge before any work.
@@ -1035,26 +1013,17 @@ def full_report(
         )
     )
 
-    ell = max((d.ell for d in decs), default=0)
-    if ell >= 2:
-        maximal = [d for d in decs if d.ell == ell]
-        cache: dict = {}
-        product_values: dict[int, MinkowskiDecomposition] = {}
-        computable = True
-        for dec in maximal:
-            try:
-                comps = [
-                    _component_distance(p, q, cache, threads, deadline, long_runs)
-                    for p in dec.parts
-                ]
-            except DeadlineExceeded:
-                computable = False
-                break
-            val = upper_bound_from_decomposition(dec, q, comps)
-            if val not in product_values:
-                product_values[val] = dec
-        if computable:
-            for i, (val, dec) in enumerate(sorted(product_values.items())):
+    if decs and decs[0].ell >= 2:
+        try:
+            lb = mainthm_lower_bound(boxed, q, decs, threads=threads, deadline=deadline)
+        except DeadlineExceeded:
+            lb = None
+        if lb is not None:
+            # every summand distance is in the memo now
+            products: dict[int, MinkowskiDecomposition] = {}
+            for dec in decs:
+                products.setdefault(_decomposition_value(dec, q), dec)
+            for i, (val, dec) in enumerate(sorted(products.items())):
                 entries.append(
                     BoundEntry(
                         f"product-bound[{i}]",
@@ -1066,21 +1035,14 @@ def full_report(
                         dec,
                     )
                 )
-            lb = mainthm_lower_bound(
-                boxed, q, maximal, threads=threads, deadline=deadline,
-                long_runs=long_runs, _cache=cache,
-            )
-            if lb.applicable:
-                status = "applicable"
-            else:
-                status = f"conditional at q = {q}"
+            status = "applicable" if lb.applicable else f"conditional at q = {q}"
             entries.append(
                 BoundEntry(
                     "decomposition-lower",
                     "lower",
                     lb.value,
                     lb.applicable,
-                    f"minimum over {len(maximal)} maximal decompositions; "
+                    f"minimum over {len(decs)} maximal decompositions; "
                     f"guaranteed for q >= {lb.threshold}, {status}",
                 )
             )

@@ -15,13 +15,7 @@ import os
 import sys
 from operator import add
 
-from .bounds import (
-    _component_distance,
-    certified_upper_bound,
-    full_report,
-    mainthm_lower_bound,
-    upper_bound_from_decomposition,
-)
+from .bounds import _decomposition_value, certified_upper_bound, full_report, mainthm_lower_bound
 from .code import (
     SectionPoly,
     build_code,
@@ -64,7 +58,10 @@ _EXIT_CODES = {
 def _read_polygon(path: str) -> LatticePolygon:
     """Load {"vertices": [[x, y], ...]}; order and duplicates are free."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict) or "vertices" not in data:
         raise ValueError(f"{path}: expected an object with a 'vertices' list")
     verts = data["vertices"]
@@ -75,7 +72,8 @@ def _read_polygon(path: str) -> LatticePolygon:
         if not isinstance(v, (list, tuple)) or len(v) != 2:
             raise ValueError(f"{path}: bad vertex {v!r}")
         x, y = v
-        if not isinstance(x, int) or not isinstance(y, int):
+        # bool is a subclass of int, but true is no coordinate
+        if type(x) is not int or type(y) is not int:
             raise ValueError(f"{path}: vertex coordinates must be integers, got {v!r}")
         pts.append((x, y))
     return LatticePolygon(pts)
@@ -182,7 +180,6 @@ def cmd_bounds(args):
         poly,
         _field(args),
         exact=args.exact,
-        long_runs=args.long,
         threads=args.threads,
         deadline=args.deadline,
         budget=args.budget,
@@ -232,13 +229,11 @@ def _reducible_section(field):
     return multiply_sections(xpart, ypart, field)
 
 
-def _split_bound(decs, want_parts, q, cache, threads):
+def _split_bound(decs, want_parts, q, threads):
     """Decomposition bound for the split whose summand set is want_parts."""
     for dec in decs:
-        if set(dec.parts) != want_parts:
-            continue
-        comps = [_component_distance(part, q, cache, threads) for part in dec.parts]
-        return upper_bound_from_decomposition(dec, q, comps)
+        if set(dec.parts) == want_parts:
+            return _decomposition_value(dec, q, threads)
     return None
 
 
@@ -273,7 +268,6 @@ def cmd_reproduce(args):
     got = min_distance_exact(build_code(pentagon, f8), threads=threads).weight
     rows.append(("pentagon/F8/min-distance", 33, got))
     pent_decs = best_subpolygon_decomposition(pentagon)
-    components: dict = {}
     genus_one = LatticePolygon([(0, 0), (2, 1), (1, 2)])
     hseg = LatticePolygon([(0, 0), (1, 0)])
     vseg = LatticePolygon([(0, 0), (0, 1)])
@@ -281,14 +275,14 @@ def cmd_reproduce(args):
         (
             "pentagon/F8/split-bound-interior",
             33,
-            _split_bound(pent_decs, {genus_one, hseg}, 8, components, threads),
+            _split_bound(pent_decs, {genus_one, hseg}, 8, threads),
         )
     )
     rows.append(
         (
             "pentagon/F8/split-bound-flat",
             35,
-            _split_bound(pent_decs, {hseg, vseg}, 8, components, threads),
+            _split_bound(pent_decs, {hseg, vseg}, 8, threads),
         )
     )
 
@@ -494,8 +488,6 @@ def _parser():
                         help="work budget for the decomposition search")
     bounds.add_argument("--exact", action="store_true",
                         help="also run the exhaustive distance search")
-    bounds.add_argument("--long", action="store_true",
-                        help="allow component searches estimated over a minute")
 
     decompose = add("decompose", "maximal Minkowski splits over all subpolygons")
     decompose.add_argument("--budget", type=int, default=None)

@@ -579,7 +579,8 @@ def _enumerate(code, threads, deadline_s, checkpoint, want_hist):
 
     log_rows = code.log_generator[list(plan.frame + plan.rest)]
     ctx_args = (code.field, log_rows, len(plan.frame), plan.depth)
-    if threads <= 1 or len(pending) <= 1:
+    workers = min(threads, len(pending), os.cpu_count() or 1)
+    if workers <= 1:
         ctx = _SearchContext(*ctx_args)
         for task in pending:
             if deadline is not None and time.monotonic() > deadline:
@@ -587,7 +588,7 @@ def _enumerate(code, threads, deadline_s, checkpoint, want_hist):
                 break
             absorb(task, *ctx.run_task(task, deadline, want_hist))
     else:
-        with multiprocessing.Pool(threads, _worker_init, ctx_args) as pool:
+        with multiprocessing.Pool(workers, _worker_init, ctx_args) as pool:
             jobs = [(t, deadline, want_hist) for t in pending]
             for task, result, rows, ok in pool.imap_unordered(_worker_run, jobs):
                 absorb(task, result, rows, ok)

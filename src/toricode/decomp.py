@@ -102,14 +102,12 @@ class MinkowskiDecomposition:
 
 
 def _make_decomposition(parent, placed_sub, parts):
-    parts = _sort_parts(p.translate_to_origin() for p in parts)
-    sub = placed_sub.translate_to_origin()
+    """The decomposition of placed_sub, the sum of `parts`, as it sits in parent."""
     x0, y0, _, _ = placed_sub.bounding_box()
     if not all(parent.contains(v) for v in placed_sub.vertices):
         raise InvariantViolation("subpolygon leaves the parent polygon")
-    if minkowski_sum(*parts).translate_to_origin() != sub:
-        raise InvariantViolation("summands do not add up to the subpolygon")
-    return MinkowskiDecomposition(parent, sub, (x0, y0), parts)
+    parts = _sort_parts(p.translate_to_origin() for p in parts)
+    return MinkowskiDecomposition(parent, placed_sub.translate_to_origin(), (x0, y0), parts)
 
 
 class _Grid:

@@ -25,7 +25,7 @@ from toricode.decomp import (
     _parts_key,
 )
 from toricode.errors import DegeneratePolygon, InvariantViolation
-from toricode.polygon import LatticePolygon
+from toricode.polygon import LatticePolygon, minkowski_sum
 
 
 def edge_multiset(poly):
@@ -97,7 +97,10 @@ def _group_to_polygon(dirs, group):
 
 
 def _decomposition(parent, placed_sub, dirs, groups):
-    return _make_decomposition(parent, placed_sub, [_group_to_polygon(dirs, g) for g in groups])
+    parts = [_group_to_polygon(dirs, g) for g in groups]
+    if minkowski_sum(*parts).translate_to_origin() != placed_sub.translate_to_origin():
+        raise InvariantViolation("summands do not add up to the subpolygon")
+    return _make_decomposition(parent, placed_sub, parts)
 
 
 class EdgeEngine:

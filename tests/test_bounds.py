@@ -12,7 +12,6 @@ import toricode.bounds as bounds_module
 import toricode.code as code_module
 from lattice_maps import apply_map, classes_in_box, find_equivalence, random_unimodular
 from toricode.bounds import (
-    _COMPONENT_SEARCH_CAP,
     BoundEntry,
     LowerBound,
     MaxZeroResult,
@@ -48,11 +47,11 @@ from toricode.code import (
     evaluate_section,
     min_distance_exact,
     multiply_sections,
-    search_plan,
     weight_of_section,
 )
 from toricode.decomp import MinkowskiDecomposition, best_subpolygon_decomposition
 from toricode.errors import (
+    DeadlineExceeded,
     FieldTooSmall,
     HypothesisViolated,
     InvariantViolation,
@@ -61,7 +60,7 @@ from toricode.errors import (
     TooLarge,
 )
 from toricode.field import field_from_order
-from toricode.polygon import LatticePolygon
+from toricode.polygon import LatticePolygon, normal_form
 
 HEX9 = LatticePolygon([(1, 0), (2, 0), (0, 1), (1, 2), (3, 2), (3, 3)])
 P54 = LatticePolygon([(0, 0), (1, 0), (3, 1), (2, 2), (1, 2)])
@@ -71,6 +70,12 @@ SKEW_TRIANGLE = LatticePolygon([(0, 0), (1, 4), (4, 1)])
 F5 = field_from_order(5)
 F7 = field_from_order(7)
 F8 = field_from_order(8)
+
+
+@pytest.fixture(autouse=True)
+def fresh_distance_memo(monkeypatch):
+    """Each test starts from an empty memo of summand distances."""
+    monkeypatch.setattr(bounds_module, "_DISTANCES", {})
 
 
 def exact_distance(poly, field, threads=1):
@@ -221,7 +226,7 @@ def test_closed_forms_match_oracles(q):
 
 
 @pytest.mark.parametrize("q", [7, 8])
-def test_component_distance_matches_search(q):
+def test_component_distance_matches_search(q, monkeypatch):
     field = field_from_order(q)
     polys = {}
     for r in range(3, 10):
@@ -229,13 +234,63 @@ def test_component_distance_matches_search(q):
             poly = LatticePolygon(list(pts))
             if poly.dim == 2:
                 polys[poly.translate_to_origin().vertices] = poly
-    # one cache shared by every polygon, as a report shares it across
-    # components: its keys must tell inequivalent polygons apart
+    # one memo shared by every polygon, as a process shares it across
+    # reports: its keys must tell inequivalent polygons apart
     shared = {}
     for poly in polys.values():
         want = min_distance_exact(build_code(poly, field)).weight
-        assert _component_distance(poly, q, {}) == want, poly
-        assert _component_distance(poly, q, shared) == want, poly
+        monkeypatch.setattr(bounds_module, "_DISTANCES", {})
+        assert _component_distance(poly, q) == want, poly
+        monkeypatch.setattr(bounds_module, "_DISTANCES", shared)
+        assert _component_distance(poly, q) == want, poly
+
+
+def _count_searches(monkeypatch):
+    calls = []
+    real = bounds_module.min_distance_exact
+    monkeypatch.setattr(
+        bounds_module, "min_distance_exact", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    return calls
+
+
+def test_second_report_on_an_equivalent_polygon_runs_no_component_search(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    first = full_report(P54, F8)
+    # the pentagon's summand Q1 has no closed form
+    assert len(calls) == 1
+    image = apply_map(P54, ((1, 1), (0, 1))).translate_to_origin()
+    assert image.fits_in_box(8) is not None
+    second = full_report(image, F8)
+    assert len(calls) == 1
+
+    def decomposition_entries(report):
+        return [
+            (e.name, e.value, e.applicable)
+            for e in report.entries
+            if e.name.startswith(("product-bound", "decomposition-lower"))
+        ]
+
+    assert decomposition_entries(second) == decomposition_entries(first) != []
+
+
+def test_component_search_cut_by_the_deadline_stores_nothing():
+    with pytest.raises(DeadlineExceeded):
+        _component_distance(Q1, 16, deadline=1e-9)
+    assert bounds_module._DISTANCES == {}
+    want = min_distance_exact(build_code(Q1, field_from_order(16))).weight
+    assert _component_distance(Q1, 16) == want
+    assert set(bounds_module._DISTANCES.values()) == {want}
+
+
+def test_component_search_runs_on_the_summand_not_its_normal_form(monkeypatch):
+    # Q1 fits the box [0, 2]^2 of F4; its normal form spans 2x3
+    assert Q1.fits_in_box(4) is not None
+    assert LatticePolygon(normal_form(Q1)[0]).fits_in_box(4) is None
+    calls = _count_searches(monkeypatch)
+    want = min_distance_exact(build_code(Q1, field_from_order(4))).weight
+    assert _component_distance(Q1, 4) == want
+    assert len(calls) == 1
 
 
 def test_rectangle_examples():
@@ -863,7 +918,7 @@ def test_most_zeros_is_the_best_candidate_count(q):
             [(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 0), (2, 0), (0, 1)], Q1.vertices,
         )
     }
-    # equivalent images share the normal-form entry of the exhaustive count
+    # equivalent images share the normal-form entry of their distance
     rng = random.Random(q)
     parts |= {
         apply_map(p, random_unimodular(rng)).translate_to_origin()
@@ -1002,13 +1057,11 @@ def test_report_product_entries_deduplicated():
     assert all(e.witness is not None for e in prods)
 
 
-def test_component_cap_counts_representatives():
-    # Q1 over F256 has far more normalized messages than the cap, but its
-    # search scans one representative per orbit, well under it
+def test_component_distance_searches_q1_over_f256():
+    # Q1 has no closed form; the search over F256 scans one representative
+    # per orbit of the scalars and the torus
     code = build_code(Q1, field_from_order(256))
-    assert (256**code.k - 1) // 255 > _COMPONENT_SEARCH_CAP
-    assert search_plan(code).representatives <= _COMPONENT_SEARCH_CAP
-    value = _component_distance(Q1, 256, {})
+    value = _component_distance(Q1, 256)
     assert value == min_distance_exact(code).weight
     assert 0 < value < 255**2
 

@@ -120,6 +120,22 @@ def test_non_integer_vertex_exits_2(capsys, tmp_path):
     assert run(capsys, "info", "--polygon", str(path))[0] == 2
 
 
+@pytest.mark.parametrize("vertex", ["[true, 0]", "[0, false]"])
+def test_boolean_coordinate_exits_2(capsys, tmp_path, vertex):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"vertices": [{vertex}, [0, 1], [1, 1]]}}')
+    assert main(["info", "--polygon", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["info", "--polygon", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_polygon_too_large_for_field_exits_2(capsys, tmp_path):
     path = polygon_file(tmp_path, SKEW_TRIANGLE)
     assert run(capsys, "mindist", "--polygon", path, "--q", "5")[0] == 2
@@ -404,6 +420,13 @@ def test_bounds_byte_identical_across_runs(capsys, tmp_path):
     _, b = run(capsys, "bounds", "--polygon", path, "--q", "8")
     _, c = run(capsys, "bounds", "--polygon", path, "--q", "8", "--threads", "2")
     assert a == b == c
+
+
+def test_bounds_long_is_a_usage_error(capsys, tmp_path):
+    path = polygon_file(tmp_path, PENTAGON)
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--polygon", path, "--q", "8", "--long"])
+    assert exc.value.code == 2
 
 
 def test_bounds_csv_projection(capsys, tmp_path):

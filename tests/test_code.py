@@ -302,6 +302,45 @@ def test_threads_agree():
     assert (one.weight, one.exact, one.enumerated) == (two.weight, two.exact, two.enumerated)
 
 
+class _InlinePool:
+    """multiprocessing.Pool stand-in that records its size and runs jobs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, processes, initializer, initargs):
+        self.sizes.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap_unordered(self, fn, jobs):
+        return map(fn, jobs)
+
+    def terminate(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, size",
+    [(2, 1, None), (3, 8, 3), (10**6, 4, 4), (10**6, 64, 11), (64, None, None)],
+)
+def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch, threads, cpus, size):
+    # the pentagon over F8 has 11 tasks; no real process is started
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(code_module, "multiprocessing", type("mp", (), {"Pool": _InlinePool}))
+    monkeypatch.setattr(code_module, "_WORKER_CTX", None)
+    monkeypatch.setattr(code_module.os, "cpu_count", lambda: cpus)
+    code = build_code(P54, field_from_order(8))
+    assert len(search_plan(code).tasks) == 11
+    res = min_distance_exact(code, threads=threads)
+    assert (res.weight, res.exact) == (33, True)
+    assert _InlinePool.sizes == ([] if size is None else [size])
+
+
 def test_deadline_returns_upper_bound():
     code = build_code(SKEW_TRIANGLE, field_from_order(8))
     res = min_distance_exact(code, deadline=0.15)
