@@ -12,6 +12,17 @@ coefficients range over {0, 1} and the rest over F_q; with a zero
 frame the rest is normalized to leading coordinate 1.  Each
 representative is weighted by the number of messages it stands for,
 and work is split into tasks by frame pattern and high-order digits.
+
+Frobenius, sigma: c -> c^p on the coefficients, also keeps weights:
+f^sigma(x^p, y^p) = f(x, y)^p, and (x, y) -> (x^p, y^p) permutes the
+torus, so f^sigma vanishes at as many torus points as f.  sigma fixes
+the frame's coefficients 0 and 1 and the leading 1, and maps F_q onto
+itself on each other row, so it maps the slice of messages whose
+pinned coefficient is a one-to-one onto the slice pinned to a^p, weight
+for weight.  Of each pin orbit {a, a^p, a^p^2, ...} only the least
+element code is scanned, weighted by the orbit size; this is exact for
+the maximum zero count and for the histogram.  In a prime field every
+orbit is a single element and the task list is the full one.
 """
 
 from __future__ import annotations
@@ -265,22 +276,39 @@ def _build_suffix_table(field, log_generator, depth):
     return table
 
 
-def _task_list(q, f, rest, depth):
-    """(mask, lead, pin) slices whose representatives stand for every nonzero message once.
+def _pin_orbits(field):
+    """Size of each Frobenius orbit at the least element code in it, 0 at the others."""
+    sizes = [0] * field.q
+    seen = set()
+    for a in range(field.q):
+        if a in seen:
+            continue
+        b, size = field.pow(a, field.p), 1
+        while b != a:
+            seen.add(b)
+            b, size = field.pow(b, field.p), size + 1
+        sizes[a] = size
+    return tuple(sizes)
+
+
+def _task_list(orbits, f, rest, depth):
+    """(mask, lead, pin) slices whose representatives, weighted, cover every nonzero message.
 
     mask > 0 sets coefficient 1 on the frame positions of its bits and 0
     on the others, leaving all `rest` other rows over F_q.  mask == 0
     leaves the frame zero and normalizes the other rows instead: row
     `lead` among them is the first nonzero one, fixed to 1.  When rows
     remain free beyond the suffix table, pin gives the coefficient of
-    the first of them, so workers partition by high-order digits.
+    the first of them, so workers partition by high-order digits; a pin
+    runs over the codes v with orbits[v] > 0, one per Frobenius orbit.
     """
+    pins = [v for v, size in enumerate(orbits) if size]
     tasks = []
     slices = [(mask, None, rest) for mask in range(1, 1 << f)]
     slices += [(0, h, rest - 1 - h) for h in range(rest)]
     for mask, lead, free in slices:
         if free > depth:
-            tasks.extend((mask, lead, v) for v in range(q))
+            tasks.extend((mask, lead, v) for v in pins)
         else:
             tasks.append((mask, lead, None))
     return tuple(tasks)
@@ -313,13 +341,17 @@ class SearchPlan:
     The frame coefficients range over {0, 1} and the other rows over
     F_q.  A task whose mask has s bits scans representatives that each
     stand for (q-1)^s messages, that is (q-1)^(s-1) normalized ones; the
-    mask-0 tasks scan normalized messages directly.
+    mask-0 tasks scan normalized messages directly.  A pinned task also
+    stands for the other pins of its Frobenius orbit: orbits[v] is the
+    size of the orbit whose least element code is v, 0 for a code that
+    is not scanned as a pin.
     """
 
     q: int
     frame: tuple
     rest: tuple
     depth: int
+    orbits: tuple
     tasks: tuple
 
     def rows(self, task) -> int:
@@ -330,8 +362,9 @@ class SearchPlan:
 
     def weight(self, task) -> int:
         """Normalized messages each representative of the task stands for."""
-        mask = task[0]
-        return (self.q - 1) ** (bin(mask).count("1") - 1) if mask else 1
+        mask, _, pin = task
+        w = (self.q - 1) ** (bin(mask).count("1") - 1) if mask else 1
+        return w if pin is None else w * self.orbits[pin]
 
     @property
     def representatives(self) -> int:
@@ -343,8 +376,9 @@ def search_plan(code: ToricCode) -> SearchPlan:
     frame = _frame(code.monomials, code.polygon.dim)
     rest = tuple(r for r in range(code.k) if r not in frame)
     depth = _suffix_depth(code.field, len(rest), code.n)
-    tasks = _task_list(code.field.q, len(frame), len(rest), depth)
-    return SearchPlan(code.field.q, frame, rest, depth, tasks)
+    orbits = _pin_orbits(code.field)
+    tasks = _task_list(orbits, len(frame), len(rest), depth)
+    return SearchPlan(code.field.q, frame, rest, depth, orbits, tasks)
 
 
 class _SearchContext:

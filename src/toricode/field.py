@@ -23,8 +23,9 @@ from .errors import (
 
 MAX_Q = 1 << 16
 
-# full addition tables are only built for odd characteristic; this caps
-# their memory at q*q entries of uint16
+# full addition tables are only built for odd q that is not prime (add_np
+# XORs in characteristic 2 and adds integers mod p in prime fields); this
+# caps their memory at q*q entries of uint16
 MAX_ADD_TABLE_Q = 4096
 
 
@@ -59,21 +60,6 @@ def _prime_power(q: int) -> tuple[int, int]:
     if m != 1 or not _is_prime(p):
         raise NonPrimeCharacteristic(f"{q} is not a prime power")
     return p, e
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, ascending."""
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _poly_mod(a, m, p):
@@ -135,61 +121,58 @@ class FieldSpec:
         self.exp_np = np.array(self.exp_table + self.exp_table, dtype=self.dtype)
         self.log_np = np.array(self.log_table, dtype=np.int64)
         self._add_table = None
+        # prime fields add in a dtype that holds 2(p-1)
+        wide = e == 1 and 2 * (p - 1) > np.iinfo(self.dtype).max
+        self._sum_dtype = np.uint32 if wide else self.dtype
 
-    # -- representation helpers -------------------------------------------
-
-    def digits(self, code: int) -> list[int]:
-        """Polynomial coefficients of an element code, low degree first."""
-        p = self.p
-        return [(code // p**i) % p for i in range(self.e)]
-
-    def _encode(self, digits) -> int:
-        c = 0
-        for d in reversed(digits):
-            c = c * self.p + d % self.p
-        return c
-
-    def _mul_raw(self, a, b):
-        # table-free product, only used while bootstrapping exp/log
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * self.e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] += x * y
-        return self._encode(_poly_mod(prod, self.modulus, self.p))
-
-    def _pow_raw(self, a, n):
-        r = 1
-        while n:
-            if n & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            n >>= 1
-        return r
+    # -- tables --------------------------------------------------------------
 
     def _build_tables(self):
-        q = self.q
-        factors = _prime_factors(q - 1)
-        gen = None
-        for g in range(1, q):
-            if all(self._pow_raw(g, (q - 1) // f) != 1 for f in factors):
-                gen = g
+        """Least primitive element g, exp_table[i] = g^i and log_table.
+
+        Multiplying by g is F_p-linear on digit vectors, so the products
+        g*u^i of g with the basis powers of u give c -> g*c for every
+        code c at once: add d_i * g*u^i digit-wise over the digits d_i of
+        c.  g*u^(i+1) is g*u^i shifted up one digit, with the carried top
+        digit t replaced by -t times the low coefficients of the monic
+        modulus.  exp is the orbit of 1 under this map, read off by
+        lookups that double its length; g is primitive exactly when the
+        orbit returns to 1 first after q-1 steps.
+        """
+        q, p, e = self.q, self.p, self.e
+        low = self.modulus[:e]
+        powers = p ** np.arange(e, dtype=np.int64)
+        # narrowest dtype holding a digit plus a digit product
+        digit = np.min_scalar_type(p * (p - 1))
+        scalars = np.arange(p, dtype=digit)[:, None, None]
+        # 1 generates the units only in F_2
+        for g in range(min(2, q - 1), q):
+            rows = [[g // p**i % p for i in range(e)]]
+            for _ in range(e - 1):
+                top = rows[-1][-1]
+                rows.append([(d - top * m) % p for d, m in zip([0] + rows[-1][:-1], low)])
+            # digits of g*c for c = 0 .. p^(i+1) - 1, one digit more per pass
+            prod = np.zeros((1, e), dtype=digit)
+            for row in np.array(rows, dtype=digit):
+                prod = (prod[None] + scalars * row).reshape(-1, e) % p
+            # step[c] = g^len(exp) * c
+            exp, step = np.ones(1, dtype=np.int64), prod @ powers
+            while len(exp) < q - 1:
+                exp = np.concatenate((exp, step[exp]))
+                step = step[step]
+            exp = exp[: q - 1]
+            if not (exp[1:] == 1).any():
                 break
-        if gen is None:
+        else:
             raise InvariantViolation(f"no primitive element found in F_{q}")
-        self.primitive_element = gen
-        exp = [1]
-        for _ in range(q - 2):
-            exp.append(self._mul_raw(exp[-1], gen))
-        log = [-1] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        if min(log[1:]) < 0:
+        self.primitive_element = g
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        if (log[1:] < 0).any():
             raise InvariantViolation("generator failed to cover units")
-        self.exp_table = exp
-        self.log_table = log
-        self._exp2 = exp + exp
+        self.exp_table = exp.tolist()
+        self.log_table = log.tolist()
+        self._exp2 = self.exp_table + self.exp_table
 
     # -- scalar arithmetic -------------------------------------------------
 
@@ -271,10 +254,20 @@ class FieldSpec:
         return self._add_table
 
     def add_np(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise field addition of two code arrays."""
+        """Elementwise field addition of two code arrays, broadcast like a + b.
+
+        Characteristic 2 adds by XOR.  A prime field adds the codes as
+        integers, s = a + b in a dtype that holds 2(p-1), and returns
+        min(s, s - p) in the field's dtype: unsigned s - p wraps above
+        every code when s < p.  Any other field gathers from the flat
+        (q, q) addition table at a*q + b.
+        """
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        # one gather from the flat table at a*q + b, broadcast like a + b
+        if self.e == 1:
+            s = np.add(a, b, dtype=self._sum_dtype)
+            np.minimum(s, s - self.p, out=s)
+            return s.astype(self.dtype, copy=False)
         return self.add_table().ravel().take(np.multiply(a, self.q, dtype=np.intp) + b)
 
     def scale_np(self, a: np.ndarray, s: int) -> np.ndarray:

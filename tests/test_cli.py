@@ -213,7 +213,10 @@ def test_error_class_sets_exit_code(capsys, tmp_path, monkeypatch, cls):
 def test_source_has_no_assert_statements():
     # python -O strips assert, so runtime checks must raise instead
     found = []
-    for path in sorted((ROOT / "src" / "toricode").glob("*.py")):
+    modules = sorted((ROOT / "src" / "toricode").glob("*.py"))
+    # an empty glob would pass without checking anything
+    assert {"code.py", "field.py", "bounds.py", "cli.py"} <= {m.name for m in modules}
+    for path in modules:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [
             f"{path.name}:{node.lineno}"

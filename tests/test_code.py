@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -457,6 +458,10 @@ def test_engine_matches_brute_force(walk, monkeypatch):
         build_code(LatticePolygon([(0, 0), (1, 0), (0, 1), (1, 1)]), field_from_order(16)),
         build_code(LatticePolygon([(0, 0), (3, 0)]), field_from_order(17)),
         build_code(LatticePolygon([(0, 0), (0, 2)]), field_from_order(19)),
+        # Frobenius orbits of size 2, 3 and 4 on the pins once rows are walked
+        build_code(LatticePolygon([(0, 0), (3, 0)]), field_from_order(16)),
+        build_code(LatticePolygon([(0, 0), (2, 0)]), field_from_order(25)),
+        build_code(LatticePolygon([(0, 0), (0, 2)]), field_from_order(27)),
     ]
     codes += [_random_code(rng, q) for q in (3, 4, 5, 7, 8, 9) for _ in range(4)]
     frames = set()
@@ -469,6 +474,117 @@ def test_engine_matches_brute_force(walk, monkeypatch):
         assert res.exact and res.weight == min(w for w in dist if w)
         assert res.representatives == plan.representatives
     assert frames == {1, 2, 3}
+
+
+def _every_pin_tasks(q, f, rest, depth):
+    """The task list with a task for every pin value; the oracle for the orbit plan."""
+    tasks = []
+    slices = [(mask, None, rest) for mask in range(1, 1 << f)]
+    slices += [(0, h, rest - 1 - h) for h in range(rest)]
+    for mask, lead, free in slices:
+        if free > depth:
+            tasks.extend((mask, lead, v) for v in range(q))
+        else:
+            tasks.append((mask, lead, None))
+    return tuple(tasks)
+
+
+def _every_pin_plan(code):
+    """The search plan that scans every pin, each with weight 1."""
+    plan = search_plan(code)
+    q = code.field.q
+    tasks = _every_pin_tasks(q, len(plan.frame), len(plan.rest), plan.depth)
+    return dataclasses.replace(plan, orbits=(1,) * q, tasks=tasks)
+
+
+def _frobenius_orbit(field, a):
+    orbit = [a]
+    while field.pow(orbit[-1], field.p) != a:
+        orbit.append(field.pow(orbit[-1], field.p))
+    return orbit
+
+
+BOX21 = LatticePolygon([(0, 0), (2, 0), (0, 1), (2, 1)])
+TRAPEZOID = LatticePolygon([(0, 0), (2, 0), (1, 1), (0, 1)])
+SEGMENT3 = LatticePolygon([(0, 0), (3, 0)])
+ORBIT_CODES = [(BOX21, 4), (BOX21, 8), (SEGMENT3, 8), (BOX21, 9), (TRAPEZOID, 9),
+               (TRAPEZOID, 16), (SEGMENT3, 16), (TRAPEZOID, 25), (SEGMENT3, 25),
+               (TRAPEZOID, 27), (SEGMENT3, 27)]
+
+
+def _small_table(monkeypatch, walk):
+    # at most 27 table columns, or one: every code above pins a row
+    cap = 1 if walk else 27
+    monkeypatch.setattr(code_module, "_SUFFIX_ROWS_CHAR2", cap)
+    monkeypatch.setattr(code_module, "_SUFFIX_ROWS_ODD", cap)
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["suffix-table", "all-walked"])
+def test_orbit_plan_matches_every_pin_plan(walk, monkeypatch):
+    _small_table(monkeypatch, walk)
+    for poly, q in ORBIT_CODES:
+        f = field_from_order(q)
+        plan = search_plan(build_code(poly, f))
+        assert (plan.depth == 0) == walk
+        assert any(plan.orbits[t[2]] > 1 for t in plan.tasks if t[2] is not None)
+        dist = weight_distribution(build_code(poly, f))
+        res = min_distance_exact(build_code(poly, f))
+        with monkeypatch.context() as m:
+            m.setattr(code_module, "search_plan", _every_pin_plan)
+            assert weight_distribution(build_code(poly, f)) == dist
+            oracle = min_distance_exact(build_code(poly, f))
+        assert (res.weight, res.exact, res.enumerated) == (
+            oracle.weight, oracle.exact, oracle.enumerated)
+        assert res.representatives == plan.representatives < oracle.representatives
+
+
+@pytest.mark.parametrize("walk", [False, True], ids=["suffix-table", "all-walked"])
+def test_pin_slices_agree_along_frobenius_orbits(walk, monkeypatch):
+    _small_table(monkeypatch, walk)
+    for poly, q in ORBIT_CODES:
+        code = build_code(poly, field_from_order(q))
+        plan = _every_pin_plan(code)
+        rows = code.log_generator[list(plan.frame + plan.rest)]
+        ctx = _SearchContext(code.field, rows, len(plan.frame), plan.depth)
+        slices = {}
+        for task in plan.tasks:
+            if task[2] is not None:
+                hist, _, done = ctx.run_task(task, None, True)
+                assert done
+                slices[task] = hist
+        assert slices
+        for (mask, lead, pin), hist in slices.items():
+            for image in _frobenius_orbit(code.field, pin):
+                assert np.array_equal(slices[(mask, lead, image)], hist)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_prime_field_task_list_is_every_pin(q):
+    f = field_from_order(q)
+    polys = [LatticePolygon([(0, 0)]), LatticePolygon([(0, 0), (q - 2, 0)]), Q1, HEX9, P54]
+    pinned = False
+    for poly in polys:
+        if poly.fits_in_box(q) is None:
+            continue
+        plan = search_plan(build_code(poly, f))
+        assert plan.orbits == (1,) * q
+        assert plan.tasks == _every_pin_tasks(q, len(plan.frame), len(plan.rest), plan.depth)
+        pinned |= any(t[2] is not None for t in plan.tasks)
+    assert pinned or q < 7
+
+
+@pytest.mark.parametrize(
+    "q, count", [(4, 3), (8, 4), (9, 6), (16, 6), (25, 15), (27, 11), (64, 14), (256, 36)]
+)
+def test_pin_orbit_counts(q, count):
+    f = field_from_order(q)
+    orbits = code_module._pin_orbits(f)
+    assert sum(1 for size in orbits if size) == count
+    assert sum(orbits) == q
+    for a, size in enumerate(orbits):
+        if size:
+            orbit = _frobenius_orbit(f, a)
+            assert len(orbit) == size and min(orbit) == a
 
 
 
@@ -557,11 +673,69 @@ def test_checkpoint_key_names_the_enumeration_scheme(tmp_path):
         json.dump({"key": old_key, "done": [[0, None]], "scanned": 1, "best": 40}, fh)
     assert _load_checkpoint(path, key, plan, code.n, False) is None
     # another suffix depth is another search
-    other = code_module.SearchPlan(plan.q, plan.frame, plan.rest, plan.depth - 1,
-                                   code_module._task_list(8, 3, 6, plan.depth - 1))
+    other = dataclasses.replace(plan, depth=plan.depth - 1,
+                                tasks=code_module._task_list(plan.orbits, 3, 6, plan.depth - 1))
     assert _checkpoint_key(code, other, False) != key
     res = min_distance_exact(code, checkpoint=path)
     assert res.exact and res.weight == 28
+
+
+class _TickClock:
+    """A monotonic clock that moves one second per reading."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        self.now += 1.0
+        return self.now
+
+
+def test_checkpoint_resume_over_a_nonprime_field(tmp_path, monkeypatch):
+    # the clock cuts the hexagon over F16 after about a dozen of its 53
+    # tasks, among them pins whose orbit weight is 4
+    path = str(tmp_path / "search.json")
+    code = build_code(HEX9, field_from_order(16))
+    plan = search_plan(code)
+    with monkeypatch.context() as m:
+        m.setattr(code_module, "time", _TickClock())
+        first = min_distance_exact(code, deadline=200, checkpoint=path)
+    assert not first.exact
+    key = _checkpoint_key(code, plan, False)
+    state = _load_checkpoint(path, key, plan, code.n, False)
+    done = state["done"]
+    assert 0 < len(done) < len(plan.tasks)
+    assert any(t[2] is not None and plan.orbits[t[2]] > 1 for t in done)
+    assert state["scanned"] == sum(plan.rows(t) * plan.weight(t) for t in done)
+    assert state["scanned"] != sum(plan.rows(t) for t in done)
+    ran = []
+    real_run = _SearchContext.run_task
+
+    def recording_run(ctx, task, *args):
+        ran.append(task)
+        return real_run(ctx, task, *args)
+
+    monkeypatch.setattr(_SearchContext, "run_task", recording_run)
+    second = min_distance_exact(build_code(HEX9, field_from_order(16)), checkpoint=path)
+    assert second.exact and second.weight == 182
+    assert second.enumerated == (16**9 - 1) // 15
+    assert second.representatives == plan.representatives
+    assert sorted(ran + sorted(done)) == sorted(plan.tasks)
+
+
+def test_checkpoint_of_the_every_pin_plan_is_ignored(tmp_path):
+    path = str(tmp_path / "search.json")
+    code = build_code(HEX9, field_from_order(8))
+    plan, oracle = search_plan(code), _every_pin_plan(code)
+    done = set(oracle.tasks[:10])
+    scanned = sum(oracle.rows(t) * oracle.weight(t) for t in done)
+    _save_checkpoint(path, _checkpoint_key(code, oracle, False), done, scanned, 20, False)
+    assert _checkpoint_key(code, oracle, False) != _checkpoint_key(code, plan, False)
+    assert _load_checkpoint(path, _checkpoint_key(code, plan, False), plan, code.n, False) is None
+    res = min_distance_exact(code, checkpoint=path)
+    assert res.exact and res.weight == 28
+    assert res.enumerated == (8**9 - 1) // 7
+    assert res.representatives == plan.representatives
 
 
 def test_deadline_ignores_wall_clock_jumps(monkeypatch):

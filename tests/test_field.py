@@ -11,7 +11,48 @@ from toricode.errors import (
     TooLarge,
 )
 from toricode.code import SectionPoly, evaluate_section
-from toricode.field import field_from_order, make_field
+from toricode.field import _is_prime, _poly_mod, _prime_power, field_from_order, make_field
+
+
+def _mul_raw(f, a, b):
+    """Product of two element codes by polynomial multiplication mod the modulus."""
+    p, e = f.p, f.e
+    da = [(a // p**i) % p for i in range(e)]
+    db = [(b // p**i) % p for i in range(e)]
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    return sum(d * p**i for i, d in enumerate(_poly_mod(prod, f.modulus, p)))
+
+
+def _pow_raw(f, a, n):
+    r = 1
+    while n:
+        if n & 1:
+            r = _mul_raw(f, r, a)
+        a = _mul_raw(f, a, a)
+        n >>= 1
+    return r
+
+
+def _tables_by_products(f):
+    """(primitive element, exp table, log table) from table-free products.
+
+    The least g with g^((q-1)/r) != 1 for every prime r dividing q-1,
+    and its powers by repeated multiplication; the oracle for the
+    tables a FieldSpec builds.
+    """
+    q = f.q
+    factors = [r for r in range(2, q) if (q - 1) % r == 0 and _is_prime(r)]
+    g = next(g for g in range(1, q) if all(_pow_raw(f, g, (q - 1) // r) != 1 for r in factors))
+    exp = [1]
+    for _ in range(q - 2):
+        exp.append(_mul_raw(f, exp[-1], g))
+    log = [-1] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    return g, exp, log
 
 
 def _torus_points(f):
@@ -168,7 +209,24 @@ def test_mul_matches_raw_polynomial_product():
         f = field_from_order(q)
         for _ in range(50):
             a, b = rng.randrange(q), rng.randrange(q)
-            assert f.mul(a, b) == f._mul_raw(a, b)
+            assert f.mul(a, b) == _mul_raw(f, a, b)
+
+
+def _prime_powers(top):
+    out = []
+    for q in range(2, top + 1):
+        try:
+            _prime_power(q)
+        except NonPrimeCharacteristic:
+            continue
+        out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("q", _prime_powers(1024) + [4096, 65536])
+def test_tables_match_table_free_products(q):
+    f = field_from_order(q)
+    assert (f.primitive_element, f.exp_table, f.log_table) == _tables_by_products(f)
 
 
 def test_add_table_matches_scalar():
@@ -180,20 +238,42 @@ def test_add_table_matches_scalar():
                 assert int(t[a, b]) == f.add(a, b)
 
 
-@pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27, 49, 81, 243])
+PRIMES_TO_256 = [p for p in range(3, 257) if _is_prime(p)]
+# 2(p-1) just fits the field dtype at 127 (uint8) and 32749 (uint16); the
+# sum needs a wider dtype at 131 and 251 (uint8 fields) and at 32771 and
+# 65521 (uint16 fields); 257 is the first prime with a uint16 field
+DTYPE_EDGE_PRIMES = [257, 32749, 32771, 65521]
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 243] + PRIMES_TO_256 + DTYPE_EDGE_PRIMES)
 def test_add_np_matches_2d_gather_on_broadcast_shapes(q):
-    # the flat gather must agree with the (q, q) table indexed by both
-    # operands, and broadcast as a + b does, e.g. (m,1,n) with (1,q,n)
+    # add_np must agree with the scalar sum of both operands, keep the
+    # field dtype, and broadcast as a + b does, e.g. (m,1,n) with (1,q,n);
+    # the fields that gather must agree with the (q, q) table too
     f = field_from_order(q)
     rng = np.random.default_rng(q)
     shapes = [((7,), (7,)), ((4, 1, 6), (1, 3, 6)), ((5, 1), (1, 4)), ((3, 8), (8,))]
     for sa, sb in shapes:
         a = rng.integers(0, q, sa).astype(f.dtype)
         b = rng.integers(0, q, sb).astype(f.dtype)
+        # the largest codes, whose sums come closest to the dtype's top
+        a.flat[0], b.flat[0] = q - 1, q - 1
         got = f.add_np(a, b)
-        want = f.add_table()[a.astype(np.int64), b.astype(np.int64)]
         assert got.shape == np.broadcast_shapes(sa, sb) and got.dtype == f.dtype
+        want = np.vectorize(f.add)(*np.broadcast_arrays(a.astype(np.int64), b.astype(np.int64)))
         assert np.array_equal(got, want)
+        if f.e > 1:
+            assert np.array_equal(got, f.add_table()[a.astype(np.int64), b.astype(np.int64)])
+
+
+def test_prime_add_np_needs_no_addition_table():
+    # above MAX_ADD_TABLE_Q the table is refused, and prime fields add without it
+    f = field_from_order(65521)
+    with pytest.raises(TooLarge):
+        f.add_table()
+    a = np.arange(65521, dtype=f.dtype)
+    assert np.array_equal(f.add_np(a, a[::-1]), np.full(65521, 65520, dtype=f.dtype))
+    assert np.array_equal(f.add_np(a, np.full_like(a, 1)), np.roll(a, -1))
 
 
 def test_add_np_char2_is_xor():
