@@ -18,10 +18,11 @@ import numpy as np
 
 from .code import (
     SectionPoly,
+    _build_suffix_table,
     _log_grid,
+    _log_rows,
     build_code,
     count_torus_zeros,
-    evaluate_section,
     min_distance_exact,
     multiply_sections,
 )
@@ -40,7 +41,7 @@ from .field import FieldSpec, field_from_order
 from .polygon import LatticePolygon, _run_directions, _xgcd, normal_form
 
 # exhaustive section maximization is allowed up to this many coefficient
-# vectors; larger spaces fall back to the split-form catalog
+# vectors; larger spaces fall back to the split-form catalog (see _exhaustive)
 DEFAULT_SECTION_BUDGET = 300_000
 
 # cap on candidate sections kept per summand when building products
@@ -214,30 +215,9 @@ class MaxZeroResult(NamedTuple):
     exhaustive: bool
 
 
-def _lead_zero_counts(rows, lead, field):
-    """Zero counts of every message with leading coefficient 1 at `lead`.
-
-    Messages are (0,..,0, 1, c_(lead+1), .., c_(k-1)) in lexicographic
-    order of the free coefficients.  Words over all free coefficients
-    but the last are built by broadcast additions; the last, c with row
-    r, is resolved per point: w + c*r = 0 iff w = c = 0, or c != 0 with
-    log c = log(-w) - log r mod q-1, since r never vanishes.
-    """
-    q, qm = field.q, field.q - 1
-    words = rows[lead][None, :]
-    if lead == len(rows) - 1:
-        return np.count_nonzero(words == 0, axis=1)
-    for row in rows[lead + 1 : -1]:
-        # multiples[c] = c * row, by coefficient code
-        multiples = np.zeros((q, row.size), dtype=field.dtype)
-        multiples[1:] = field.exp_np[field.log_np[row][None, :] + field.log_np[1:, None]]
-        words = field.add_np(words[:, None, :], multiples[None, :, :]).reshape(-1, row.size)
-    shift = field.log_table[field.neg(1)] - field.log_np[rows[-1]]
-    bins = np.where(words == 0, qm, (field.log_np[words] + shift) % qm)
-    bins += np.arange(len(words))[:, None] * q
-    counts = np.bincount(bins.ravel(), minlength=len(words) * q).reshape(-1, q)
-    # columns are in log order with c = 0 last; reorder to coefficient codes
-    return counts[:, [qm] + field.log_table[1:]].ravel()
+def _exhaustive(poly, q):
+    """Whether sections on poly are searched over all q^#(P) messages, not the catalog."""
+    return q ** poly.num_lattice_points <= DEFAULT_SECTION_BUDGET
 
 
 def _max_zero_exhaustive(poly, field, cap=None):
@@ -245,28 +225,55 @@ def _max_zero_exhaustive(poly, field, cap=None):
 
     Scalar multiples share a zero set, so messages are normalized to a
     leading coefficient 1 and ordered by lead position, then
-    lexicographically (see _lead_zero_counts).  Returns the count and
-    the first `cap` maximizing sections in that order.
+    lexicographically.  The words of one lead are its row plus each
+    column of _build_suffix_table over the rows strictly between the
+    lead and the last row r, the row before r varying fastest, which is
+    that order.  The last coefficient c is resolved per point: w + c*r
+    = 0 iff w = c = 0, or c != 0 with log c = log(-w) - log r mod q-1,
+    since r never vanishes; a bincount of that log per column counts
+    every c at once, and a winner's zero mask is the points whose log is
+    its c's (q-1 standing for c = 0).  Returns the count, the first `cap`
+    maximizing sections in that order and their masks, each packed as
+    soon as it is found.  The polygon stays where it lies.
     """
-    q = field.q
+    q, qm = field.q, field.q - 1
     pts = [tuple(p) for p in poly.lattice_points()]
-    rows = [evaluate_section(SectionPoly({p: 1}), field) for p in pts]
-    counts = np.concatenate([_lead_zero_counts(rows, lead, field) for lead in range(len(pts))])
     k = len(pts)
-    best = int(counts.max())
-    winners = np.flatnonzero(counts == best)[:cap]
-    sections = []
-    for index in winners.tolist():
-        lead = 0
-        while index >= q ** (k - lead - 1):
-            index -= q ** (k - lead - 1)
-            lead += 1
-        msg = [0] * k
-        msg[lead] = 1
-        for pos in range(k - 1, lead, -1):
-            index, msg[pos] = divmod(index, q)
-        sections.append(SectionPoly({p: c for p, c in zip(pts, msg) if c}))
-    return best, sections
+    logs = _log_rows(pts, qm)
+    shift = (field.log_table[field.neg(1)] - logs[-1])[:, None]
+    # bincount columns are in log order with c = 0 last; reorder to coefficient codes
+    by_code = [qm] + field.log_table[1:]
+    best, sections, masks = -1, [], []
+    for lead in range(k):
+        if lead < k - 1:
+            words = field.add_np(
+                _build_suffix_table(field, logs[lead + 1 : k - 1], k - 2 - lead),
+                field.exp_np[logs[lead]][:, None],
+            )
+            bins = np.where(words == 0, qm, (field.log_np[words] + shift) % qm)
+            counts = np.bincount(
+                (bins + np.arange(bins.shape[1]) * q).ravel(), minlength=bins.shape[1] * q
+            )
+            counts = counts.reshape(-1, q)[:, by_code].ravel()
+        else:
+            # the last monomial alone, a unit on the torus: no point has a bin
+            bins, counts = np.full((qm * qm, 1), -1), np.zeros(1, dtype=np.int64)
+        top = int(counts.max())
+        if top < best:
+            continue
+        if top > best:
+            best, sections, masks = top, [], []
+        room = None if cap is None else cap - len(sections)
+        # index = column * q + c; the last lead has one message, index 0
+        for index in np.flatnonzero(counts == top)[:room].tolist():
+            column, c = divmod(index, q)
+            masks.append(_packed(bins[:, column] == by_code[c]))
+            msg = [0] * k
+            msg[lead] = 1
+            for pos in range(k - 1, lead, -1):
+                index, msg[pos] = divmod(index, q)
+            sections.append(SectionPoly({p: v for p, v in zip(pts, msg) if v}))
+    return best, sections, masks
 
 
 def _best_run(ptset, u):
@@ -371,13 +378,11 @@ def _catalog_sections(poly, field):
     return out
 
 
-def max_zero_section(
-    poly: LatticePolygon, field: FieldSpec, budget: int = DEFAULT_SECTION_BUDGET
-) -> MaxZeroResult:
+def max_zero_section(poly: LatticePolygon, field: FieldSpec) -> MaxZeroResult:
     """Section with the most torus zeros among those supported on poly.
 
-    Exhaustive over all coefficient vectors when q^#(P) fits in the
-    budget; otherwise the best member of a catalog of split forms, with
+    Exhaustive over all coefficient vectors when _exhaustive allows it;
+    otherwise the best member of a catalog of split forms, with
     exhaustive=False to flag that the count is only a lower estimate of
     the true maximum.  Both come from the first candidate of
     _max_zero_candidates; the catalog winner's count, read from its
@@ -389,12 +394,10 @@ def max_zero_section(
         w, h = poly.width_height()
         raise PolygonTooLargeForField(f"polygon spans {w}x{h}, too large for q = {q}")
     boxed = poly.translate(*shift)
-    # a single point has no catalog section, and its q messages are
-    # searched whatever the budget
-    budget = max(budget, q)
-    sections, masks = _max_zero_candidates(boxed, field, budget=budget, cap=1)
+    # a single point has no catalog section, but its q <= MAX_Q messages fit the budget
+    sections, masks = _max_zero_candidates(boxed, field, cap=1)
     section, zeros = sections[0], int(np.bitwise_count(masks[0]).sum())
-    exhaustive = q ** boxed.num_lattice_points <= budget
+    exhaustive = _exhaustive(boxed, q)
     if not exhaustive:
         counted = count_torus_zeros(section, field)
         if counted != zeros:
@@ -404,58 +407,31 @@ def max_zero_section(
     return MaxZeroResult(section.shift(-shift[0], -shift[1]), zeros, exhaustive)
 
 
-def _max_zero_candidates(poly, field, budget=DEFAULT_SECTION_BUDGET, cap=_CANDIDATE_CAP):
+def _max_zero_candidates(poly, field, cap=_CANDIDATE_CAP):
     """Candidate sections for one summand, most zeros first, with packed zero masks.
 
-    Catalog entries are ranked by their closed-form counts; the sort is
-    stable, so ties keep catalog order.  Row i of the mask array holds
-    the torus zeros of section i as uint64 words (see _packed).
+    Where _exhaustive allows, the first `cap` maximizers of
+    _max_zero_exhaustive, with the masks its enumeration read off.
+    Otherwise catalog entries ranked by their closed-form counts; the
+    sort is stable, so ties keep catalog order.  Row i of the mask array
+    holds the torus zeros of section i as uint64 words (see _packed).
     """
     q = field.q
-    if q ** poly.num_lattice_points <= budget:
-        _, sections = _max_zero_exhaustive(poly, field, cap=cap)
-        masks = _zero_rows(sections, field)
+    if _exhaustive(poly, q):
+        _, sections, masks = _max_zero_exhaustive(poly, field, cap=cap)
     else:
         kept = sorted(_catalog_sections(poly, field), key=lambda e: -e.zeros)[:cap]
         sections = [e.section(field) for e in kept]
-        masks = (e.zero_mask(q - 1) for e in kept)
-    return sections, _packed(masks, len(sections), (q - 1) ** 2)
+        masks = [_packed(e.zero_mask(q - 1)) for e in kept]
+    words = -(-(q - 1) ** 2 // 64)
+    return sections, np.array(masks, dtype=np.uint64).reshape(len(sections), words)
 
 
-def _zero_rows(sections, field):
-    """Zero masks of the sections, each equal to evaluate_section(s) == 0.
-
-    Sections are evaluated together, in chunks of rows whose index
-    arrays take about _PAIRING_BYTES, one broadcast gather and addition
-    per monomial; the masks are yielded one row at a time.
-    """
-    qm = field.q - 1
-    n = qm * qm
-    grids = {}
-    step = max(1, _PAIRING_BYTES // (8 * n))
-    for i in range(0, len(sections), step):
-        chunk = sections[i : i + step]
-        acc = np.zeros((len(chunk), n), dtype=field.dtype)
-        for m in sorted({m for s in chunk for m in s.terms}):
-            if m not in grids:
-                grids[m] = _log_grid(qm, *m).ravel() % qm
-            coeffs = np.array([s.terms.get(m, 0) for s in chunk])
-            # log 0 is -1; those rows are zeroed after the gather
-            term = field.exp_np[grids[m][None, :] + field.log_np[coeffs][:, None] % qm]
-            term[coeffs == 0] = 0
-            acc = field.add_np(acc, term)
-        yield from acc == 0
-
-
-def _packed(masks, rows, n):
-    """`rows` boolean masks of length n as rows of uint64 words, zero padded.
-
-    Masks are packed one at a time, so at most one unpacked mask is held.
-    """
-    out = np.zeros((rows, -(-n // 64) * 8), dtype=np.uint8)
-    for row, mask in zip(out, masks):
-        row[: -(-n // 8)] = np.packbits(mask)
-    return out.view(np.uint64)
+def _packed(mask):
+    """A boolean mask as uint64 words, zero padded; callers pack each mask as it is made."""
+    row = np.zeros(-(-mask.size // 64) * 8, dtype=np.uint8)
+    row[: -(-mask.size // 8)] = np.packbits(mask)
+    return row.view(np.uint64)
 
 
 def _part_candidates(part, field, cache):
@@ -473,15 +449,15 @@ def _most_zeros(part, field, cache):
     """Most torus zeros among the candidate sections of one summand.
 
     The same count as the top row of _max_zero_candidates' masks, but
-    without building the candidates.  Where those come from the
-    exhaustive search, the count is the length (q-1)^2 minus the
-    distance of the summand's code (see _component_distance).  Otherwise
-    it is the best closed-form catalog count, memoized in `cache` by the
-    summand; the code's length minus its distance would be a looser
-    bound there.
+    without building the candidates, and by the same _exhaustive rule.
+    Where those come from the exhaustive search, the count is the length
+    (q-1)^2 minus the distance of the summand's code (see
+    _component_distance).  Otherwise it is the best closed-form catalog
+    count, memoized in `cache` by the summand; the code's length minus
+    its distance would be a looser bound there.
     """
     q = field.q
-    if q ** part.num_lattice_points <= DEFAULT_SECTION_BUDGET:
+    if _exhaustive(part, q):
         return (q - 1) ** 2 - _component_distance(part, q)
     if part not in cache:
         cache[part] = max((e.zeros for e in _catalog_sections(part, field)), default=0)
@@ -713,27 +689,17 @@ def _match_triangle(poly):
     return min(hits) if hits else None
 
 
-def _match_rectangle(poly, form):
-    """(d, e), d <= e, for the d x e box with normal form `form`, else None."""
-    if len(form) != 4 or poly.volume2 % 2:
-        return None
-    area = poly.volume2 // 2
-    for d in range(1, isqrt(area) + 1):
-        if area % d:
-            continue
-        e = area // d
-        if normal_form(LatticePolygon([(0, 0), (d, 0), (d, e), (0, e)]))[0] == form:
-            return d, e
-    return None
-
-
 def _match_hirzebruch(poly, form):
-    """(d, e, r) with r >= 1 for the twisted box with normal form `form`, else None."""
+    """(d, e, r) for the twisted box with normal form `form`, else None.
+
+    r = 0 is the d x e box, returned with d <= e as d runs upward; no box
+    matches an r >= 1 model, which is no parallelogram.
+    """
     if len(form) != 4:
         return None
     v2 = poly.volume2
     for d in range(1, isqrt(v2) + 1):
-        for r in range(1, v2 // (d * d) + 1):
+        for r in range(v2 // (d * d) + 1):
             rest = v2 - r * d * d
             if rest <= 0:
                 break
@@ -831,17 +797,14 @@ def _closed_forms(poly, q):
             )
         yield "triangle", d_triangle(a, b, c, q), f"triangle form (a,b,c)={tri} with a >= b+c"
     form = normal_form(poly)[0]
-    box = _match_rectangle(poly, form)
-    if box is not None and q > max(box) + 1:
-        d, e = box
-        yield "rectangle", d_rectangle(d, e, q), f"equivalent to the {d}x{e} box"
     hz = _match_hirzebruch(poly, form)
-    if hz is not None and hz[1] + hz[0] * hz[2] < q - 1:
-        yield (
-            "hirzebruch",
-            d_hirzebruch(hz[0], hz[1], hz[2], q),
-            f"equivalent to the twisted box (d,e,r)={hz}",
-        )
+    if hz is not None:
+        d, e, r = hz
+        if r == 0 and q > max(d, e) + 1:
+            yield "rectangle", d_rectangle(d, e, q), f"equivalent to the {d}x{e} box"
+        elif r and e + d * r < q - 1:
+            twisted = f"equivalent to the twisted box (d,e,r)={hz}"
+            yield "hirzebruch", d_hirzebruch(d, e, r, q), twisted
     for case in _RANK3_CASES:
         params = _match_rank3(poly, form, case)
         if params is None:
@@ -902,7 +865,7 @@ def _witness_dict(w):
             "translation": list(w.translation),
             "parts": [[list(v) for v in p.vertices] for p in w.parts],
         }
-    raise TypeError(f"cannot serialize witness of type {type(w).__name__}")
+    raise InvariantViolation(f"cannot serialize witness of type {type(w).__name__}")
 
 
 @dataclass

@@ -98,6 +98,15 @@ def _log_grid(qm: int, a: int, b: int, c_log: int = 0) -> np.ndarray:
     return ((e * a) % qm)[:, None] + ((e * b + c_log) % qm)[None, :]
 
 
+def _log_rows(monomials, qm: int) -> np.ndarray:
+    """Each monomial's discrete logs at the torus points, in _log_grid's order, mod q-1."""
+    logs = np.empty((len(monomials), qm * qm), dtype=np.int64)
+    for r, (a, b) in enumerate(monomials):
+        logs[r] = _log_grid(qm, a, b).ravel()
+    np.subtract(logs, qm, out=logs, where=logs >= qm)
+    return logs
+
+
 def evaluate_section(s: SectionPoly, field: FieldSpec) -> np.ndarray:
     """Values of the section at all torus points, in _log_grid's order.
 
@@ -149,7 +158,6 @@ class ToricCode:
         self.log_generator = log_generator
         self.n = generator.shape[1]
         self.k = generator.shape[0]
-        self._distance: DistanceResult | None = None
 
     def evaluate_message(self, message) -> np.ndarray:
         """Codeword for a length-k coefficient vector over the monomials."""
@@ -189,10 +197,7 @@ def build_code(polygon: LatticePolygon, field: FieldSpec) -> ToricCode:
     n = qm * qm
     if k * n > _GENERATOR_ENTRY_CAP:
         raise TooLarge(f"generator matrix with {k}x{n} entries is too large")
-    log_generator = np.empty((k, n), dtype=np.int64)
-    for r, (m1, m2) in enumerate(monomials):
-        log_generator[r] = _log_grid(qm, m1, m2).ravel()
-    np.subtract(log_generator, qm, out=log_generator, where=log_generator >= qm)
+    log_generator = _log_rows(monomials, qm)
     generator = field.exp_np[log_generator]
     if len({(m1 % qm, m2 % qm) for m1, m2 in monomials}) != k:
         raise InvariantViolation("monomial exponents collide mod q-1; the rows are dependent")
@@ -260,8 +265,11 @@ def _build_suffix_table(field, log_generator, depth):
     """Codewords of all coefficient choices on the last `depth` rows, one per column.
 
     Column sum(v_j q^j) of the (n, q^depth) table holds the codeword with
-    coefficient v_j on generator row k-1-j; column prefixes serve
-    smaller depths.
+    coefficient v_j on generator row k-1-j, so the columns run through
+    the choices in lexicographic order, the last row fastest; column
+    prefixes serve smaller depths.  The distance search builds it on its
+    trailing rows, and the section search in bounds on the rows between
+    a lead and the last row.
     """
     q = field.q
     k, n = log_generator.shape
@@ -546,6 +554,14 @@ def _load_checkpoint(path, key, plan, n, want_hist):
     return state
 
 
+def _check_checkpoint_path(path):
+    """Refuse a checkpoint that could never be written, before any task runs."""
+    if path and os.path.isdir(path):
+        raise ValueError(f"checkpoint {path} is a directory")
+    if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValueError(f"checkpoint {path}: no such directory")
+
+
 def _save_checkpoint(path, key, done, scanned, result, want_hist):
     data = {
         "key": key,
@@ -577,6 +593,7 @@ class _Outcome:
 
 def _enumerate(code, threads, deadline_s, checkpoint, want_hist):
     n = code.n
+    _check_checkpoint_path(checkpoint)
     plan = search_plan(code)
     key = _checkpoint_key(code, plan, want_hist)
     state = _load_checkpoint(checkpoint, key, plan, n, want_hist) or {
@@ -657,13 +674,10 @@ def min_distance_exact(
     When the deadline cuts the run short the result carries exact=False
     and the smallest weight seen, which is still a valid upper bound.
     """
-    if code._distance is not None:
-        return code._distance
     out = _enumerate(code, threads, deadline, checkpoint, want_hist=False)
     result = DistanceResult(code.n - out.result, out.completed, out.scanned, out.representatives)
     if out.completed:
         _check_coverage(out.scanned, code.field.q, code.k)
-        code._distance = result
     return result
 
 

@@ -74,11 +74,4 @@ class SupportOutsidePolygon(ToricodeError):
 
 
 class DeadlineExceeded(ToricodeError):
-    """A long-running search ran out of wall-clock time.
-
-    Carries the best result found so far in .partial (may be None).
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A long-running search ran out of wall-clock time."""

@@ -99,7 +99,7 @@ def _default_modulus(p, e):
         cand = list(tail) + [1]
         if _poly_is_irreducible(cand, p):
             return tuple(cand)
-    raise AssertionError("no irreducible polynomial found, unreachable")
+    raise InvariantViolation(f"no irreducible polynomial of degree {e} over F_{p}")
 
 
 class FieldSpec:

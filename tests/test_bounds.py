@@ -27,7 +27,6 @@ from toricode.bounds import (
     _most_zeros,
     _rank3_polygon,
     _run_directions,
-    _zero_rows,
     certified_upper_bound,
     d_full_triangle,
     d_hirzebruch,
@@ -204,8 +203,9 @@ def _oracle_closed_forms(poly, q):
     tri, box, hz, family = _oracle_matches(poly)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bounds_module, "_match_triangle", lambda p: tri)
-        patch.setattr(bounds_module, "_match_rectangle", lambda p, form: box)
-        patch.setattr(bounds_module, "_match_hirzebruch", lambda p, form: hz)
+        # the box matcher is the r = 0 case of the twisted box matcher
+        twisted = (*box, 0) if box else hz
+        patch.setattr(bounds_module, "_match_hirzebruch", lambda p, form: twisted)
         patch.setattr(bounds_module, "_match_rank3", lambda p, form, case: family[case])
         return list(_closed_forms(poly, q))
 
@@ -467,10 +467,9 @@ def test_max_zero_unit_triangle():
 
 
 def test_max_zero_point():
-    for budget in (0, 300_000):
-        res = max_zero_section(LatticePolygon([(2, 3)]), F5, budget=budget)
-        assert res.zeros == 0 and res.exhaustive
-        assert res.section.terms == {(2, 3): 1}
+    res = max_zero_section(LatticePolygon([(2, 3)]), F5)
+    assert res.zeros == 0 and res.exhaustive
+    assert res.section.terms == {(2, 3): 1}
 
 
 def test_max_zero_genus_one_triangle():
@@ -480,9 +479,10 @@ def test_max_zero_genus_one_triangle():
     assert weight_of_section(res.section, build_code(Q1, F8)) == 49 - 9
 
 
-def test_max_zero_catalog_fallback():
+def test_max_zero_catalog_fallback(monkeypatch):
+    monkeypatch.setattr(bounds_module, "DEFAULT_SECTION_BUDGET", 10)
     tri = LatticePolygon([(1, 1), (2, 1), (1, 2)])
-    res = max_zero_section(tri, F5, budget=10)
+    res = max_zero_section(tri, F5)
     assert not res.exhaustive
     assert res.zeros == 4
     # support must stay inside the polygon as given
@@ -537,15 +537,50 @@ def _oracle_polygons():
     return polys
 
 
+def _lead(section, pts):
+    return min(pts.index(m) for m in section.terms)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_max_zero_exhaustive_matches_oracle(q):
     field = field_from_order(q)
+    n = (q - 1) ** 2
+    crossed = 0
     for poly in _oracle_polygons():
-        for cap in (1, 64, None):
-            best, sections = _max_zero_exhaustive(poly, field, cap=cap)
+        pts = [tuple(p) for p in poly.lattice_points()]
+        _, everyone = max_zero_oracle(poly, field)
+        # one past the winners of the first lead block holding any, so the
+        # list runs on into a later block
+        first = _lead(everyone[0], pts)
+        past_first = sum(_lead(s, pts) == first for s in everyone) + 1
+        crossed += past_first <= len(everyone)
+        for cap in (1, 64, None, past_first):
+            best, sections, masks = _max_zero_exhaustive(poly, field, cap=cap)
             want_best, want_sections = max_zero_oracle(poly, field, cap=cap)
             assert best == want_best, (poly.vertices, cap)
             assert [s.terms for s in sections] == [s.terms for s in want_sections]
+            assert len(masks) == len(sections)
+            for s, words in zip(sections, masks):
+                want = evaluate_section(s, field) == 0
+                assert np.array_equal(_unpacked(words[None], n)[0], want), (poly.vertices, s)
+    assert crossed > 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_max_zero_exhaustive_matches_the_distance_search(q):
+    field = field_from_order(q)
+    unit_segment = LatticePolygon([(0, 0), (1, 0)])
+    unit_triangle = LatticePolygon([(0, 0), (1, 0), (0, 1)])
+    t0 = LatticePolygon([(1, 0), (0, 1), (2, 2)])
+    searched = 0
+    for poly in [unit_segment, unit_triangle, t0] + _oracle_polygons():
+        if poly.fits_in_box(q) is None or not bounds_module._exhaustive(poly, q):
+            continue
+        best, _, _ = _max_zero_exhaustive(poly, field, cap=1)
+        d = min_distance_exact(build_code(poly, field)).weight
+        assert best == (q - 1) ** 2 - d, poly.vertices
+        searched += 1
+    assert searched > 0
 
 
 # -- the section search against field-arithmetic oracles -----------------------
@@ -755,7 +790,9 @@ def test_max_zero_candidates_match_oracle(q):
         part = _boxed(poly, q)
         if part is None:
             continue
-        sections, words = _max_zero_candidates(part, field, budget=0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds_module, "DEFAULT_SECTION_BUDGET", 0)
+            sections, words = _max_zero_candidates(part, field)
         assert sections == catalog_candidates_oracle(part, field), poly.vertices
         want = [zero_mask_oracle(s, field) for s in sections]
         assert np.array_equal(_unpacked(words, n), np.array(want).reshape(len(want), n))
@@ -769,8 +806,7 @@ def test_max_zero_candidates_match_oracle(q):
 def test_best_product_section_matches_oracle(q, catalog, monkeypatch):
     field = field_from_order(q)
     if catalog:
-        candidates = functools.partial(bounds_module._max_zero_candidates, budget=0)
-        monkeypatch.setattr(bounds_module, "_max_zero_candidates", candidates)
+        monkeypatch.setattr(bounds_module, "DEFAULT_SECTION_BUDGET", 0)
     # small chunks, so that the exact search crosses chunk boundaries
     monkeypatch.setattr(bounds_module, "_PAIRING_BYTES", 1000)
     pairing_cap = bounds_module._PAIRING_CAP
@@ -793,12 +829,13 @@ def test_best_product_section_matches_oracle(q, catalog, monkeypatch):
 
 
 def test_catalog_zero_count_is_checked(monkeypatch):
-    res = max_zero_section(P54, F8, budget=0)
+    monkeypatch.setattr(bounds_module, "DEFAULT_SECTION_BUDGET", 0)
+    res = max_zero_section(P54, F8)
     assert not res.exhaustive
     assert res.zeros == count_torus_zeros(res.section, F8)
     monkeypatch.setattr(bounds_module, "count_torus_zeros", lambda s, f: res.zeros - 1)
     with pytest.raises(InvariantViolation):
-        max_zero_section(P54, F8, budget=0)
+        max_zero_section(P54, F8)
 
 
 def test_bound_reports_refuse_huge_tori():
@@ -930,16 +967,6 @@ def test_most_zeros_is_the_best_candidate_count(q):
         _, words = _max_zero_candidates(part, field)
         want = int(np.bitwise_count(words).sum(axis=1).max())
         assert _most_zeros(part, field, shared) == want == _most_zeros(part, field, {})
-
-
-def test_zero_rows_in_small_chunks(monkeypatch):
-    field = field_from_order(9)
-    _, sections = _max_zero_exhaustive(P54, field, cap=40)
-    monkeypatch.setattr(bounds_module, "_PAIRING_BYTES", 8 * 64 * 3)
-    rows = list(_zero_rows(sections, field))
-    assert len(rows) == len(sections) > 3
-    for row, s in zip(rows, sections):
-        assert np.array_equal(row, evaluate_section(s, field) == 0)
 
 
 def test_product_zero_count_is_checked(monkeypatch):

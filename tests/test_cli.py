@@ -12,6 +12,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 import toricode.cli as cli_module
+import toricode.code as code_module
 from toricode import errors
 from toricode.cli import main
 
@@ -210,8 +211,20 @@ def test_error_class_sets_exit_code(capsys, tmp_path, monkeypatch, cls):
     assert captured.err == "error: injected failure\n"
 
 
+def _raised_name(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.attr if isinstance(exc, ast.Attribute) else exc.id
+
+
 def test_source_has_no_assert_statements():
-    # python -O strips assert, so runtime checks must raise instead
+    # python -O strips assert, so runtime checks must raise instead, and
+    # only classes the CLI maps to an exit code: the package's own,
+    # ValueError, and ArgumentTypeError, which argparse turns into exit 2
+    allowed = {
+        cls.__name__
+        for _, cls in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(cls, errors.ToricodeError)
+    } | {"ValueError", "ArgumentTypeError"}
     found = []
     modules = sorted((ROOT / "src" / "toricode").glob("*.py"))
     # an empty glob would pass without checking anything
@@ -222,6 +235,8 @@ def test_source_has_no_assert_statements():
             f"{path.name}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
+            # a bare raise re-raises what was caught
+            or isinstance(node, ast.Raise) and node.exc and _raised_name(node) not in allowed
         ]
     assert found == []
 
@@ -393,6 +408,29 @@ def test_mindist_checkpoint_resume(capsys, tmp_path):
     assert status == 0
     payload = json.loads(out)
     assert payload["d"] == 110 and payload["exact"]
+
+
+def _refused_checkpoint(capsys, monkeypatch, tmp_path, ckpt):
+    tasks = []
+    real = code_module._SearchContext.run_task
+    monkeypatch.setattr(
+        code_module._SearchContext, "run_task", lambda *a: tasks.append(1) or real(*a)
+    )
+    path = polygon_file(tmp_path, HEXAGON)
+    status = main(["mindist", "--polygon", path, "--q", "7", "--checkpoint", ckpt])
+    captured = capsys.readouterr()
+    assert status == 2 and tasks == []
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: checkpoint {ckpt}")
+    assert captured.err.count("\n") == 1
+
+
+def test_mindist_checkpoint_in_a_missing_directory_is_refused(capsys, monkeypatch, tmp_path):
+    _refused_checkpoint(capsys, monkeypatch, tmp_path, str(tmp_path / "missing" / "x.json"))
+
+
+def test_mindist_checkpoint_that_is_a_directory_is_refused(capsys, monkeypatch, tmp_path):
+    _refused_checkpoint(capsys, monkeypatch, tmp_path, str(tmp_path))
 
 
 # -- bounds ------------------------------------------------------------------------

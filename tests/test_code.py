@@ -188,8 +188,6 @@ def test_min_distance_hexagon_f5():
     code = build_code(HEX9, field_from_order(5))
     res = min_distance_exact(code)
     assert res == DistanceResult(6, True, (5**9 - 1) // 4)
-    # cached on the code object afterwards
-    assert min_distance_exact(code) is res
 
 
 def test_min_distance_hexagon_f8():
