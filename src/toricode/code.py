@@ -2,34 +2,56 @@
 
 A code is built by evaluating the monomials of a lattice polygon at
 every point of the torus (F_q*)^2.  The distance search scans one
-message per orbit of the scalars and the torus: (s, lambda, mu) sends
-the coefficient c_(a,b) to s * lambda^a * mu^b * c_(a,b), which only
-permutes and scales codeword coordinates, since f(lambda x, mu y) is f
-at other torus points.  On a frame of monomials where this action is
-onto (a unimodular triangle, two adjacent points of a segment, or the
-single point) nonzero coefficients are moved to 1, so frame
-coefficients range over {0, 1} and the rest over F_q; with a zero
-frame the rest is normalized to leading coordinate 1.  Each
-representative is weighted by the number of messages it stands for,
-and work is split into tasks by frame pattern and high-order digits.
+message per orbit of the scalars and the torus: the scalar g^u and the
+torus point (g^s, g^t) add u + s*a + t*b to the discrete log of the
+coefficient of monomial (a, b).  This only permutes and scales codeword
+coordinates, since f(lambda x, mu y) is f at other torus points.
 
-Frobenius, sigma: c -> c^p on the coefficients, also keeps weights:
+Pivot normal form.  Read a nonzero message's rows in monomial order.
+Its first nonzero row is the pivot m0.  After m0, the next nonzero row
+m = (a, b) with gcd(a - a0, b - b0, q - 1) = 1 is the pivot m1; after
+m0 and m1, the next nonzero row with gcd(det(m1 - m0, m - m0), q - 1) = 1
+is the pivot m2.  The pivots depend only on the support, which the
+group keeps.  A message is normalized when it is 1 at its pivots; its
+other rows range over F_q.
+
+Why a normalized message with P pivots stands for (q-1)^P messages.
+The group elements that keep m0's coefficient add
+s*(a - a0) + t*(b - b0) to row m's log, which is onto Z/(q-1) exactly
+when gcd(a - a0, b - b0, q - 1) = 1.  Those that also keep m1's are,
+mod q - 1, the multiples of (b1 - b0, a0 - a1), because m1 - m0 is
+primitive mod every prime dividing q - 1; they add multiples of
+det(m1 - m0, m - m0), onto exactly when that is prime to q - 1.  So the
+gcd conditions are exactly when the group left after the earlier
+pivots is onto a row, and the group is onto (F_q*)^P at the pivots.
+Fix for each v in (F_q*)^P one element g_v that moves the value 1 at
+every pivot to v.  Then (v, normalized c) -> g_v(c) is a bijection onto
+the messages with these pivots: v is read off the image at the pivots,
+and g_v^-1 takes any such message back to one that is 1 at its pivots,
+with the same support.  It keeps weights, so each normalized message
+counts (q-1)^(P-1) messages of leading coefficient 1, the normalized
+messages that `enumerated` reports.
+
+Frobenius, sigma: c -> c^p on every coefficient, also keeps weights:
 f^sigma(x^p, y^p) = f(x, y)^p, and (x, y) -> (x^p, y^p) permutes the
-torus, so f^sigma vanishes at as many torus points as f.  sigma fixes
-the frame's coefficients 0 and 1 and the leading 1, and maps F_q onto
-itself on each other row, so it maps the slice of messages whose
-pinned coefficient is a one-to-one onto the slice pinned to a^p, weight
-for weight.  Of each pin orbit {a, a^p, a^p^2, ...} only the least
-element code is scanned, weighted by the orbit size; this is exact for
-the maximum zero count and for the histogram.  In a prime field every
-orbit is a single element and the task list is the full one.
+torus.  sigma fixes 0 and 1, so it keeps supports and pivots and maps
+the normalized messages onto themselves.  A message splits into the
+leading vector on the first rows and a suffix on the rows of a table
+that holds the codeword of every suffix choice, one per column.  sigma
+maps the normalized messages with leading vector L one-to-one onto
+those with sigma(L), weight for weight, so of each orbit
+{L, sigma(L), ...} only the lexicographically least vector is scanned,
+weighted by the orbit size.  In a prime field every orbit is one
+vector.  A leading vector that holds all three pivots scans the whole
+table; one with fewer scans the table up to its last normalized
+suffix, every column of which is a message for the maximum, and the
+histogram picks the normalized columns and weights each by its pivots.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import multiprocessing
@@ -51,6 +73,9 @@ _SUFFIX_ROWS_ODD = 1 << 15
 _SUFFIX_BYTES = 32 << 20
 
 _GENERATOR_ENTRY_CAP = 1 << 26
+
+# the distance search splits into at most this many tasks
+_TASK_CAP = 64
 
 
 class SectionPoly:
@@ -221,29 +246,6 @@ def weight_of_section(s: SectionPoly, code: ToricCode) -> int:
 # -- orbit-reduced distance search --------------------------------------------
 
 
-def _frame(monomials, dim):
-    """Positions of the frame monomials, the first choice in monomial order.
-
-    A unimodular triangle on a polygon, two lattice-adjacent points on a
-    segment, the single point otherwise.  The scalar g^u and the torus
-    point (g^s, g^t) add u + s*a + t*b to the discrete log of the
-    coefficient of monomial (a, b).  On these frames the map from
-    (u, s, t) to the frame's log shifts is onto mod q-1, so any nonzero
-    frame coefficients can be moved to 1.
-    """
-    if dim == 2:
-        for trio in itertools.combinations(range(len(monomials)), 3):
-            (a0, b0), (a1, b1), (a2, b2) = (monomials[i] for i in trio)
-            if abs((a1 - a0) * (b2 - b0) - (a2 - a0) * (b1 - b0)) == 1:
-                return trio
-    if dim >= 1:
-        for pair in itertools.combinations(range(len(monomials)), 2):
-            (a0, b0), (a1, b1) = (monomials[i] for i in pair)
-            if math.gcd(a1 - a0, b1 - b0) == 1:
-                return pair
-    return (0,)
-
-
 def _suffix_rows_cap(field, n):
     cap = _SUFFIX_ROWS_CHAR2 if field.p == 2 else _SUFFIX_ROWS_ODD
     while cap > 1 and cap * n > _SUFFIX_BYTES:
@@ -284,196 +286,274 @@ def _build_suffix_table(field, log_generator, depth):
     return table
 
 
-def _pin_orbits(field):
-    """Size of each Frobenius orbit at the least element code in it, 0 at the others."""
-    sizes = [0] * field.q
-    seen = set()
-    for a in range(field.q):
-        if a in seen:
-            continue
-        b, size = field.pow(a, field.p), 1
-        while b != a:
-            seen.add(b)
-            b, size = field.pow(b, field.p), size + 1
-        sizes[a] = size
-    return tuple(sizes)
-
-
-def _task_list(orbits, f, rest, depth):
-    """(mask, lead, pin) slices whose representatives, weighted, cover every nonzero message.
-
-    mask > 0 sets coefficient 1 on the frame positions of its bits and 0
-    on the others, leaving all `rest` other rows over F_q.  mask == 0
-    leaves the frame zero and normalizes the other rows instead: row
-    `lead` among them is the first nonzero one, fixed to 1.  When rows
-    remain free beyond the suffix table, pin gives the coefficient of
-    the first of them, so workers partition by high-order digits; a pin
-    runs over the codes v with orbits[v] > 0, one per Frobenius orbit.
-    """
-    pins = [v for v, size in enumerate(orbits) if size]
-    tasks = []
-    slices = [(mask, None, rest) for mask in range(1, 1 << f)]
-    slices += [(0, h, rest - 1 - h) for h in range(rest)]
-    for mask, lead, free in slices:
-        if free > depth:
-            tasks.extend((mask, lead, v) for v in pins)
-        else:
-            tasks.append((mask, lead, None))
-    return tuple(tasks)
-
-
-def _odometer(q, width):
-    """Increments of a counter through all q^width tuples of element codes.
-
-    Each item lists the (position, old, new) digit changes of one
-    increment; digit 0 runs fastest through 0, 1, ..., q-1 and carries
-    like a counter, so every digit takes every value of F_q.
-    """
-    digits = [0] * width
-    for _ in range(q**width - 1):
-        changes = []
-        i = 0
-        while digits[i] == q - 1:
-            changes.append((i, q - 1, 0))
-            digits[i] = 0
-            i += 1
-        changes.append((i, digits[i], digits[i] + 1))
-        digits[i] += 1
-        yield changes
-
-
 @dataclass(frozen=True)
 class SearchPlan:
-    """How the distance search covers the q^k - 1 nonzero messages.
+    """How the distance search covers the nonzero messages in pivot normal form.
 
-    The frame coefficients range over {0, 1} and the other rows over
-    F_q.  A task whose mask has s bits scans representatives that each
-    stand for (q-1)^s messages, that is (q-1)^(s-1) normalized ones; the
-    mask-0 tasks scan normalized messages directly.  A pinned task also
-    stands for the other pins of its Frobenius orbit: orbits[v] is the
-    size of the orbit whose least element code is v, 0 for a code that
-    is not scanned as a pin.
+    The first `lead` rows form the leading vector, walked one vector at
+    a time; the last `depth` rows are the suffix table's.  frobenius[i]
+    maps each element code c to c^(p^(i+1)).  A task is a normalized
+    coefficient prefix of the leading rows, least in its Frobenius
+    orbit; it stands for every leading vector that extends it.
     """
 
     q: int
-    frame: tuple
-    rest: tuple
+    monomials: tuple
     depth: int
-    orbits: tuple
-    tasks: tuple
-
-    def rows(self, task) -> int:
-        """Representatives the task scans."""
-        _, lead, pin = task
-        free = len(self.rest) - (0 if lead is None else lead + 1)
-        return self.q ** (free - (pin is not None))
-
-    def weight(self, task) -> int:
-        """Normalized messages each representative of the task stands for."""
-        mask, _, pin = task
-        w = (self.q - 1) ** (bin(mask).count("1") - 1) if mask else 1
-        return w if pin is None else w * self.orbits[pin]
+    frobenius: tuple
+    tasks: tuple = ()
+    # the pivot rule by (pivots, row), layouts and columns by pivots, filled on first use
+    _rule: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
+    _layouts: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
+    _columns: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
-    def representatives(self) -> int:
-        return sum(self.rows(t) for t in self.tasks)
+    def lead(self) -> int:
+        return len(self.monomials) - self.depth
+
+    def takes_pivot(self, pivots, r):
+        """Whether a nonzero coefficient on row r is the next pivot after `pivots`.
+
+        The group elements that keep the pivots' coefficients move every
+        nonzero coefficient of row r to 1 exactly when this gcd is 1
+        (see the module docstring).
+        """
+        key = (pivots, r)
+        if key not in self._rule:
+            if len(pivots) == 3:
+                g = 0
+            elif not pivots:
+                g = 1
+            else:
+                (a0, b0), (a, b) = self.monomials[pivots[0]], self.monomials[r]
+                if len(pivots) == 1:
+                    g = math.gcd(a - a0, b - b0, self.q - 1)
+                else:
+                    a1, b1 = self.monomials[pivots[1]]
+                    g = math.gcd((a1 - a0) * (b - b0) - (b1 - b0) * (a - a0), self.q - 1)
+            self._rule[key] = g == 1
+        return self._rule[key]
+
+    def choices(self, pivots, r):
+        """(coefficient, pivots after it) for each value row r takes in normal form."""
+        if self.takes_pivot(pivots, r):
+            return ((0, pivots), (1, pivots + (r,)))
+        return tuple((c, pivots) for c in range(self.q))
+
+    def extend(self, coeffs, pivots, tied, stop):
+        """Normalized extensions of a coefficient prefix to `stop` rows, least in their orbits.
+
+        Yields (coefficients, pivots, tied), tied holding the i whose
+        frobenius[i] fixes the vector.  A vector is kept when none of its
+        images is lexicographically smaller; the first coordinate that
+        differs decides, so a prefix that loses prunes its extensions.
+        """
+        r = len(coeffs)
+        if r == stop:
+            yield coeffs, pivots, tied
+            return
+        for c, after in self.choices(pivots, r):
+            still = []
+            for i in tied:
+                image = self.frobenius[i][c]
+                if image < c:
+                    break
+                if image == c:
+                    still.append(i)
+            else:
+                yield from self.extend(coeffs + (c,), after, tuple(still), stop)
+
+    def start(self, prefix):
+        """Pivots and Frobenius stabilizer of a task prefix."""
+        pivots, tied = (), tuple(range(len(self.frobenius)))
+        for r, c in enumerate(prefix):
+            if c and self.takes_pivot(pivots, r):
+                pivots += (r,)
+            tied = tuple(i for i in tied if self.frobenius[i][c] == c)
+        return pivots, tied
+
+    def layout(self, pivots):
+        """Table prefix width and normalized suffix counts after a leading vector with these pivots.
+
+        Returns (width, groups), one group (weight, final pivot count,
+        normalized suffixes) per count that occurs; weight is
+        (q-1)^(count - 1), the normalized messages each stands for.  The
+        last normalized suffix in table order takes the largest value
+        each row allows, so it fixes the width.  The zero message (no
+        pivot at all) is in no group, and with no group the width is 0.
+        """
+        if pivots not in self._layouts:
+            q, width, piv = self.q, 0, pivots
+            for r in range(self.lead, len(self.monomials)):
+                if self.takes_pivot(piv, r):
+                    width, piv = width * q + 1, piv + (r,)
+                else:
+                    width = width * q + q - 1
+            tally = [0, 0, 0, 0]
+            for piv, count in self._grow(pivots, 1, lambda c: (c, c), lambda c: q * c).items():
+                tally[len(piv)] += count
+            groups = tuple(((q - 1) ** (p - 1), p, tally[p]) for p in (1, 2, 3) if tally[p])
+            self._layouts[pivots] = (width + 1 if groups else 0), groups
+        return self._layouts[pivots]
+
+    def _grow(self, pivots, start, pivot_row, free_row):
+        """Normalized suffixes after `pivots`, grown row by row and kept by pivot set.
+
+        pivot_row maps a pivot set's value to its values with 0 and with
+        1 on a row that would take the next pivot, free_row to its value
+        with every element on any other row.  No two pivot sets grow into
+        one, since each new pivot is the row just grown.
+        """
+        grown = {pivots: start}
+        for r in range(self.lead, len(self.monomials)):
+            before, grown = grown, {}
+            for piv, value in before.items():
+                if self.takes_pivot(piv, r):
+                    grown[piv], grown[piv + (r,)] = pivot_row(value)
+                else:
+                    grown[piv] = free_row(value)
+        return grown
+
+    def columns(self, pivots):
+        """Table columns of the normalized suffixes after `pivots`, by final pivot count."""
+        if pivots not in self._columns:
+            q, by_count = self.q, {}
+            span = np.arange(q)
+            grown = self._grow(
+                pivots,
+                np.zeros(1, dtype=np.intp),
+                lambda cols: (cols * q, cols * q + 1),
+                lambda cols: (cols[:, None] * q + span).ravel(),
+            )
+            for piv, cols in grown.items():
+                by_count.setdefault(len(piv), []).append(cols)
+            self._columns[pivots] = {p: np.concatenate(c) for p, c in by_count.items()}
+        return self._columns[pivots]
+
+    def steps(self, task):
+        """(leading coefficients, pivots, Frobenius orbit size, layout) of each vector of the task."""
+        e = len(self.frobenius) + 1
+        for coeffs, pivots, tied in self.extend(task, *self.start(task), self.lead):
+            yield coeffs, pivots, e // (1 + len(tied)), self.layout(pivots)
+
+    def count(self, task):
+        """(representatives scanned, normalized messages covered) of one task."""
+        reps = covered = 0
+        for _, _, orbit, (_, groups) in self.steps(task):
+            for weight, _, size in groups:
+                reps += size
+                covered += size * weight * orbit
+        return reps, covered
 
 
 def search_plan(code: ToricCode) -> SearchPlan:
-    """The frame, suffix depth and task list the distance search uses."""
-    frame = _frame(code.monomials, code.polygon.dim)
-    rest = tuple(r for r in range(code.k) if r not in frame)
-    depth = _suffix_depth(code.field, len(rest), code.n)
-    orbits = _pin_orbits(code.field)
-    tasks = _task_list(orbits, len(frame), len(rest), depth)
-    return SearchPlan(code.field.q, frame, rest, depth, orbits, tasks)
+    """The suffix depth, Frobenius maps and task prefixes the distance search uses.
+
+    The table takes the trailing rows beyond the first dim + 1, as many
+    as fit, so most leading vectors already hold every pivot.  Tasks are
+    the normalized prefixes, one per Frobenius orbit, of the longest
+    length that leaves each task two leading rows or more and has at
+    most _TASK_CAP of them: a task then scans several leading vectors,
+    a whole table each, and its fixed cost does not show.
+    """
+    field = code.field
+    depth = _suffix_depth(field, code.k - code.polygon.dim - 1, code.n)
+    logs = field.log_np[1:]
+    frobenius = tuple(
+        (0, *field.exp_np[logs * field.p**i % (field.q - 1)].tolist()) for i in range(1, field.e)
+    )
+    plan = SearchPlan(field.q, code.monomials, depth, frobenius)
+    level = [((), *plan.start(()))]
+    for h in range(plan.lead - 2):
+        longer = [v for prefix in level for v in plan.extend(*prefix, h + 1)]
+        if len(longer) > _TASK_CAP:
+            break
+        level = longer
+    return dataclasses.replace(plan, tasks=tuple(coeffs for coeffs, _, _ in level))
 
 
 class _SearchContext:
-    """Per-process state for distance tasks.
+    """Per-process state for distance tasks: the plan and its suffix table."""
 
-    log_rows holds the generator rows in search order: the f frame rows
-    first, then the other rows, the last `depth` of which make up the
-    suffix table.
-    """
-
-    def __init__(self, field, log_rows, f, depth):
+    def __init__(self, field, log_rows, plan):
         self.field = field
         self.log_rows = log_rows
-        self.k, self.n = log_rows.shape
-        self.f = f
-        self.depth = depth
-        self.suffix = _build_suffix_table(self.field, log_rows, depth)
+        self.plan = plan
+        self.n = log_rows.shape[1]
+        self.suffix = _build_suffix_table(field, log_rows, plan.depth)
         self.match_buf = np.empty(self.suffix.size, dtype=bool)
-        # zero counts are at most n; the narrowest dtype keeps the column sum cheap
-        self.count_dtype = np.min_scalar_type(self.n)
+        self._coeffs, self._words = (), [np.zeros(self.n, dtype=field.dtype)]
 
     def row(self, r, c):
         """c times generator row r, for nonzero c."""
         return self.field.exp_np[self.log_rows[r] + self.field.log_table[c]]
 
-    def layout(self, task):
-        """Fixed (row, coefficient) pairs, walked rows and table depth of a task."""
-        mask, lead, pin = task
-        fixed = [(b, 1) for b in range(self.f) if mask >> b & 1]
-        start = self.f
-        if lead is not None:
-            fixed.append((start + lead, 1))
-            start += lead + 1
-        depth = min(self.k - start, self.depth)
-        walked = list(range(start, self.k - depth))
-        if pin is not None:
-            r = walked.pop(0)
-            if pin:
-                fixed.append((r, pin))
-        return fixed, walked, depth
+    def zero_counts(self, base, width):
+        """Zeros of base - column for each of the first `width` table columns.
 
-    def bases(self, fixed, walked):
-        """Codewords of the fixed rows plus every coefficient choice on the walked rows.
-
-        Each step adds (new - old) times the changed rows, so every
-        element of F_q is reached on every walked row, prime or not.
+        The match rows are summed in uint8, 255 rows at a time when n
+        exceeds 255, and the blocks added in uint16.
         """
-        field = self.field
-        base = np.zeros(self.n, dtype=field.dtype)
-        for r, c in fixed:
-            base = field.add_np(base, self.row(r, c))
-        yield base
-        for changes in _odometer(field.q, len(walked)):
-            for i, old, new in changes:
-                base = field.add_np(base, self.row(walked[i], field.sub(new, old)))
-            yield base
+        n = self.n
+        buf = self.match_buf[: n * width].reshape(n, width)
+        np.equal(self.suffix[:, :width], base[:, None], out=buf)
+        matches = buf.view(np.uint8)
+        if n < 256:
+            return matches.sum(axis=0, dtype=np.uint8)
+        counts = np.zeros(width, dtype=np.uint16)
+        for lo in range(0, n, 255):
+            counts += matches[lo : lo + 255].sum(axis=0, dtype=np.uint8)
+        return counts
+
+    def words(self, task):
+        """Each step of the task with minus the codeword of its leading coefficients.
+
+        Negated, so that a table column matches it exactly where the
+        message of leading coefficients and that column vanishes.
+        words[r] is minus the codeword of the first r coefficients of
+        the last vector, kept from one vector and task to the next, so
+        only the rows after a shared prefix are added again.
+        """
+        field, words = self.field, self._words
+        for step in self.plan.steps(task):
+            coeffs, prev = step[0], self._coeffs
+            same = 0
+            while same < len(prev) and prev[same] == coeffs[same]:
+                same += 1
+            del words[same + 1 :]
+            for r in range(same, len(coeffs)):
+                c = coeffs[r]
+                words.append(field.add_np(words[r], self.row(r, field.neg(c))) if c else words[r])
+            self._coeffs = coeffs
+            yield step, words[-1]
 
     def run_task(self, task, deadline, want_hist):
         """Scan the representatives of one task.
 
-        Returns (max zeros seen or zero-count histogram, representatives
-        scanned, completed flag).
+        Returns (max zeros seen or zero-count histogram in normalized
+        messages, representatives scanned, normalized messages covered,
+        completed flag).
         """
-        fixed, walked, depth = self.layout(task)
-        width = self.field.q**depth
-        table = self.suffix[:, :width]
-        # contiguous, so each zero count is a sum down one column
-        buf = self.match_buf[: self.n * width].reshape(self.n, width)
-        counts_u8 = buf.view(np.uint8)
-        hist = np.zeros(self.n + 1, dtype=np.int64) if want_hist else None
-        best = 0
-        scanned = 0
-        for base in self.bases(fixed, walked):
-            # base - column vanishes exactly where the column equals base.  The
-            # columns run over every choice on the table's rows, a set negation
-            # maps onto itself, so these are the zero counts of base + column,
-            # permuted; the maximum and the histogram do not see the order.
-            np.equal(table, base[:, None], out=buf)
-            counts = counts_u8.sum(axis=0, dtype=self.count_dtype)
-            scanned += width
-            if want_hist:
-                hist += np.bincount(counts, minlength=self.n + 1)
-            else:
-                best = max(best, int(counts.max()))
+        n = self.n
+        hist = np.zeros(n + 1, dtype=np.int64) if want_hist else None
+        best = reps = covered = 0
+        for (_, pivots, orbit, (width, groups)), word in self.words(task):
+            if width:
+                counts = self.zero_counts(word, width)
+                cols = self.plan.columns(pivots) if want_hist and len(pivots) < 3 else None
+                for weight, p, size in groups:
+                    reps += size
+                    covered += size * weight * orbit
+                    if want_hist:
+                        picked = counts if cols is None else counts[cols[p]]
+                        hist += np.bincount(picked, minlength=n + 1) * (weight * orbit)
+                if not want_hist:
+                    # every column of the prefix is a message; with no pivot
+                    # in the leading rows column 0 is the zero message
+                    best = max(best, int(counts[0 if pivots else 1 :].max()))
             if deadline is not None and time.monotonic() > deadline:
-                return (hist if want_hist else best), scanned, False
-        return (hist if want_hist else best), scanned, True
+                return (hist if want_hist else best), reps, covered, False
+        return (hist if want_hist else best), reps, covered, True
 
 
 _WORKER_CTX: _SearchContext | None = None
@@ -486,8 +566,7 @@ def _worker_init(*ctx_args):
 
 def _worker_run(args):
     task, deadline, want_hist = args
-    result, scanned, completed = _WORKER_CTX.run_task(task, deadline, want_hist)
-    return task, result, scanned, completed
+    return (task, *_WORKER_CTX.run_task(task, deadline, want_hist))
 
 
 def _checkpoint_key(code: ToricCode, plan: SearchPlan, want_hist: bool) -> str:
@@ -497,8 +576,8 @@ def _checkpoint_key(code: ToricCode, plan: SearchPlan, want_hist: bool) -> str:
             "modulus": list(code.field.modulus),
             "vertices": [list(v) for v in code.polygon.vertices],
             "mode": "hist" if want_hist else "min",
-            "frame": list(plan.frame),
             "depth": plan.depth,
+            "frobenius": len(plan.frobenius),
             "tasks": [list(t) for t in plan.tasks],
         },
         sort_keys=True,
@@ -531,16 +610,18 @@ def _load_checkpoint(path, key, plan, n, want_hist):
     tasks = set(plan.tasks)
     state = {"done": set()}
     for entry in done:
-        if not isinstance(entry, list) or not all(x is None or type(x) is int for x in entry):
+        if not isinstance(entry, list) or not all(type(x) is int for x in entry):
             return None
         task = tuple(entry)
         if task not in tasks:
             return None
         state["done"].add(task)
     # the count must be what the completed tasks cover
-    if scanned != sum(plan.rows(t) * plan.weight(t) for t in state["done"]):
+    counts = [plan.count(t) for t in state["done"]]
+    if scanned != sum(covered for _, covered in counts):
         return None
     state["scanned"] = scanned
+    state["representatives"] = sum(reps for reps, _ in counts)
     if want_hist:
         hist = data.get("hist")
         if not isinstance(hist, list) or len(hist) != n + 1 or not all(map(_is_count, hist)):
@@ -565,7 +646,7 @@ def _check_checkpoint_path(path):
 def _save_checkpoint(path, key, done, scanned, result, want_hist):
     data = {
         "key": key,
-        "done": sorted((list(t) for t in done), key=lambda t: [-1 if x is None else x for x in t]),
+        "done": sorted(list(t) for t in done),
         "scanned": scanned,
     }
     if want_hist:
@@ -597,13 +678,14 @@ def _enumerate(code, threads, deadline_s, checkpoint, want_hist):
     plan = search_plan(code)
     key = _checkpoint_key(code, plan, want_hist)
     state = _load_checkpoint(checkpoint, key, plan, n, want_hist) or {
-        "done": set(), "scanned": 0, "best": 0, "hist": np.zeros(n + 1, dtype=np.int64)
+        "done": set(), "scanned": 0, "representatives": 0, "best": 0,
+        "hist": np.zeros(n + 1, dtype=np.int64),
     }
     done = state["done"]
     out = _Outcome(
         state["hist"] if want_hist else state["best"],
         state["scanned"],
-        sum(plan.rows(t) for t in done),
+        state["representatives"],
         True,
     )
     # what the completed tasks cover; a stopped task's rows are rescanned on resume
@@ -611,25 +693,23 @@ def _enumerate(code, threads, deadline_s, checkpoint, want_hist):
     pending = [t for t in plan.tasks if t not in done]
     deadline = time.monotonic() + deadline_s if deadline_s is not None else None
 
-    def absorb(task, result, rows, completed):
+    def absorb(task, result, reps, covered, completed):
         nonlocal saved
-        w = plan.weight(task)
-        out.scanned += rows * w
-        out.representatives += rows
+        out.scanned += covered
+        out.representatives += reps
         if want_hist:
-            out.result = out.result + result * w
+            out.result = out.result + result
         else:
             out.result = max(out.result, result)
         if completed:
             done.add(task)
-            saved += rows * w
+            saved += covered
             if checkpoint:
                 _save_checkpoint(checkpoint, key, done, saved, out.result, want_hist)
         else:
             out.completed = False
 
-    log_rows = code.log_generator[list(plan.frame + plan.rest)]
-    ctx_args = (code.field, log_rows, len(plan.frame), plan.depth)
+    ctx_args = (code.field, code.log_generator, plan)
     workers = min(threads, len(pending), os.cpu_count() or 1)
     if workers <= 1:
         ctx = _SearchContext(*ctx_args)
@@ -641,8 +721,8 @@ def _enumerate(code, threads, deadline_s, checkpoint, want_hist):
     else:
         with multiprocessing.Pool(workers, _worker_init, ctx_args) as pool:
             jobs = [(t, deadline, want_hist) for t in pending]
-            for task, result, rows, ok in pool.imap_unordered(_worker_run, jobs):
-                absorb(task, result, rows, ok)
+            for task, *outcome in pool.imap_unordered(_worker_run, jobs):
+                absorb(task, *outcome)
                 if deadline is not None and time.monotonic() > deadline:
                     out.completed = False
                     pool.terminate()

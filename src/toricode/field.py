@@ -286,12 +286,18 @@ class FieldSpec:
         return f"FieldSpec(q={self.q}, p={self.p}, e={self.e}, modulus={list(self.modulus)})"
 
 
+# one FieldSpec per (p, e, monic modulus), and per (p, e, None) for the default
+_FIELDS: dict = {}
+
+
 def make_field(p: int, e: int = 1, modulus=None) -> FieldSpec:
-    """Construct GF(p^e), optionally with an explicit modulus polynomial.
+    """GF(p^e), optionally with an explicit modulus polynomial.
 
     The modulus is given low degree first, length e+1.  When omitted, the
     lexicographically first irreducible monic polynomial is used, so field
-    construction is deterministic.
+    construction is deterministic.  Fields are immutable once built, and
+    every call with the same p, e and monic modulus returns the same
+    FieldSpec.
     """
     if not _is_prime(p):
         raise NonPrimeCharacteristic(f"characteristic {p} is not prime")
@@ -301,25 +307,26 @@ def make_field(p: int, e: int = 1, modulus=None) -> FieldSpec:
     if q > MAX_Q:
         raise TooLarge(f"field order {q} exceeds the supported maximum {MAX_Q}")
     if modulus is None:
-        mod = _default_modulus(p, e)
-    else:
-        mod = [int(c) % p for c in modulus]
-        if len(mod) != e + 1 or mod[-1] == 0:
-            raise DegreeMismatch(
-                f"modulus must have degree {e} for GF({q}), got {list(modulus)}"
-            )
-        if mod[-1] != 1:
-            # scale to monic; the quotient ring does not change
-            s = pow(mod[-1], p - 2, p)
-            mod = [c * s % p for c in mod]
-        if not _poly_is_irreducible(mod, p):
-            raise ReducibleModulus(f"{list(modulus)} is reducible over GF({p})")
-        mod = tuple(mod)
-    return FieldSpec(p, e, mod)
+        if (p, e, None) not in _FIELDS:
+            _FIELDS[p, e, None] = make_field(p, e, _default_modulus(p, e))
+        return _FIELDS[p, e, None]
+    mod = [int(c) % p for c in modulus]
+    if len(mod) != e + 1 or mod[-1] == 0:
+        raise DegreeMismatch(f"modulus must have degree {e} for GF({q}), got {list(modulus)}")
+    if mod[-1] != 1:
+        # scale to monic; the quotient ring does not change
+        s = pow(mod[-1], p - 2, p)
+        mod = [c * s % p for c in mod]
+    if not _poly_is_irreducible(mod, p):
+        raise ReducibleModulus(f"{list(modulus)} is reducible over GF({p})")
+    mod = tuple(mod)
+    if (p, e, mod) not in _FIELDS:
+        _FIELDS[p, e, mod] = FieldSpec(p, e, mod)
+    return _FIELDS[p, e, mod]
 
 
 def field_from_order(q: int, modulus=None) -> FieldSpec:
-    """Construct GF(q) from its order, factoring q = p^e."""
+    """GF(q) from its order, factoring q = p^e; shared like make_field's."""
     if q > MAX_Q:
         raise TooLarge(f"field order {q} exceeds the supported maximum {MAX_Q}")
     p, e = _prime_power(q)

@@ -2,12 +2,14 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import numpy as np
 import pytest
 
-from lattice_maps import apply_map
+import frame_plan
+from lattice_maps import apply_map, classes_in_box
 from toricode import code as code_module
 from toricode.code import (
     DistanceResult,
@@ -15,7 +17,6 @@ from toricode.code import (
     _build_suffix_table,
     _checkpoint_key,
     _load_checkpoint,
-    _odometer,
     _save_checkpoint,
     _SearchContext,
     build_code,
@@ -33,7 +34,7 @@ from toricode.errors import (
     TooLarge,
 )
 from toricode.field import field_from_order
-from toricode.polygon import LatticePolygon
+from toricode.polygon import LatticePolygon, normal_form
 
 HEX9 = LatticePolygon([(1, 0), (2, 0), (0, 1), (1, 2), (3, 2), (3, 3)])
 P54 = LatticePolygon([(0, 0), (1, 0), (3, 1), (2, 2), (1, 2)])
@@ -325,24 +326,25 @@ class _InlinePool:
 
 @pytest.mark.parametrize(
     "threads, cpus, size",
-    [(2, 1, None), (3, 8, 3), (10**6, 4, 4), (10**6, 64, 11), (64, None, None)],
+    [(2, 1, None), (3, 8, 3), (10**6, 4, 4), (10**6, 64, 20), (64, None, None)],
 )
 def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch, threads, cpus, size):
-    # the pentagon over F8 has 11 tasks; no real process is started
+    # the skew triangle over F8 has 20 tasks; no real process is started
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(code_module, "multiprocessing", type("mp", (), {"Pool": _InlinePool}))
     monkeypatch.setattr(code_module, "_WORKER_CTX", None)
     monkeypatch.setattr(code_module.os, "cpu_count", lambda: cpus)
-    code = build_code(P54, field_from_order(8))
-    assert len(search_plan(code).tasks) == 11
+    code = build_code(SKEW_TRIANGLE, field_from_order(8))
+    assert len(search_plan(code).tasks) == 20
     res = min_distance_exact(code, threads=threads)
-    assert (res.weight, res.exact) == (33, True)
+    assert (res.weight, res.exact) == (28, True)
     assert _InlinePool.sizes == ([] if size is None else [size])
 
 
 def test_deadline_returns_upper_bound():
+    # the whole search takes about 0.1 s
     code = build_code(SKEW_TRIANGLE, field_from_order(8))
-    res = min_distance_exact(code, deadline=0.15)
+    res = min_distance_exact(code, deadline=0.03)
     assert not res.exact
     assert 28 <= res.weight <= 49
     assert 0 < res.enumerated < (8**11 - 1) // 7
@@ -361,36 +363,66 @@ def test_checkpoint_resume(tmp_path):
     assert first.enumerated < second.enumerated
 
 
+def _pivots(monomials, q, message):
+    """Pivot rows of a message, from the rule in the code module's docstring."""
+    piv = []
+    for r, c in enumerate(message):
+        if not c or len(piv) == 3:
+            continue
+        (a, b), base = monomials[r], [monomials[i] for i in piv]
+        if len(piv) == 1:
+            g = math.gcd(a - base[0][0], b - base[0][1], q - 1)
+        elif len(piv) == 2:
+            (a0, b0), (a1, b1) = base
+            g = math.gcd((a1 - a0) * (b - b0) - (b1 - b0) * (a - a0), q - 1)
+        else:
+            g = 1
+        if g == 1:
+            piv.append(r)
+    return tuple(piv)
+
+
+def _representatives(plan):
+    return sum(plan.count(t)[0] for t in plan.tasks)
+
+
 @pytest.mark.parametrize("q", [4, 8, 9])
-def test_outer_walk_reaches_every_element(q):
-    for width in (1, 2, 3):
-        digits = [0] * width
-        seen = {tuple(digits)}
-        for changes in _odometer(q, width):
-            for i, old, new in changes:
-                assert digits[i] == old
-                digits[i] = new
-            seen.add(tuple(digits))
-        assert len(seen) == q**width
-    # with no suffix table every other row is walked: frame row 0 set,
-    # the three rows outside the frame over all of F_q
+def test_outer_walk_reaches_every_element(q, monkeypatch):
+    # with no suffix table every row is a leading row: the scanned vectors
+    # and their Frobenius images are exactly the messages whose pivots are
+    # 1, so the free rows take every element of F_q, prime or not
+    monkeypatch.setattr(code_module, "_SUFFIX_ROWS_CHAR2", 1)
+    monkeypatch.setattr(code_module, "_SUFFIX_ROWS_ODD", 1)
     f = field_from_order(q)
-    code = build_code(LatticePolygon([(0, 0), (2, 0), (0, 1), (2, 1)]), f)
+    code = build_code(TRAPEZOID, f)
     plan = search_plan(code)
-    assert len(plan.frame) == 3 and len(plan.rest) == 3
-    rows = code.log_generator[list(plan.frame + plan.rest)]
-    ctx = _SearchContext(f, rows, 3, 0)
-    fixed, walked, depth = ctx.layout((1, None, None))
-    assert depth == 0 and len(walked) == 3
-    words = [bytes(w) for w in ctx.bases(fixed, walked)]
+    assert plan.depth == 0 and plan.lead == code.k
+    ctx = _SearchContext(f, code.log_generator, plan)
+    seen = set()
+    for task in plan.tasks:
+        for (coeffs, pivots, orbit, _), word in ctx.words(task):
+            assert pivots == _pivots(code.monomials, q, coeffs)
+            # the word is minus the codeword of the coefficients
+            assert not f.add_np(word, code.evaluate_message(coeffs)).any()
+            images = {tuple(f.pow(c, f.p**i) for c in coeffs) for i in range(f.e)}
+            assert len(images) == orbit and not images & seen
+            seen |= images
     expected = set()
-    for coeffs in itertools.product(range(q), repeat=3):
-        msg = [0] * code.k
-        msg[plan.frame[0]] = 1
-        for r, c in zip(plan.rest, coeffs):
-            msg[r] = c
-        expected.add(bytes(code.evaluate_message(msg)))
-    assert len(words) == q**3 and set(words) == expected
+    for msg in itertools.product(range(q), repeat=code.k):
+        if all(msg[r] == 1 for r in _pivots(code.monomials, q, msg)):
+            expected.add(msg)
+    assert seen == expected
+    free = [m[-1] for m in expected if len(_pivots(code.monomials, q, m[:-1])) == 3]
+    assert set(free) == set(range(q))
+
+
+@pytest.mark.parametrize("q, weight, reps", [(7, 20, 192_191), (13, 110, 6_197_009)])
+def test_hexagon_representative_counts(q, weight, reps):
+    # the frame plan scanned 843,151 and 34,189,897; the pivot form scans
+    # about a (q-1)^2 share of the (q^9 - 1)/(q - 1) normalized messages
+    res = min_distance_exact(build_code(HEX9, field_from_order(q)))
+    assert (res.weight, res.exact, res.enumerated) == (weight, True, (q**9 - 1) // (q - 1))
+    assert res.representatives == reps
 
 
 def test_suffix_table_matches_messages():
@@ -462,37 +494,26 @@ def test_engine_matches_brute_force(walk, monkeypatch):
         build_code(LatticePolygon([(0, 0), (0, 2)]), field_from_order(27)),
     ]
     codes += [_random_code(rng, q) for q in (3, 4, 5, 7, 8, 9) for _ in range(4)]
-    frames = set()
+    ranks, short = set(), False
     for code in codes:
         plan = search_plan(code)
-        frames.add(len(plan.frame))
+        # pivots of a full support: 1 on a point, 2 on a segment, 3 otherwise
+        ranks.add(len(_pivots(code.monomials, code.field.q, [1] * code.k)))
+        short |= any(len(piv) < 3 for t in plan.tasks for _, piv, _, _ in plan.steps(t))
         dist = brute_distribution(code)
         assert weight_distribution(code) == dist
         res = min_distance_exact(code)
         assert res.exact and res.weight == min(w for w in dist if w)
-        assert res.representatives == plan.representatives
-    assert frames == {1, 2, 3}
+        assert res.representatives == _representatives(plan)
+    assert ranks == {1, 2, 3} and short
 
 
-def _every_pin_tasks(q, f, rest, depth):
-    """The task list with a task for every pin value; the oracle for the orbit plan."""
-    tasks = []
-    slices = [(mask, None, rest) for mask in range(1, 1 << f)]
-    slices += [(0, h, rest - 1 - h) for h in range(rest)]
-    for mask, lead, free in slices:
-        if free > depth:
-            tasks.extend((mask, lead, v) for v in range(q))
-        else:
-            tasks.append((mask, lead, None))
-    return tuple(tasks)
-
-
-def _every_pin_plan(code):
-    """The search plan that scans every pin, each with weight 1."""
+def _every_vector_plan(code):
+    """The pivot plan without Frobenius: every leading vector scanned, each with weight 1."""
     plan = search_plan(code)
-    q = code.field.q
-    tasks = _every_pin_tasks(q, len(plan.frame), len(plan.rest), plan.depth)
-    return dataclasses.replace(plan, orbits=(1,) * q, tasks=tasks)
+    bare = dataclasses.replace(plan, frobenius=())
+    width = len(plan.tasks[0])
+    return dataclasses.replace(bare, tasks=tuple(c for c, _, _ in bare.extend((), (), (), width)))
 
 
 def _frobenius_orbit(field, a):
@@ -511,7 +532,7 @@ ORBIT_CODES = [(BOX21, 4), (BOX21, 8), (SEGMENT3, 8), (BOX21, 9), (TRAPEZOID, 9)
 
 
 def _small_table(monkeypatch, walk):
-    # at most 27 table columns, or one: every code above pins a row
+    # at most 27 table columns, or one: every code above walks leading rows
     cap = 1 if walk else 27
     monkeypatch.setattr(code_module, "_SUFFIX_ROWS_CHAR2", cap)
     monkeypatch.setattr(code_module, "_SUFFIX_ROWS_ODD", cap)
@@ -519,64 +540,72 @@ def _small_table(monkeypatch, walk):
 
 @pytest.mark.parametrize("walk", [False, True], ids=["suffix-table", "all-walked"])
 def test_orbit_plan_matches_every_pin_plan(walk, monkeypatch):
+    # the oracle scans every leading vector, the plan one per Frobenius orbit
     _small_table(monkeypatch, walk)
     for poly, q in ORBIT_CODES:
         f = field_from_order(q)
         plan = search_plan(build_code(poly, f))
         assert (plan.depth == 0) == walk
-        assert any(plan.orbits[t[2]] > 1 for t in plan.tasks if t[2] is not None)
+        assert any(orbit > 1 for t in plan.tasks for _, _, orbit, _ in plan.steps(t))
         dist = weight_distribution(build_code(poly, f))
         res = min_distance_exact(build_code(poly, f))
         with monkeypatch.context() as m:
-            m.setattr(code_module, "search_plan", _every_pin_plan)
+            m.setattr(code_module, "search_plan", _every_vector_plan)
             assert weight_distribution(build_code(poly, f)) == dist
             oracle = min_distance_exact(build_code(poly, f))
         assert (res.weight, res.exact, res.enumerated) == (
             oracle.weight, oracle.exact, oracle.enumerated)
-        assert res.representatives == plan.representatives < oracle.representatives
+        assert res.representatives == _representatives(plan) < oracle.representatives
 
 
 @pytest.mark.parametrize("walk", [False, True], ids=["suffix-table", "all-walked"])
 def test_pin_slices_agree_along_frobenius_orbits(walk, monkeypatch):
+    # one task per leading vector, none merged into its Frobenius orbit
     _small_table(monkeypatch, walk)
     for poly, q in ORBIT_CODES:
         code = build_code(poly, field_from_order(q))
-        plan = _every_pin_plan(code)
-        rows = code.log_generator[list(plan.frame + plan.rest)]
-        ctx = _SearchContext(code.field, rows, len(plan.frame), plan.depth)
+        f = code.field
+        plan = _every_vector_plan(code)
+        plan = dataclasses.replace(
+            plan, tasks=tuple(c for c, _, _ in plan.extend((), (), (), plan.lead)))
+        ctx = _SearchContext(f, code.log_generator, plan)
         slices = {}
         for task in plan.tasks:
-            if task[2] is not None:
-                hist, _, done = ctx.run_task(task, None, True)
-                assert done
-                slices[task] = hist
-        assert slices
-        for (mask, lead, pin), hist in slices.items():
-            for image in _frobenius_orbit(code.field, pin):
-                assert np.array_equal(slices[(mask, lead, image)], hist)
+            hist, _, _, done = ctx.run_task(task, None, True)
+            assert done
+            slices[task] = hist
+        moved = 0
+        for vec, hist in slices.items():
+            for i in range(1, f.e):
+                image = tuple(f.pow(c, f.p**i) for c in vec)
+                assert np.array_equal(slices[image], hist)
+                moved += image != vec
+        assert moved
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
 def test_prime_field_task_list_is_every_pin(q):
     f = field_from_order(q)
     polys = [LatticePolygon([(0, 0)]), LatticePolygon([(0, 0), (q - 2, 0)]), Q1, HEX9, P54]
-    pinned = False
+    split = False
     for poly in polys:
         if poly.fits_in_box(q) is None:
             continue
-        plan = search_plan(build_code(poly, f))
-        assert plan.orbits == (1,) * q
-        assert plan.tasks == _every_pin_tasks(q, len(plan.frame), len(plan.rest), plan.depth)
-        pinned |= any(t[2] is not None for t in plan.tasks)
-    assert pinned or q < 7
+        code = build_code(poly, f)
+        plan = search_plan(code)
+        assert plan.frobenius == ()
+        assert plan.tasks == _every_vector_plan(code).tasks
+        split |= len(plan.tasks) > 1
+    assert split or q < 7
 
 
 @pytest.mark.parametrize(
     "q, count", [(4, 3), (8, 4), (9, 6), (16, 6), (25, 15), (27, 11), (64, 14), (256, 36)]
 )
 def test_pin_orbit_counts(q, count):
+    # the frame plan's pins, one per Frobenius orbit
     f = field_from_order(q)
-    orbits = code_module._pin_orbits(f)
+    orbits = frame_plan.pin_orbits(f)
     assert sum(1 for size in orbits if size) == count
     assert sum(orbits) == q
     for a, size in enumerate(orbits):
@@ -585,6 +614,69 @@ def test_pin_orbit_counts(q, count):
             assert len(orbit) == size and min(orbit) == a
 
 
+@pytest.mark.parametrize("q", [2, 4, 8, 9, 16, 25, 27, 64, 256])
+def test_plan_frobenius_maps(q):
+    f = field_from_order(q)
+    plan = search_plan(build_code(LatticePolygon([(0, 0)]), f))
+    assert len(plan.frobenius) == f.e - 1
+    for i, images in enumerate(plan.frobenius, 1):
+        assert list(images) == [f.pow(c, f.p**i) for c in range(q)]
+
+
+def _oracle_classes(q):
+    """One polygon per lattice class in [0,3]^2 that fits over F_q, the point included.
+
+    Up to F9 the classes with q^k <= 10^6, above it those of at most 5 points.
+    """
+    seen = set()
+    for key in [((0, 0),), *classes_in_box(3)]:
+        poly = LatticePolygon(key)
+        k = poly.num_lattice_points
+        if poly.fits_in_box(q) is None or (k > 5 if q >= 16 else q**k > 10**6):
+            continue
+        form = normal_form(poly)[0]
+        if form not in seen:
+            seen.add(form)
+            yield poly
+
+
+@pytest.mark.parametrize(
+    "q, classes",
+    [(3, 4), (4, 20), (5, 58), (7, 37), (8, 25), (9, 25), (16, 14), (25, 14), (27, 14)],
+)
+def test_pivot_plan_matches_frame_plan(q, classes):
+    f = field_from_order(q)
+    checked = 0
+    for poly in _oracle_classes(q):
+        code = build_code(poly, f)
+        hist, best, scanned, _ = frame_plan.search(code)
+        dist = {0: 1}
+        for zeros, cnt in enumerate(hist):
+            if cnt:
+                dist[code.n - zeros] = dist.get(code.n - zeros, 0) + int(cnt) * (q - 1)
+        assert weight_distribution(code) == dict(sorted(dist.items())), poly
+        res = min_distance_exact(code)
+        assert (res.weight, res.exact, res.enumerated) == (code.n - best, True, scanned), poly
+        checked += 1
+    assert checked == classes
+
+
+def test_zero_counts_in_blocks_match_a_wide_sum():
+    # n = 256, 324 and 576: one, two and three blocks of 255 rows
+    rng = np.random.default_rng(17)
+    for q in (17, 19, 25):
+        code = build_code(LatticePolygon([(0, 0), (1, 0), (0, 1)]), field_from_order(q))
+        plan = dataclasses.replace(search_plan(code), depth=2)
+        ctx = _SearchContext(code.field, code.log_generator, plan)
+        table = ctx.suffix
+        width = table.shape[1]
+        words = [np.zeros(code.n, dtype=table.dtype), table[:, 5].copy(), table[:, width - 1].copy()]
+        words += [rng.integers(0, q, code.n).astype(table.dtype) for _ in range(3)]
+        for word in words:
+            counts = ctx.zero_counts(word, width)
+            want = (table == word[:, None]).sum(axis=0, dtype=np.uint16)
+            assert counts.dtype == np.uint16 and np.array_equal(counts, want)
+        assert ctx.zero_counts(table[:, 5].copy(), width)[5] == code.n
 
 
 def _first_task_checkpoint(path, code, **override):
@@ -592,7 +684,7 @@ def _first_task_checkpoint(path, code, **override):
     plan = search_plan(code)
     task = plan.tasks[0]
     key = _checkpoint_key(code, plan, False)
-    _save_checkpoint(path, key, {task}, plan.rows(task) * plan.weight(task), 3, False)
+    _save_checkpoint(path, key, {task}, plan.count(task)[1], 3, False)
     with open(path) as fh:
         data = json.load(fh)
     for name, value in override.items():
@@ -623,7 +715,7 @@ def test_checkpoint_state_is_loaded(tmp_path):
         {"scanned": 1},
         {"done": [[1, "x", None]]},
         {"done": {"a": 1}},
-        {"done": [[99, None, None]]},
+        {"done": [[9, 9, 9, 9]]},
         {"best": -1},
         {"best": 1.5},
     ],
@@ -638,7 +730,7 @@ def test_bad_checkpoint_starts_fresh(tmp_path, override):
     res = min_distance_exact(code, checkpoint=path)
     assert res.exact and res.weight == 28
     assert res.enumerated == (8**9 - 1) // 7
-    assert res.representatives == plan.representatives
+    assert res.representatives == _representatives(plan)
 
 
 def test_bad_hist_checkpoint_starts_fresh(tmp_path):
@@ -671,8 +763,7 @@ def test_checkpoint_key_names_the_enumeration_scheme(tmp_path):
         json.dump({"key": old_key, "done": [[0, None]], "scanned": 1, "best": 40}, fh)
     assert _load_checkpoint(path, key, plan, code.n, False) is None
     # another suffix depth is another search
-    other = dataclasses.replace(plan, depth=plan.depth - 1,
-                                tasks=code_module._task_list(plan.orbits, 3, 6, plan.depth - 1))
+    other = dataclasses.replace(plan, depth=plan.depth - 1)
     assert _checkpoint_key(code, other, False) != key
     res = min_distance_exact(code, checkpoint=path)
     assert res.exact and res.weight == 28
@@ -690,22 +781,24 @@ class _TickClock:
 
 
 def test_checkpoint_resume_over_a_nonprime_field(tmp_path, monkeypatch):
-    # the clock cuts the hexagon over F16 after about a dozen of its 53
-    # tasks, among them pins whose orbit weight is 4
+    # the clock, one second a reading and one reading a leading vector,
+    # cuts the hexagon over F16 after five of its 8 tasks, among them
+    # tasks with leading vectors of Frobenius orbit 4
     path = str(tmp_path / "search.json")
     code = build_code(HEX9, field_from_order(16))
     plan = search_plan(code)
+    assert len(plan.tasks) == 8
     with monkeypatch.context() as m:
         m.setattr(code_module, "time", _TickClock())
-        first = min_distance_exact(code, deadline=200, checkpoint=path)
+        first = min_distance_exact(code, deadline=40, checkpoint=path)
     assert not first.exact
     key = _checkpoint_key(code, plan, False)
     state = _load_checkpoint(path, key, plan, code.n, False)
     done = state["done"]
     assert 0 < len(done) < len(plan.tasks)
-    assert any(t[2] is not None and plan.orbits[t[2]] > 1 for t in done)
-    assert state["scanned"] == sum(plan.rows(t) * plan.weight(t) for t in done)
-    assert state["scanned"] != sum(plan.rows(t) for t in done)
+    assert any(orbit == 4 for t in done for _, _, orbit, _ in plan.steps(t))
+    assert state["scanned"] == sum(plan.count(t)[1] for t in done)
+    assert state["scanned"] != sum(plan.count(t)[0] for t in done)
     ran = []
     real_run = _SearchContext.run_task
 
@@ -717,29 +810,48 @@ def test_checkpoint_resume_over_a_nonprime_field(tmp_path, monkeypatch):
     second = min_distance_exact(build_code(HEX9, field_from_order(16)), checkpoint=path)
     assert second.exact and second.weight == 182
     assert second.enumerated == (16**9 - 1) // 15
-    assert second.representatives == plan.representatives
+    assert second.representatives == _representatives(plan)
     assert sorted(ran + sorted(done)) == sorted(plan.tasks)
 
 
 def test_checkpoint_of_the_every_pin_plan_is_ignored(tmp_path):
     path = str(tmp_path / "search.json")
     code = build_code(HEX9, field_from_order(8))
-    plan, oracle = search_plan(code), _every_pin_plan(code)
+    plan, oracle = search_plan(code), _every_vector_plan(code)
     done = set(oracle.tasks[:10])
-    scanned = sum(oracle.rows(t) * oracle.weight(t) for t in done)
+    scanned = sum(oracle.count(t)[1] for t in done)
     _save_checkpoint(path, _checkpoint_key(code, oracle, False), done, scanned, 20, False)
     assert _checkpoint_key(code, oracle, False) != _checkpoint_key(code, plan, False)
     assert _load_checkpoint(path, _checkpoint_key(code, plan, False), plan, code.n, False) is None
     res = min_distance_exact(code, checkpoint=path)
     assert res.exact and res.weight == 28
     assert res.enumerated == (8**9 - 1) // 7
-    assert res.representatives == plan.representatives
+    assert res.representatives == _representatives(plan)
+
+
+def test_checkpoint_of_the_frame_plan_is_ignored(tmp_path):
+    # written as the frame plan wrote them, under its key, with its tasks
+    path = str(tmp_path / "search.json")
+    code = build_code(HEX9, field_from_order(8))
+    plan, old = search_plan(code), frame_plan.frame_plan(code)
+    old_key = frame_plan.checkpoint_key(code, old, False)
+    done = old.tasks[:10]
+    with open(path, "w") as fh:
+        json.dump({"key": old_key, "done": [list(t) for t in done],
+                   "scanned": sum(old.rows(t) * old.weight(t) for t in done), "best": 20}, fh)
+    key = _checkpoint_key(code, plan, False)
+    assert old_key != key
+    assert _load_checkpoint(path, key, plan, code.n, False) is None
+    res = min_distance_exact(code, checkpoint=path)
+    assert res.exact and res.weight == 28
+    assert res.enumerated == (8**9 - 1) // 7
+    assert res.representatives == _representatives(plan)
 
 
 def test_deadline_ignores_wall_clock_jumps(monkeypatch):
     # a wall clock stuck in the past must not keep a deadline from firing
     monkeypatch.setattr(code_module.time, "time", lambda: 0.0)
-    res = min_distance_exact(build_code(SKEW_TRIANGLE, field_from_order(8)), deadline=0.05)
+    res = min_distance_exact(build_code(SKEW_TRIANGLE, field_from_order(8)), deadline=0.02)
     assert not res.exact
 
 

@@ -292,3 +292,17 @@ def test_generator_is_smallest_primitive():
                 k for k in range(1, q) if f.pow(g, k) == 1
             )
             assert order < q - 1
+
+
+def test_fields_are_shared_per_modulus():
+    f = field_from_order(8)
+    assert field_from_order(8) is f and make_field(2, 3) is f
+    assert make_field(2, 3, modulus=f.modulus) is f
+    # the alternative modulus of the reproduce table is another field
+    alt = make_field(2, 3, modulus=(1, 1, 0, 1))
+    assert alt is not f and alt.modulus == (1, 1, 0, 1)
+    assert make_field(2, 3, modulus=[1, 1, 0, 1]) is alt
+    assert field_from_order(8, modulus=(1, 1, 0, 1)) is alt
+    # a modulus scaled to monic names the same field
+    assert make_field(3, 2, modulus=(2, 0, 2)) is make_field(3, 2, modulus=(1, 0, 1))
+    assert field_from_order(7) is make_field(7) is not field_from_order(49)
