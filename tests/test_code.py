@@ -388,6 +388,16 @@ def _representatives(plan):
 
 @pytest.mark.parametrize("q", [4, 8, 9])
 def test_outer_walk_reaches_every_element(q, monkeypatch):
+    # the frame plan's odometer, which the oracle walks
+    for width in (1, 2, 3):
+        digits = [0] * width
+        seen = {tuple(digits)}
+        for changes in frame_plan.odometer(q, width):
+            for i, old, new in changes:
+                assert digits[i] == old
+                digits[i] = new
+            seen.add(tuple(digits))
+        assert len(seen) == q**width
     # with no suffix table every row is a leading row: the scanned vectors
     # and their Frobenius images are exactly the messages whose pivots are
     # 1, so the free rows take every element of F_q, prime or not
@@ -715,7 +725,7 @@ def test_checkpoint_state_is_loaded(tmp_path):
         {"scanned": 1},
         {"done": [[1, "x", None]]},
         {"done": {"a": 1}},
-        {"done": [[9, 9, 9, 9]]},
+        {"done": [[9, 9]]},
         {"best": -1},
         {"best": 1.5},
     ],
