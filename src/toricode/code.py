@@ -348,20 +348,27 @@ class SearchPlan:
         images is lexicographically smaller; the first coordinate that
         differs decides, so a prefix that loses prunes its extensions.
         """
-        r = len(coeffs)
-        if r == stop:
-            yield coeffs, pivots, tied
-            return
-        for c, after in self.choices(pivots, r):
-            still = []
-            for i in tied:
-                image = self.frobenius[i][c]
-                if image < c:
-                    break
-                if image == c:
-                    still.append(i)
-            else:
-                yield from self.extend(coeffs + (c,), after, tuple(still), stop)
+        # depth first with an explicit stack, smallest coefficient first, so
+        # vectors come in lexicographic order however many rows they have
+        stack = [(coeffs, pivots, tied)]
+        while stack:
+            coeffs, pivots, tied = stack.pop()
+            r = len(coeffs)
+            if r == stop:
+                yield coeffs, pivots, tied
+                continue
+            longer = []
+            for c, after in self.choices(pivots, r):
+                still = []
+                for i in tied:
+                    image = self.frobenius[i][c]
+                    if image < c:
+                        break
+                    if image == c:
+                        still.append(i)
+                else:
+                    longer.append((coeffs + (c,), after, tuple(still)))
+            stack.extend(reversed(longer))
 
     def start(self, prefix):
         """Pivots and Frobenius stabilizer of a task prefix."""

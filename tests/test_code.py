@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -348,6 +349,14 @@ def test_deadline_returns_upper_bound():
     assert not res.exact
     assert 28 <= res.weight <= 49
     assert 0 < res.enumerated < (8**11 - 1) // 7
+
+
+def test_deadline_search_with_more_leading_rows_than_the_recursion_limit():
+    code = build_code(LatticePolygon([(0, 0), (40, 0), (40, 30), (0, 30)]), field_from_order(43))
+    assert search_plan(code).lead > sys.getrecursionlimit()
+    res = min_distance_exact(code, deadline=0.2)
+    assert not res.exact
+    assert 0 < res.enumerated and res.weight <= code.n
 
 
 def test_checkpoint_resume(tmp_path):
