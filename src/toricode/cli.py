@@ -10,7 +10,9 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
+import math
 import os
 import sys
 from operator import add
@@ -312,27 +314,71 @@ def _value_strings(matrix, pad):
     return [f"{pad}{v}" for v in range(int(matrix.max()) + 1)]
 
 
+def _period_blocks(cells, b):
+    """Block c of every generator row with second exponent b, for each c < q-1.
+
+    `cells[t]` is the text of the entry g^t.  Block c is the text of
+    g^(b*j + c) for j = 0 .. q-2, returned as (text, start, stop, copies):
+    `text[start:stop] * copies`.  See `_emit_json` for why.
+    """
+    qm = len(cells)
+    h = math.gcd(b, qm)  # q-1 when b = 0
+    period = qm // h
+    blocks = [None] * qm
+    for r in range(h):
+        run = [cells[(b * t + r) % qm] for t in range(2 * period)]
+        text = "".join(run)
+        offset = list(itertools.accumulate(map(len, run), initial=0))
+        for j0 in range(period):
+            blocks[(r + b * j0) % qm] = (text, offset[j0], offset[j0 + period], h)
+    return blocks
+
+
 def _emit_json(payload):
     """Write json.dumps(payload, indent=2, sort_keys=True) and a newline.
 
-    A `code` payload holds its generator as an ndarray, written row by row
-    from a table of indented value strings: with `indent` set, `json`
-    encodes in Python one element at a time, 65025 per row over F256.  The
-    splice relies on what `build_code` guarantees, at least one row and no
-    empty row (`json` would print those as `[]`).
+    A `code` payload's generator is written row by row from the placed
+    monomials and the field's exp table E, not entry by entry: with
+    `indent` set, `json` encodes in Python one element at a time, 65025
+    per row over F256.  Row (a, b) holds E[(a*i + b*j) mod (q-1)] in
+    column i(q-1) + j (`code._log_grid`), so its block i is the sequence
+    j -> E[(b*j + c) mod (q-1)] with c = a*i mod (q-1), and depends on b
+    and c only.  Let h = gcd(b, q-1), which is q-1 for b = 0, and
+    P = (q-1)/h.  For r < h the sequence s_r(t) = E[(b*t + r) mod (q-1)]
+    has period P, since b*P is a multiple of q-1.  As t runs over [0, P),
+    b*t mod (q-1) runs once over the multiples of h: b/h is a unit mod P.
+    So every c is r + b*j0 mod (q-1) for exactly one pair, r = c mod h
+    and j0 < P, and block c is s_r(j0), ..., s_r(j0 + q-2): h copies of
+    the period of s_r that starts at j0.  The text of s_r over two
+    periods therefore holds every block of residue r as a slice, and
+    per distinct b only 2(q-1) cells are looked up.  Blocks are written
+    one at a time: joining a row into one string first cost about 2 MB
+    more peak memory over the benchmark's `large-q` pass, from where the
+    allocator placed the block strings.  The splice relies
+    on what `build_code` guarantees, at least one row and no empty row
+    (`json` would print those as `[]`).
     """
-    matrix = payload.get("generator") if isinstance(payload, dict) else None
-    if matrix is None:
+    if not (isinstance(payload, dict) and "generator" in payload):
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return
     text = json.dumps({**payload, "generator": None}, indent=2, sort_keys=True)
     head, tail = text.split('"generator": null')
-    cells = _value_strings(matrix, " " * 6)
+    exp = field_from_order(payload["q"], modulus=payload["modulus"]).exp_table
+    cells = [f"      {v},\n" for v in exp]
+    qm = len(cells)
+    by_b = {}
     write = sys.stdout.write
     write(head + '"generator": [')
-    for i, row in enumerate(matrix):
-        body = ",\n".join(map(cells.__getitem__, row.tolist()))
-        write(("," if i else "") + "\n    [\n" + body + "\n    ]")
+    for row, (a, b) in enumerate(payload["monomials"]):
+        if b not in by_b:
+            by_b[b] = _period_blocks(cells, b)
+        blocks = by_b[b]
+        write(("," if row else "") + "\n    [\n")
+        for i in range(qm):
+            run, start, stop, copies = blocks[a * i % qm]
+            block = run[start:stop] * copies
+            # every cell ends in ",\n"; the row's last cell closes the row instead
+            write(block if i < qm - 1 else block[:-2] + "\n    ]")
     write("\n  ]" + tail + "\n")
 
 
@@ -470,7 +516,6 @@ def _parser():
         if compute:
             p.add_argument("--threads", type=int, default=None,
                            help="worker count (default: TORICODE_THREADS or 1)")
-            p.add_argument("--deadline", type=float, default=None, metavar="SECONDS")
         return p
 
     info = add("info", "lattice geometry of a polygon")
@@ -488,6 +533,9 @@ def _parser():
                         help="work budget for the decomposition search")
     bounds.add_argument("--exact", action="store_true",
                         help="also run the exhaustive distance search")
+    for p in (mindist, bounds):
+        p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
+                       help="time limit of each exhaustive search")
 
     decompose = add("decompose", "maximal Minkowski splits over all subpolygons")
     decompose.add_argument("--budget", type=int, default=None)
@@ -516,6 +564,9 @@ def _parse_args(argv):
             parser.error(f"--threads must be positive, got {args.threads}")
     if getattr(args, "budget", None) is not None and args.budget < 1:
         parser.error(f"--budget must be positive, got {args.budget}")
+    deadline = getattr(args, "deadline", None)
+    if deadline is not None and not (math.isfinite(deadline) and deadline > 0):
+        parser.error(f"--deadline must be a finite number of seconds above 0, got {deadline}")
     return args
 
 

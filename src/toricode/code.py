@@ -124,10 +124,15 @@ def _log_grid(qm: int, a: int, b: int, c_log: int = 0) -> np.ndarray:
 
 
 def _log_rows(monomials, qm: int) -> np.ndarray:
-    """Each monomial's discrete logs at the torus points, in _log_grid's order, mod q-1."""
-    logs = np.empty((len(monomials), qm * qm), dtype=np.int64)
-    for r, (a, b) in enumerate(monomials):
-        logs[r] = _log_grid(qm, a, b).ravel()
+    """Each monomial's discrete logs at the torus points, in _log_grid's order, mod q-1.
+
+    int32 holds them: a log is below q-1 <= 65535, and adding another log
+    to it, as the scaled rows do, stays below 2(q-1).
+    """
+    exps = np.array(monomials, dtype=np.int64).reshape(-1, 2)
+    # a*i and b*j mod q-1 per row, each a (k, q-1) table
+    ai, bj = ((exps.T[:, :, None] * np.arange(qm)) % qm).astype(np.int32)
+    logs = (ai[:, :, None] + bj[:, None, :]).reshape(len(exps), qm * qm)
     np.subtract(logs, qm, out=logs, where=logs >= qm)
     return logs
 
@@ -223,7 +228,8 @@ def build_code(polygon: LatticePolygon, field: FieldSpec) -> ToricCode:
     if k * n > _GENERATOR_ENTRY_CAP:
         raise TooLarge(f"generator matrix with {k}x{n} entries is too large")
     log_generator = _log_rows(monomials, qm)
-    generator = field.exp_np[log_generator]
+    # take casts the int32 logs to intp faster than fancy indexing does
+    generator = np.take(field.exp_np, log_generator)
     if len({(m1 % qm, m2 % qm) for m1, m2 in monomials}) != k:
         raise InvariantViolation("monomial exponents collide mod q-1; the rows are dependent")
     return ToricCode(placed, field, shift, monomials, generator, log_generator)

@@ -347,6 +347,13 @@ _BULK_CASES = [
 ] + [
     ("triangle20", [[0, 0], [20, 0], [0, 20]], 49),  # k = 231
     ("triangle", _SMALL_SHAPES["triangle"], 257),  # entries above 255: uint16 generator
+    # the period split of `cli._period_blocks`: a = 0 in every row
+    ("column", [[0, 0], [0, 5]], 8),
+    # b = 0 .. 9 against q-1 = 63 and 15 share the factors 3, 7, 9 and 3, 5
+    ("box1x9", [[0, 0], [1, 0], [1, 9], [0, 9]], 64),
+    ("box2x14", [[0, 0], [2, 0], [2, 14], [0, 14]], 16),
+    ("box3x3", [[0, 0], [3, 0], [3, 3], [0, 3]], 5),  # b up to q-2
+    ("negative", [[-7, -3], [-5, -3], [-4, -1], [-6, 0]], 11),
 ]
 
 
@@ -361,6 +368,24 @@ def test_code_output_matches_per_entry_encoders(capsys, tmp_path, verts, q):
         status, out = run(capsys, *argv, "--output", fmt)
         assert status == 0
         assert out == oracle(payload), fmt
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16])
+def test_json_rows_match_per_entry_dumps_on_every_monomial(capsys, tmp_path, q):
+    # every (a, b) in [0, q-2]^2: every b, and every block offset c = a*i mod q-1
+    box = [[0, 0], [q - 2, 0], [q - 2, q - 2], [0, q - 2]]
+    argv = ["code", "--polygon", polygon_file(tmp_path, box), "--q", str(q)]
+    payload, _ = cli_module.cmd_code(cli_module._parse_args(argv))
+    assert payload["k"] == (q - 1) ** 2
+    _, out = run(capsys, *argv)
+    head = '"generator": [\n    '
+    pos = out.index(head) + len(head)
+    for r, row in enumerate(payload["generator"].tolist()):
+        # a row sits two levels deep in the payload, so 4 more spaces per line
+        want = json.dumps(row, indent=2).replace("\n", "\n    ")
+        assert out[pos : pos + len(want)] == want, payload["monomials"][r]
+        pos += len(want) + len(",\n    ")
+    assert out[pos - len(",\n    ") :].startswith("\n  ]")
 
 
 # -- mindist -----------------------------------------------------------------------
@@ -393,6 +418,23 @@ def test_mindist_deadline_is_reported_honestly(capsys, tmp_path):
     validate("mindist", payload)
     assert not payload["exact"]
     assert payload["d"] >= 28
+
+
+@pytest.mark.parametrize("command", ["mindist", "bounds"])
+@pytest.mark.parametrize("deadline", ["nan", "inf", "0", "-1"])
+def test_deadline_not_finite_above_zero_is_a_usage_error(capsys, tmp_path, command, deadline):
+    # nan used to mean no deadline at all, and 0 or -1 a search cut at once
+    path = polygon_file(tmp_path, HEXAGON)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--polygon", path, "--q", "5", "--deadline", deadline])
+    assert exc.value.code == 2
+    assert "--deadline" in capsys.readouterr().err
+
+
+def test_reproduce_takes_no_deadline(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "--deadline", "1"])
+    assert exc.value.code == 2
 
 
 def test_mindist_checkpoint_resume(capsys, tmp_path):
