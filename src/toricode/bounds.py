@@ -239,7 +239,8 @@ def _max_zero_exhaustive(poly, field, cap=None):
     q, qm = field.q, field.q - 1
     pts = [tuple(p) for p in poly.lattice_points()]
     k = len(pts)
-    logs = _log_rows(pts, qm)
+    # widened once: numpy casts int32 indices to intp on every lookup
+    logs = _log_rows(pts, qm).astype(np.intp)
     shift = (field.log_table[field.neg(1)] - logs[-1])[:, None]
     # bincount columns are in log order with c = 0 last; reorder to coefficient codes
     by_code = [qm] + field.log_table[1:]

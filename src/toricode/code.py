@@ -490,10 +490,11 @@ class _SearchContext:
 
     def __init__(self, field, log_rows, plan):
         self.field = field
-        self.log_rows = log_rows
+        # widened once: numpy casts int32 indices to intp on every lookup
+        self.log_rows = log_rows.astype(np.intp)
         self.plan = plan
         self.n = log_rows.shape[1]
-        self.suffix = _build_suffix_table(field, log_rows, plan.depth)
+        self.suffix = _build_suffix_table(field, self.log_rows, plan.depth)
         self.match_buf = np.empty(self.suffix.size, dtype=bool)
         self._coeffs, self._words = (), [np.zeros(self.n, dtype=field.dtype)]
 
