@@ -349,7 +349,7 @@ _BULK_CASES = [
     ("triangle", _SMALL_SHAPES["triangle"], 257),  # entries above 255: uint16 generator
     # the period split of `cli._period_blocks`: a = 0 in every row
     ("column", [[0, 0], [0, 5]], 8),
-    # b = 0 .. 9 against q-1 = 63 and 15 share the factors 3, 7, 9 and 3, 5
+    # b shares the factors 3, 7 and 9 with q-1 = 63, and 3 and 5 with q-1 = 15
     ("box1x9", [[0, 0], [1, 0], [1, 9], [0, 9]], 64),
     ("box2x14", [[0, 0], [2, 0], [2, 14], [0, 14]], 16),
     ("box3x3", [[0, 0], [3, 0], [3, 3], [0, 3]], 5),  # b up to q-2
@@ -423,7 +423,7 @@ def test_mindist_deadline_is_reported_honestly(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["mindist", "bounds"])
 @pytest.mark.parametrize("deadline", ["nan", "inf", "0", "-1"])
 def test_deadline_not_finite_above_zero_is_a_usage_error(capsys, tmp_path, command, deadline):
-    # nan used to mean no deadline at all, and 0 or -1 a search cut at once
+    # nan would switch the deadline off, and 0 or -1 would cut every search at once
     path = polygon_file(tmp_path, HEXAGON)
     with pytest.raises(SystemExit) as exc:
         main([command, "--polygon", path, "--q", "5", "--deadline", deadline])
