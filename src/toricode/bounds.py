@@ -34,7 +34,6 @@ from .errors import (
     HypothesisViolated,
     InvariantViolation,
     NoDecomposition,
-    PolygonTooLargeForField,
     TooLarge,
 )
 from .field import FieldSpec, field_from_order
@@ -239,8 +238,7 @@ def _max_zero_exhaustive(poly, field, cap=None):
     q, qm = field.q, field.q - 1
     pts = [tuple(p) for p in poly.lattice_points()]
     k = len(pts)
-    # widened once: numpy casts int32 indices to intp on every lookup
-    logs = _log_rows(pts, qm).astype(np.intp)
+    logs = _log_rows(pts, qm)
     shift = (field.log_table[field.neg(1)] - logs[-1])[:, None]
     # bincount columns are in log order with c = 0 last; reorder to coefficient codes
     by_code = [qm] + field.log_table[1:]
@@ -390,11 +388,7 @@ def max_zero_section(poly: LatticePolygon, field: FieldSpec) -> MaxZeroResult:
     exponent mask, is checked against a count of its zeros.
     """
     q = field.q
-    shift = poly.fits_in_box(q)
-    if shift is None:
-        w, h = poly.width_height()
-        raise PolygonTooLargeForField(f"polygon spans {w}x{h}, too large for q = {q}")
-    boxed = poly.translate(*shift)
+    boxed, shift = poly.place_in_box(q)
     # a single point has no catalog section, but its q <= MAX_Q messages fit the budget
     sections, masks = _max_zero_candidates(boxed, field, cap=1)
     section, zeros = sections[0], int(np.bitwise_count(masks[0]).sum())
@@ -567,9 +561,6 @@ def certified_upper_bound(
     """
     q = F.q
     _check_torus_size(q)
-    if P.fits_in_box(q) is None:
-        w, h = P.width_height()
-        raise PolygonTooLargeForField(f"polygon spans {w}x{h}, too large for q = {q}")
     base = max_zero_section(P, F)
     best_zeros, best_section = base.zeros, base.section
     cache: dict = {}
@@ -936,11 +927,7 @@ def full_report(
     """
     q = F.q
     _check_torus_size(q)
-    shift = P.fits_in_box(q)
-    if shift is None:
-        w, h = P.width_height()
-        raise PolygonTooLargeForField(f"polygon spans {w}x{h}, too large for q = {q}")
-    boxed = P.translate(*shift)
+    boxed, _ = P.place_in_box(q)
     entries = [
         BoundEntry(name, "exact-formula", value, True, provenance)
         for name, value, provenance in _closed_forms(boxed, q)

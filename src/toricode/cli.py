@@ -20,6 +20,7 @@ from operator import add
 from .bounds import _decomposition_value, certified_upper_bound, full_report, mainthm_lower_bound
 from .code import (
     SectionPoly,
+    _log_rows,
     build_code,
     count_torus_zeros,
     min_distance_exact,
@@ -151,7 +152,7 @@ def cmd_code(args):
         "n": code.n,
         "k": code.k,
         "monomials": [list(m) for m in code.monomials],
-        "generator": code.generator,
+        "generator": None,
     }
     return payload, 0
 
@@ -309,11 +310,6 @@ def cmd_reproduce(args):
 # -- output projections ----------------------------------------------------------
 
 
-def _value_strings(matrix, pad):
-    # the text of every value a generator entry can take, indexed by value
-    return [f"{pad}{v}" for v in range(int(matrix.max()) + 1)]
-
-
 def _period_blocks(cells, b):
     """Block c of every generator row with second exponent b, for each c < q-1.
 
@@ -337,11 +333,12 @@ def _period_blocks(cells, b):
 def _emit_json(payload):
     """Write json.dumps(payload, indent=2, sort_keys=True) and a newline.
 
-    A `code` payload's generator is written row by row from the placed
-    monomials and the field's exp table E, not entry by entry: with
-    `indent` set, `json` encodes in Python one element at a time, 65025
-    per row over F256.  Row (a, b) holds E[(a*i + b*j) mod (q-1)] in
-    column i(q-1) + j (`code._log_grid`), so its block i is the sequence
+    A `code` payload holds None for its generator, which is written in
+    its place row by row from the placed monomials and the field's exp
+    table E, not entry by entry: with `indent` set, `json` encodes in
+    Python one element at a time, 65025 per row over F256.  Row (a, b)
+    holds E[(a*i + b*j) mod (q-1)] in column i(q-1) + j
+    (`code._log_grid`), so its block i is the sequence
     j -> E[(b*j + c) mod (q-1)] with c = a*i mod (q-1), and depends on b
     and c only.  Let h = gcd(b, q-1), which is q-1 for b = 0, and
     P = (q-1)/h.  For r < h the sequence s_r(t) = E[(b*t + r) mod (q-1)]
@@ -358,10 +355,10 @@ def _emit_json(payload):
     on what `build_code` guarantees, at least one row and no empty row
     (`json` would print those as `[]`).
     """
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if not (isinstance(payload, dict) and "generator" in payload):
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(text + "\n")
         return
-    text = json.dumps({**payload, "generator": None}, indent=2, sort_keys=True)
     head, tail = text.split('"generator": null')
     exp = field_from_order(payload["q"], modulus=payload["modulus"]).exp_table
     cells = [f"      {v},\n" for v in exp]
@@ -383,14 +380,16 @@ def _emit_json(payload):
 
 
 def _generator_entries(payload, sep):
-    """Yield (monomial, entries) per generator row, one entry per torus point
-    (g^i, g^j) in column order, reading `i{sep}j{sep}value`."""
-    matrix = payload["generator"]
+    """Yield (monomial, entries) per generator row, computed from the monomial and
+    the field's exp table: one entry per torus point (g^i, g^j) in column order,
+    reading `i{sep}j{sep}value`."""
     qm = payload["q"] - 1
-    cols = [f"{c // qm}{sep}{c % qm}{sep}" for c in range(matrix.shape[1])]
-    values = _value_strings(matrix, "")
-    for monomial, row in zip(payload["monomials"], matrix):
-        yield monomial, list(map(add, cols, map(values.__getitem__, row.tolist())))
+    exp = field_from_order(payload["q"], modulus=payload["modulus"]).exp_table
+    cells = [str(v) for v in exp]
+    cols = [f"{c // qm}{sep}{c % qm}{sep}" for c in range(qm * qm)]
+    for monomial in payload["monomials"]:
+        logs = _log_rows([monomial], qm)[0].tolist()
+        yield monomial, list(map(add, cols, map(cells.__getitem__, logs)))
 
 
 def _emit_text(command, payload):

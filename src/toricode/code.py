@@ -51,6 +51,7 @@ histogram picks the normalized columns and weights each by its pivots.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -62,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, PolygonTooLargeForField, SupportOutsidePolygon, TooLarge
+from .errors import InvariantViolation, SupportOutsidePolygon, TooLarge
 from .field import FieldSpec
 from .polygon import LatticePolygon
 
@@ -126,12 +127,12 @@ def _log_grid(qm: int, a: int, b: int, c_log: int = 0) -> np.ndarray:
 def _log_rows(monomials, qm: int) -> np.ndarray:
     """Each monomial's discrete logs at the torus points, in _log_grid's order, mod q-1.
 
-    int32 holds them: a log is below q-1 <= 65535, and adding another log
-    to it, as the scaled rows do, stays below 2(q-1).
+    A (k, (q-1)^2) intp array, so it indexes the exp tables directly;
+    adding another log to it, as the scaled rows do, stays below 2(q-1).
     """
-    exps = np.array(monomials, dtype=np.int64).reshape(-1, 2)
+    exps = np.array(monomials, dtype=np.intp).reshape(-1, 2)
     # a*i and b*j mod q-1 per row, each a (k, q-1) table
-    ai, bj = ((exps.T[:, :, None] * np.arange(qm)) % qm).astype(np.int32)
+    ai, bj = (exps.T[:, :, None] * np.arange(qm)) % qm
     logs = (ai[:, :, None] + bj[:, None, :]).reshape(len(exps), qm * qm)
     np.subtract(logs, qm, out=logs, where=logs >= qm)
     return logs
@@ -173,21 +174,25 @@ class DistanceResult:
 class ToricCode:
     """Evaluation code of a polygon's monomials on the torus (F_q*)^2.
 
-    Immutable after construction.  The polygon is stored translated
-    into [0, q-2]^2 with the applied translation recorded, monomials
-    are its lattice points in lexicographic order, and generator row r
-    holds the values of monomial r at the (q-1)^2 torus points.
+    Immutable after construction, and only a description: the polygon
+    translated into [0, q-2]^2 with the applied translation recorded,
+    and the monomials, its lattice points in lexicographic order.  So
+    n = (q-1)^2 and k = len(monomials).  Each reader computes the rows
+    it needs from the monomials; `generator` is built on first access.
     """
 
-    def __init__(self, polygon, field, translation, monomials, generator, log_generator):
+    def __init__(self, polygon, field, translation, monomials):
         self.polygon = polygon
         self.field = field
         self.translation = translation
         self.monomials = monomials
-        self.generator = generator
-        self.log_generator = log_generator
-        self.n = generator.shape[1]
-        self.k = generator.shape[0]
+        self.n = (field.q - 1) ** 2
+        self.k = len(monomials)
+
+    @functools.cached_property
+    def generator(self) -> np.ndarray:
+        """The k x n generator matrix: row r holds monomial r's values at the torus points."""
+        return self.field.exp_np[_log_rows(self.monomials, self.field.q - 1)]
 
     def evaluate_message(self, message) -> np.ndarray:
         """Codeword for a length-k coefficient vector over the monomials."""
@@ -207,32 +212,25 @@ class ToricCode:
 
 
 def build_code(polygon: LatticePolygon, field: FieldSpec) -> ToricCode:
-    """Evaluate the polygon's monomials on the torus of the field.
+    """The code of the polygon's monomials on the torus of the field.
 
+    Places the polygon and lists its monomials; no matrix is computed.
     The polygon may sit anywhere in the plane; it is translated into
     [0, q-2]^2 first so all monomial exponent pairs are distinct mod
     q-1.  Distinct pairs are distinct characters of the torus group,
     hence linearly independent, so the generator matrix has rank #(P).
+    A generator of more than _GENERATOR_ENTRY_CAP entries raises TooLarge.
     """
     q = field.q
-    shift = polygon.fits_in_box(q)
-    if shift is None:
-        w, h = polygon.width_height()
-        raise PolygonTooLargeForField(
-            f"polygon spans {w}x{h}, exceeding the {q - 2}x{q - 2} box for q={q}"
-        )
-    placed = polygon.translate(*shift)
+    placed, shift = polygon.place_in_box(q)
     monomials = tuple(placed.lattice_points())
     k, qm = len(monomials), q - 1
     n = qm * qm
     if k * n > _GENERATOR_ENTRY_CAP:
         raise TooLarge(f"generator matrix with {k}x{n} entries is too large")
-    log_generator = _log_rows(monomials, qm)
-    # take casts the int32 logs to intp faster than fancy indexing does
-    generator = np.take(field.exp_np, log_generator)
     if len({(m1 % qm, m2 % qm) for m1, m2 in monomials}) != k:
         raise InvariantViolation("monomial exponents collide mod q-1; the rows are dependent")
-    return ToricCode(placed, field, shift, monomials, generator, log_generator)
+    return ToricCode(placed, field, shift, monomials)
 
 
 def weight_of_section(s: SectionPoly, code: ToricCode) -> int:
@@ -269,7 +267,7 @@ def _suffix_depth(field, rows, n):
     return t
 
 
-def _build_suffix_table(field, log_generator, depth):
+def _build_suffix_table(field, log_rows, depth):
     """Codewords of all coefficient choices on the last `depth` rows, one per column.
 
     Column sum(v_j q^j) of the (n, q^depth) table holds the codeword with
@@ -280,13 +278,13 @@ def _build_suffix_table(field, log_generator, depth):
     a lead and the last row.
     """
     q = field.q
-    k, n = log_generator.shape
+    k, n = log_rows.shape
     table = np.zeros((n, 1), dtype=field.dtype)
     for j in range(depth):
         row = k - 1 - j
         blocks = [table]
         for v in range(1, q):
-            scaled = field.exp_np[log_generator[row] + field.log_table[v]]
+            scaled = field.exp_np[log_rows[row] + field.log_table[v]]
             blocks.append(field.add_np(table, scaled[:, None]))
         table = np.concatenate(blocks, axis=1)
     return table
@@ -486,14 +484,13 @@ def search_plan(code: ToricCode) -> SearchPlan:
 
 
 class _SearchContext:
-    """Per-process state for distance tasks: the plan and its suffix table."""
+    """Per-process state for distance tasks: the plan, its monomials' log rows and suffix table."""
 
-    def __init__(self, field, log_rows, plan):
+    def __init__(self, field, plan):
         self.field = field
-        # widened once: numpy casts int32 indices to intp on every lookup
-        self.log_rows = log_rows.astype(np.intp)
+        self.log_rows = _log_rows(plan.monomials, field.q - 1)
         self.plan = plan
-        self.n = log_rows.shape[1]
+        self.n = self.log_rows.shape[1]
         self.suffix = _build_suffix_table(field, self.log_rows, plan.depth)
         self.match_buf = np.empty(self.suffix.size, dtype=bool)
         self._coeffs, self._words = (), [np.zeros(self.n, dtype=field.dtype)]
@@ -723,7 +720,7 @@ def _enumerate(code, threads, deadline_s, checkpoint, want_hist):
         else:
             out.completed = False
 
-    ctx_args = (code.field, code.log_generator, plan)
+    ctx_args = (code.field, plan)
     workers = min(threads, len(pending), os.cpu_count() or 1)
     if workers <= 1:
         ctx = _SearchContext(*ctx_args)

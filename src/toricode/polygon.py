@@ -19,6 +19,7 @@ from .errors import (
     EmptyInput,
     InvariantViolation,
     NotApplicable,
+    PolygonTooLargeForField,
 )
 
 Point = tuple[int, int]
@@ -235,6 +236,19 @@ class LatticePolygon:
             return None
         x0, y0, _, _ = self.bounding_box()
         return (-x0, -y0)
+
+    def place_in_box(self, q: int) -> tuple["LatticePolygon", Point]:
+        """The polygon translated into [0, q-2]^2, and that translation.
+
+        Raises PolygonTooLargeForField when no translation fits.
+        """
+        shift = self.fits_in_box(q)
+        if shift is None:
+            w, h = self.width_height()
+            raise PolygonTooLargeForField(
+                f"polygon spans {w}x{h}, exceeding the {q - 2}x{q - 2} box for q={q}"
+            )
+        return self.translate(*shift), shift
 
     def counts(self) -> dict:
         """Doubled area plus lattice point tallies, as one record."""

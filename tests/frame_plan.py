@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from toricode.code import _build_suffix_table, _suffix_depth
+from toricode.code import _build_suffix_table, _log_rows, _suffix_depth
 
 
 def frame(monomials, dim):
@@ -167,7 +167,8 @@ def search(code):
     """
     plan = frame_plan(code)
     order = list(plan.frame + plan.rest)
-    suffix = _build_suffix_table(code.field, code.log_generator[order], plan.depth)
+    logs = _log_rows(code.monomials, code.field.q - 1)
+    suffix = _build_suffix_table(code.field, logs[order], plan.depth)
     n = code.n
     hist, best, scanned = np.zeros(n + 1, dtype=np.int64), 0, 0
     for task in plan.tasks:

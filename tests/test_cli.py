@@ -15,6 +15,9 @@ import toricode.cli as cli_module
 import toricode.code as code_module
 from toricode import errors
 from toricode.cli import main
+from toricode.code import build_code
+from toricode.field import field_from_order
+from toricode.polygon import LatticePolygon
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "docs" / "schemas"
@@ -363,7 +366,7 @@ _BULK_CASES = [
 def test_code_output_matches_per_entry_encoders(capsys, tmp_path, verts, q):
     argv = ["code", "--polygon", polygon_file(tmp_path, verts), "--q", str(q)]
     payload, _ = cli_module.cmd_code(cli_module._parse_args(argv))
-    payload["generator"] = payload["generator"].tolist()
+    payload["generator"] = build_code(LatticePolygon(verts), field_from_order(q)).generator.tolist()
     for fmt, oracle in _ORACLES.items():
         status, out = run(capsys, *argv, "--output", fmt)
         assert status == 0
@@ -380,12 +383,28 @@ def test_json_rows_match_per_entry_dumps_on_every_monomial(capsys, tmp_path, q):
     _, out = run(capsys, *argv)
     head = '"generator": [\n    '
     pos = out.index(head) + len(head)
-    for r, row in enumerate(payload["generator"].tolist()):
+    generator = build_code(LatticePolygon(box), field_from_order(q)).generator
+    for r, row in enumerate(generator.tolist()):
         # a row sits two levels deep in the payload, so 4 more spaces per line
         want = json.dumps(row, indent=2).replace("\n", "\n    ")
         assert out[pos : pos + len(want)] == want, payload["monomials"][r]
         pos += len(want) + len(",\n    ")
     assert out[pos - len(",\n    ") :].startswith("\n  ]")
+
+
+def test_code_json_builds_no_rows(capsys, tmp_path, monkeypatch):
+    # the code is its monomials; the JSON writer reads them and the field only
+    code = build_code(LatticePolygon(HEXAGON), field_from_order(8))
+    assert "generator" not in vars(code)
+    argv = ["code", "--polygon", polygon_file(tmp_path, HEXAGON), "--q", "8"]
+    payload, _ = cli_module.cmd_code(cli_module._parse_args(argv))
+    payload["generator"] = code.generator.tolist()
+
+    def refuse(*args):
+        raise AssertionError("code --output json computed log rows")
+
+    monkeypatch.setattr(code_module, "_log_rows", refuse)
+    assert run(capsys, *argv, "--output", "json") == (0, _oracle_json(payload))
 
 
 # -- mindist -----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from toricode.code import (
     _build_suffix_table,
     _checkpoint_key,
     _load_checkpoint,
+    _log_rows,
     _save_checkpoint,
     _SearchContext,
     build_code,
@@ -304,12 +305,14 @@ def test_threads_agree():
 
 
 class _InlinePool:
-    """multiprocessing.Pool stand-in that records its size and runs jobs in-process."""
+    """multiprocessing.Pool stand-in: records its size and init args, runs jobs in-process."""
 
     sizes: list = []
+    initargs: list = []
 
     def __init__(self, processes, initializer, initargs):
         self.sizes.append(processes)
+        self.initargs.append(initargs)
         initializer(*initargs)
 
     def __enter__(self):
@@ -332,6 +335,7 @@ class _InlinePool:
 def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch, threads, cpus, size):
     # the skew triangle over F8 has 20 tasks; no real process is started
     monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "initargs", [])
     monkeypatch.setattr(code_module, "multiprocessing", type("mp", (), {"Pool": _InlinePool}))
     monkeypatch.setattr(code_module, "_WORKER_CTX", None)
     monkeypatch.setattr(code_module.os, "cpu_count", lambda: cpus)
@@ -340,6 +344,9 @@ def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch, threads, cpus, size)
     res = min_distance_exact(code, threads=threads)
     assert (res.weight, res.exact) == (28, True)
     assert _InlinePool.sizes == ([] if size is None else [size])
+    # workers build their rows from the plan's monomials; no matrix is pickled
+    assert len(_InlinePool.initargs) == len(_InlinePool.sizes)
+    assert not any(isinstance(a, np.ndarray) for args in _InlinePool.initargs for a in args)
 
 
 def test_deadline_returns_upper_bound():
@@ -416,7 +423,7 @@ def test_outer_walk_reaches_every_element(q, monkeypatch):
     code = build_code(TRAPEZOID, f)
     plan = search_plan(code)
     assert plan.depth == 0 and plan.lead == code.k
-    ctx = _SearchContext(f, code.log_generator, plan)
+    ctx = _SearchContext(f, plan)
     seen = set()
     for task in plan.tasks:
         for (coeffs, pivots, orbit, _), word in ctx.words(task):
@@ -448,7 +455,7 @@ def test_suffix_table_matches_messages():
     f = field_from_order(3)
     square = LatticePolygon([(0, 0), (1, 0), (0, 1), (1, 1)])
     code = build_code(square, f)
-    table = _build_suffix_table(f, code.log_generator, 2)
+    table = _build_suffix_table(f, _log_rows(code.monomials, f.q - 1), 2)
     assert table.shape == (code.n, 9)
     for idx in range(9):
         msg = [0, 0, idx // 3, idx % 3]  # digit j scales row k-1-j
@@ -587,7 +594,7 @@ def test_pin_slices_agree_along_frobenius_orbits(walk, monkeypatch):
         plan = _every_vector_plan(code)
         plan = dataclasses.replace(
             plan, tasks=tuple(c for c, _, _ in plan.extend((), (), (), plan.lead)))
-        ctx = _SearchContext(f, code.log_generator, plan)
+        ctx = _SearchContext(f, plan)
         slices = {}
         for task in plan.tasks:
             hist, _, _, done = ctx.run_task(task, None, True)
@@ -686,7 +693,7 @@ def test_zero_counts_in_blocks_match_a_wide_sum():
     for q in (17, 19, 25):
         code = build_code(LatticePolygon([(0, 0), (1, 0), (0, 1)]), field_from_order(q))
         plan = dataclasses.replace(search_plan(code), depth=2)
-        ctx = _SearchContext(code.field, code.log_generator, plan)
+        ctx = _SearchContext(code.field, plan)
         table = ctx.suffix
         width = table.shape[1]
         words = [np.zeros(code.n, dtype=table.dtype), table[:, 5].copy(), table[:, width - 1].copy()]
