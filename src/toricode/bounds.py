@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -49,15 +49,16 @@ _CANDIDATE_CAP = 64
 # exact search over candidate tuples is done up to this many combinations
 _PAIRING_CAP = 10_000
 
-# the exact search counts mask unions in chunks of about this many bytes
+# the pairing searches score rows in chunks whose accumulators (one byte
+# per torus point and row) take about this many bytes
 _PAIRING_BYTES = 1 << 21
 
 # parameter grid limit when matching against the rank-3 families
 _RANK3_SCAN_CAP = 16
 
-# bound reports evaluate sections and hold zero masks over the whole
-# torus; past 2^20 points (q above 1024) a report on the paper's
-# polygons took up to 47 s and 220 MB (F_2048), and F_65536 has 2^32
+# bound reports evaluate sections and mark zeros over the whole torus;
+# past 2^20 points (q above 1024) a report on the paper's polygons took
+# up to 47 s and 220 MB (F_2048), and F_65536 has 2^32
 _TORUS_CAP = 1 << 20
 
 # exact summand distances of this process, keyed by (summand, q) and by
@@ -230,10 +231,10 @@ def _max_zero_exhaustive(poly, field, cap=None):
     that order.  The last coefficient c is resolved per point: w + c*r
     = 0 iff w = c = 0, or c != 0 with log c = log(-w) - log r mod q-1,
     since r never vanishes; a bincount of that log per column counts
-    every c at once, and a winner's zero mask is the points whose log is
-    its c's (q-1 standing for c = 0).  Returns the count, the first `cap`
-    maximizing sections in that order and their masks, each packed as
-    soon as it is found.  The polygon stays where it lies.
+    every c at once, and a winner's zeros are the points whose log is its
+    c's (q-1 standing for c = 0).  Returns the count, the first `cap`
+    maximizing sections in that order and their zeros, each an ascending
+    array of torus indices.  The polygon stays where it lies.
     """
     q, qm = field.q, field.q - 1
     pts = [tuple(p) for p in poly.lattice_points()]
@@ -242,7 +243,7 @@ def _max_zero_exhaustive(poly, field, cap=None):
     shift = (field.log_table[field.neg(1)] - logs[-1])[:, None]
     # bincount columns are in log order with c = 0 last; reorder to coefficient codes
     by_code = [qm] + field.log_table[1:]
-    best, sections, masks = -1, [], []
+    best, sections, zeros = -1, [], []
     for lead in range(k):
         if lead < k - 1:
             words = field.add_np(
@@ -261,18 +262,18 @@ def _max_zero_exhaustive(poly, field, cap=None):
         if top < best:
             continue
         if top > best:
-            best, sections, masks = top, [], []
+            best, sections, zeros = top, [], []
         room = None if cap is None else cap - len(sections)
         # index = column * q + c; the last lead has one message, index 0
         for index in np.flatnonzero(counts == top)[:room].tolist():
             column, c = divmod(index, q)
-            masks.append(_packed(bins[:, column] == by_code[c]))
+            zeros.append(np.flatnonzero(bins[:, column] == by_code[c]))
             msg = [0] * k
             msg[lead] = 1
             for pos in range(k - 1, lead, -1):
                 index, msg[pos] = divmod(index, q)
             sections.append(SectionPoly({p: v for p, v in zip(pts, msg) if v}))
-    return best, sections, masks
+    return best, sections, zeros
 
 
 def _best_run(ptset, u):
@@ -384,14 +385,15 @@ def max_zero_section(poly: LatticePolygon, field: FieldSpec) -> MaxZeroResult:
     otherwise the best member of a catalog of split forms, with
     exhaustive=False to flag that the count is only a lower estimate of
     the true maximum.  Both come from the first candidate of
-    _max_zero_candidates; the catalog winner's count, read from its
-    exponent mask, is checked against a count of its zeros.
+    _max_zero_candidates; the catalog winner's count, the size of the
+    zero list read from its exponent mask, is checked against a count of
+    its zeros.
     """
     q = field.q
     boxed, shift = poly.place_in_box(q)
     # a single point has no catalog section, but its q <= MAX_Q messages fit the budget
-    sections, masks = _max_zero_candidates(boxed, field, cap=1)
-    section, zeros = sections[0], int(np.bitwise_count(masks[0]).sum())
+    sections, _, sizes = _max_zero_candidates(boxed, field, cap=1)
+    section, zeros = sections[0], int(sizes[0])
     exhaustive = _exhaustive(boxed, q)
     if not exhaustive:
         counted = count_torus_zeros(section, field)
@@ -403,34 +405,31 @@ def max_zero_section(poly: LatticePolygon, field: FieldSpec) -> MaxZeroResult:
 
 
 def _max_zero_candidates(poly, field, cap=_CANDIDATE_CAP):
-    """Candidate sections for one summand, most zeros first, with packed zero masks.
+    """Candidate sections for one summand, most zeros first, with their zero lists.
 
     Where _exhaustive allows, the first `cap` maximizers of
-    _max_zero_exhaustive, with the masks its enumeration read off.
+    _max_zero_exhaustive, with the zeros its enumeration read off.
     Otherwise catalog entries ranked by their closed-form counts; the
-    sort is stable, so ties keep catalog order.  Row i of the mask array
-    holds the torus zeros of section i as uint64 words (see _packed).
+    sort is stable, so ties keep catalog order.  Returns the sections, a
+    matrix whose row i lists the torus indices where section i vanishes,
+    padded with the index (q-1)^2 past the torus, and the list sizes.
     """
     q = field.q
     if _exhaustive(poly, q):
-        _, sections, masks = _max_zero_exhaustive(poly, field, cap=cap)
+        _, sections, lists = _max_zero_exhaustive(poly, field, cap=cap)
     else:
         kept = sorted(_catalog_sections(poly, field), key=lambda e: -e.zeros)[:cap]
         sections = [e.section(field) for e in kept]
-        masks = [_packed(e.zero_mask(q - 1)) for e in kept]
-    words = -(-(q - 1) ** 2 // 64)
-    return sections, np.array(masks, dtype=np.uint64).reshape(len(sections), words)
-
-
-def _packed(mask):
-    """A boolean mask as uint64 words, zero padded; callers pack each mask as it is made."""
-    row = np.zeros(-(-mask.size // 64) * 8, dtype=np.uint8)
-    row[: -(-mask.size // 8)] = np.packbits(mask)
-    return row.view(np.uint64)
+        lists = [np.flatnonzero(e.zero_mask(q - 1)) for e in kept]
+    sizes = np.array([len(z) for z in lists], dtype=np.intp)
+    zeros = np.full((len(lists), sizes.max(initial=0)), (q - 1) ** 2, dtype=np.intp)
+    for row, z in zip(zeros, lists):
+        row[: len(z)] = z
+    return sections, zeros, sizes
 
 
 def _part_candidates(part, field, cache):
-    """Candidate sections of one summand with their packed zero masks, memoized.
+    """Candidate sections of one summand with their zero lists, memoized.
 
     Parts are stored at the origin, so equal summands of different
     decompositions share one entry of `cache`, keyed by their vertices.
@@ -443,7 +442,7 @@ def _part_candidates(part, field, cache):
 def _most_zeros(part, field, cache):
     """Most torus zeros among the candidate sections of one summand.
 
-    The same count as the top row of _max_zero_candidates' masks, but
+    The same count as the first of _max_zero_candidates' sizes, but
     without building the candidates, and by the same _exhaustive rule.
     Where those come from the exhaustive search, the count is the length
     (q-1)^2 minus the distance of the summand's code (see
@@ -459,64 +458,100 @@ def _most_zeros(part, field, cache):
     return cache[part]
 
 
-def _union_counts(masks, picks):
-    """Torus zeros of the union of masks[p][pick[p]], one count per row of picks."""
-    union = masks[0][picks[:, 0]]
-    for part in range(1, picks.shape[1]):
-        union |= masks[part][picks[:, part]]
-    return np.bitwise_count(union).sum(axis=1)
+def _hits(acc, zeros):
+    """Entry (j, r): how many points of zero list j column r of acc marks.
 
-
-def _greedy_picks(masks):
-    """Greedy accumulation from every choice of the first factor at once.
-
-    Row f starts from candidate f of the first part, then takes from
-    each further part the candidate adding the most zeros to the row's
-    union, the first of equal gains.  Gains are counted in chunks of
-    rows of at most _PAIRING_BYTES.  Returns the picks, one row per
-    first factor, and the zero count of each row's union.
+    The lists are gathered in blocks of 255 points, whose sums fit in
+    uint8, and each block is summed by halving it, so every add runs over
+    long contiguous rows (numpy sums a middle axis in short inner loops).
     """
-    union = masks[0].copy()
-    picks = [np.arange(len(union))]
-    for part in masks[1:]:
-        rows = max(1, _PAIRING_BYTES // part.nbytes)
-        idx = np.concatenate([
-            np.bitwise_count(union[i : i + rows, None, :] | part[None]).sum(axis=2).argmax(axis=1)
-            for i in range(0, len(union), rows)
-        ])
-        picks.append(idx)
-        union |= part[idx]
-    return np.stack(picks, axis=1), np.bitwise_count(union).sum(axis=1)
+    hits = np.zeros((len(zeros), acc.shape[1]), dtype=np.intp)
+    for b in range(0, zeros.shape[1], 255):
+        block = np.take(acc, zeros[:, b : b + 255], axis=0)
+        while block.shape[1] > 1:
+            half = block.shape[1] // 2
+            folded = block[:, :half] + block[:, half : 2 * half]
+            if block.shape[1] % 2:
+                folded[:, 0] += block[:, -1]
+            block = folded
+        hits += block[:, 0]
+    return hits
+
+
+def _pairing(zeros, sizes, n, exact):
+    """Zero counts of the unions of candidate tuples, one candidate per part.
+
+    zeros[p] and sizes[p] are part p's zero lists and their sizes (see
+    _max_zero_candidates) over a torus of n points.  Exact: the rows fix
+    every part but the last in itertools.product order, and the last
+    part's candidates are all counted, so the counts run over every
+    tuple in that order.  Greedy: the rows fix the first part, and each
+    further part takes the candidate adding the most zeros, the first of
+    equal gains.  Rows go in chunks whose accumulator, n + 1 bytes per
+    row, holds at most about _PAIRING_BYTES.  Byte z * width + r of it
+    marks that row r's picks so far vanish at point z; the bytes of the
+    padding index n stay clear.  Gathering it at a list Z counts Z's
+    zeros already in the union (see _hits), so the candidate adds its
+    size minus that, and a row's count is its first pick's size plus its
+    gains.  Returns the picks, one row per tuple or per first factor, and
+    their counts.
+    """
+    parts = len(zeros)
+    dims = [len(s) for s in sizes]
+    if exact:
+        lead = np.indices(dims[:-1]).reshape(parts - 1, prod(dims[:-1])).T
+    else:
+        lead = np.arange(dims[0])[:, None]
+    step = max(1, _PAIRING_BYTES // (n + 1))
+    picks, counts = [], []
+    for start in range(0, len(lead), step):
+        rows = lead[start : start + step]
+        width = len(rows)
+        at = np.arange(width)
+        acc = np.zeros((n + 1) * width, dtype=np.uint8)
+        count = np.zeros(width, dtype=np.intp)
+        chosen = []
+        for p in range(parts):
+            if p < rows.shape[1]:
+                idx = rows[:, p]
+                marks = zeros[p][idx] * width + at[:, None]
+                gain = sizes[p][idx] - np.take(acc, marks).sum(axis=1, dtype=np.intp)
+            else:
+                gains = sizes[p][:, None] - _hits(acc.reshape(n + 1, width), zeros[p])
+                if exact:
+                    counts.append((count + gains).T.ravel())
+                    break
+                idx = gains.argmax(axis=0)
+                gain = gains[idx, at]
+                marks = zeros[p][idx] * width + at[:, None]
+            count += gain
+            chosen.append(idx)
+            if p < parts - 1:
+                acc[marks] = 1
+                acc[n * width :] = 0
+        else:
+            picks.append(np.stack(chosen, axis=1))
+            counts.append(count)
+    if exact:
+        return np.indices(dims).reshape(parts, -1).T, np.concatenate(counts)
+    return np.concatenate(picks), np.concatenate(counts)
 
 
 def _best_product_section(dec, field, cache):
     """Product over the parts of a decomposition maximizing total zeros.
 
     Candidate tuples are searched exactly when the combination count is
-    small, else by greedy accumulation restarted from every choice of
-    the first factor (see _greedy_picks); both keep the first maximum
-    in their order.  Zero masks are packed into words and their unions
-    counted in bulk, in chunks of at most _PAIRING_BYTES.  `cache` holds
-    the candidates of summands already seen (see _part_candidates).
-    Returns (zeros, section) or None.
+    at most _PAIRING_CAP, else by greedy accumulation restarted from
+    every choice of the first factor; both keep the first maximum in
+    their order, and both count unions from the candidates' zero lists
+    (see _pairing).  `cache` holds the candidates of summands already
+    seen (see _part_candidates).  Returns (zeros, section) or None.
     """
-    cand_lists, masks = zip(*(_part_candidates(p, field, cache) for p in dec.parts))
+    cand_lists, lists, sizes = zip(*(_part_candidates(p, field, cache) for p in dec.parts))
     if any(not lst for lst in cand_lists):
         return None
-    sizes = [len(lst) for lst in cand_lists]
-    total = 1
-    for s in sizes:
-        total *= s
-
-    if total <= _PAIRING_CAP:
-        # rows in itertools.product order: the last part varies fastest
-        picks = np.indices(sizes).reshape(len(sizes), -1).T
-        rows = max(1, _PAIRING_BYTES // masks[0][0].nbytes)
-        counts = np.concatenate(
-            [_union_counts(masks, picks[i : i + rows]) for i in range(0, total, rows)]
-        )
-    else:
-        picks, counts = _greedy_picks(masks)
+    exact = prod(len(lst) for lst in cand_lists) <= _PAIRING_CAP
+    picks, counts = _pairing(lists, sizes, (field.q - 1) ** 2, exact)
     # argmax keeps the first maximum in row order
     best = int(np.argmax(counts))
     best_count, best_pick = int(counts[best]), tuple(picks[best].tolist())
@@ -529,7 +564,7 @@ def _best_product_section(dec, field, cache):
     # a product vanishes exactly where some factor does
     if zeros != best_count:
         raise InvariantViolation(
-            f"product has {zeros} torus zeros, the mask union {best_count}"
+            f"product has {zeros} torus zeros, the union of its factors' {best_count}"
         )
     outside = [pt for pt in section.terms if not dec.parent.contains(pt)]
     if outside:

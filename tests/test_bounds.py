@@ -9,6 +9,7 @@ import pytest
 
 import matcher_oracles
 import toricode.bounds as bounds_module
+from packed_pairing import exact_counts, greedy_picks, packed
 import toricode.code as code_module
 from lattice_maps import apply_map, classes_in_box, find_equivalence, random_unimodular
 from toricode.bounds import (
@@ -555,14 +556,14 @@ def test_max_zero_exhaustive_matches_oracle(q):
         past_first = sum(_lead(s, pts) == first for s in everyone) + 1
         crossed += past_first <= len(everyone)
         for cap in (1, 64, None, past_first):
-            best, sections, masks = _max_zero_exhaustive(poly, field, cap=cap)
+            best, sections, zeros = _max_zero_exhaustive(poly, field, cap=cap)
             want_best, want_sections = max_zero_oracle(poly, field, cap=cap)
             assert best == want_best, (poly.vertices, cap)
             assert [s.terms for s in sections] == [s.terms for s in want_sections]
-            assert len(masks) == len(sections)
-            for s, words in zip(sections, masks):
+            assert len(zeros) == len(sections)
+            for s, got in zip(sections, zeros):
                 want = evaluate_section(s, field) == 0
-                assert np.array_equal(_unpacked(words[None], n)[0], want), (poly.vertices, s)
+                assert np.array_equal(_dense(got[None], [len(got)], n)[0], want), (poly.vertices, s)
     assert crossed > 0
 
 
@@ -742,8 +743,13 @@ def _boxed(poly, q):
     return None if shift is None else poly.translate(*shift)
 
 
-def _unpacked(words, n):
-    return np.unpackbits(words.view(np.uint8), axis=1)[:, :n].astype(bool)
+def _dense(zeros, sizes, n):
+    """Boolean masks from zero lists padded with n, checking the lists as it goes."""
+    dense = np.zeros((len(zeros), n), dtype=bool)
+    for row, got, size in zip(dense, zeros, sizes):
+        assert np.all(np.diff(got[:size]) > 0) and np.all(got[size:] == n)
+        row[got[:size]] = True
+    return dense
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)
@@ -792,13 +798,13 @@ def test_max_zero_candidates_match_oracle(q):
             continue
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bounds_module, "DEFAULT_SECTION_BUDGET", 0)
-            sections, words = _max_zero_candidates(part, field)
+            sections, zeros, sizes = _max_zero_candidates(part, field)
         assert sections == catalog_candidates_oracle(part, field), poly.vertices
         want = [zero_mask_oracle(s, field) for s in sections]
-        assert np.array_equal(_unpacked(words, n), np.array(want).reshape(len(want), n))
-        sections, words = _max_zero_candidates(part, field)
+        assert np.array_equal(_dense(zeros, sizes, n), np.array(want).reshape(len(want), n))
+        sections, zeros, sizes = _max_zero_candidates(part, field)
         want = [zero_mask_oracle(s, field) for s in sections]
-        assert np.array_equal(_unpacked(words, n), np.array(want).reshape(len(want), n))
+        assert np.array_equal(_dense(zeros, sizes, n), np.array(want).reshape(len(want), n))
 
 
 @pytest.mark.parametrize("catalog", [False, True], ids=["default", "catalog"])
@@ -807,10 +813,11 @@ def test_best_product_section_matches_oracle(q, catalog, monkeypatch):
     field = field_from_order(q)
     if catalog:
         monkeypatch.setattr(bounds_module, "DEFAULT_SECTION_BUDGET", 0)
-    # small chunks, so that the exact search crosses chunk boundaries
-    monkeypatch.setattr(bounds_module, "_PAIRING_BYTES", 1000)
+    # two rows per chunk, so that both searches cross chunk boundaries
+    monkeypatch.setattr(bounds_module, "_PAIRING_BYTES", 2 * ((q - 1) ** 2 + 1))
     pairing_cap = bounds_module._PAIRING_CAP
     branches = {"exact": 0, "greedy": 0}
+    crossed = {"exact": 0, "greedy": 0}
     for poly in _section_search_polygons():
         boxed = _boxed(poly, q)
         if boxed is None or boxed.num_lattice_points > 10:
@@ -825,7 +832,12 @@ def test_best_product_section_matches_oracle(q, catalog, monkeypatch):
                 want = best_product_oracle(dec, field, cap)
                 assert got[0] == want[0] and got[1] == want[1], (poly.vertices, dec.parts)
                 branches[branch] += len(dec.parts) > 1
+                rows = int(np.prod(sizes[:-1])) if branch == "exact" else sizes[0]
+                crossed[branch] += len(dec.parts) > 1 and rows > 2
     assert branches["exact"] > 0 and branches["greedy"] > 0
+    # over F3 no search has more than two rows
+    if q > 3:
+        assert crossed["exact"] > 0 and crossed["greedy"] > 0
 
 
 def test_catalog_zero_count_is_checked(monkeypatch):
@@ -903,6 +915,106 @@ def test_product_section_shared_cache_matches_fresh(q):
         assert set(shared) == {p.vertices for dec in decs for p in dec.parts}
 
 
+# -- scoring products from zero lists against the packed kernels ----------------
+
+# the `bounds` operations of the large-q benchmark workload, at the origin
+LARGE_Q_BOUNDS = [(HEX9, 49), (HEX9, 128), (BOX22, 64), (BOX22, 256), (P54, 49)]
+
+
+def _check_pairing(zeros, sizes, n, exact):
+    masks = [np.array([packed(m) for m in _dense(z, s, n)]) for z, s in zip(zeros, sizes)]
+    kernel = exact_counts if exact else greedy_picks
+    want_picks, want_counts = kernel(masks, bounds_module._PAIRING_BYTES)
+    picks, counts = bounds_module._pairing(zeros, sizes, n, exact)
+    assert np.array_equal(picks, want_picks) and np.array_equal(counts, want_counts)
+
+
+@pytest.mark.parametrize("poly, q", LARGE_Q_BOUNDS, ids=lambda x: f"{x}")
+def test_pairing_matches_the_packed_kernels_on_benchmark_polygons(poly, q, monkeypatch):
+    field = field_from_order(q)
+    n = (q - 1) ** 2
+    # three rows per chunk, so that every search crosses chunk boundaries
+    monkeypatch.setattr(bounds_module, "_PAIRING_BYTES", 3 * (n + 1))
+    boxed, _ = poly.place_in_box(q)
+    exact = 0
+    for dec in best_subpolygon_decomposition(boxed):
+        zeros, sizes = zip(*(_max_zero_candidates(p, field)[1:] for p in dec.parts))
+        assert len(sizes[0]) > 3
+        _check_pairing(zeros, sizes, n, exact=False)
+        # the exact search on the whole decomposition where it is small
+        # enough, else on its first two parts
+        for k in range(2, len(dec.parts) + 1):
+            if int(np.prod([len(s) for s in sizes[:k]])) <= bounds_module._PAIRING_CAP:
+                _check_pairing(zeros[:k], sizes[:k], n, exact=True)
+                exact += 1
+    assert exact > 0
+
+
+def _zero_lists(dense, n, rng):
+    """Zero lists of boolean masks, padded with n to a few columns past the longest."""
+    sizes = dense.sum(axis=1).astype(np.intp)
+    zeros = np.full((len(dense), sizes.max() + rng.integers(0, 3)), n, dtype=np.intp)
+    for row, mask in zip(zeros, dense):
+        got = np.flatnonzero(mask)
+        row[: len(got)] = got
+    return zeros, sizes
+
+
+@pytest.mark.parametrize("n", [70, 700])
+def test_pairing_matches_the_packed_kernels_on_random_masks(n, monkeypatch):
+    # n = 70 leaves padding bits in the last packed word; n = 700 gives
+    # lists longer than the 255 points that _hits sums in one block
+    monkeypatch.setattr(bounds_module, "_PAIRING_BYTES", 2 * (n + 1))
+    rng = np.random.default_rng(n)
+    ties = 0
+    for trial in range(60):
+        parts = 1 + trial % 3
+        dense = []
+        for _ in range(parts):
+            cands = rng.random((int(rng.integers(2, 8)), n)) < rng.choice([0.02, 0.1, 0.5])
+            # a duplicate candidate, and now and then an empty zero list
+            cands[-1] = cands[0]
+            if trial % 4 == 0:
+                cands[int(rng.integers(len(cands)))] = False
+            dense.append(cands)
+        if trial % 5 == 0 and parts > 1:
+            # two disjoint candidates of equal size that nothing else
+            # touches, the others empty, so every row ties them
+            for cands in dense:
+                cands[:, :8] = False
+            dense[1][:] = False
+            dense[1][0, :4] = dense[1][1, 4:8] = True
+            ties += 1
+        zeros, sizes = zip(*(_zero_lists(d, n, rng) for d in dense))
+        _check_pairing(zeros, sizes, n, exact=False)
+        _check_pairing(zeros, sizes, n, exact=True)
+    assert ties > 0
+
+
+# certified-upper value and witness of the five `bounds` operations of the
+# large-q benchmark workload, at the origin, as computed from bit-packed masks
+CERTIFIED_PINS = {
+    (HEX9, 49): (2162, {(1, 0): 47, (1, 1): 10, (1, 2): 6, (2, 0): 9, (2, 1): 46, (2, 2): 1}),
+    (HEX9, 128): (15750, {(1, 0): 2, (1, 1): 3, (1, 2): 1, (2, 0): 2, (2, 1): 3, (2, 2): 1}),
+    (BOX22, 64): (3721, {
+        (0, 0): 4, (0, 1): 6, (0, 2): 2, (1, 0): 6, (1, 1): 5, (1, 2): 3, (2, 0): 2, (2, 1): 3,
+        (2, 2): 1,
+    }),
+    (BOX22, 256): (64009, {
+        (0, 0): 20, (0, 1): 18, (0, 2): 6, (1, 0): 18, (1, 1): 21, (1, 2): 7, (2, 0): 6,
+        (2, 1): 7, (2, 2): 1,
+    }),
+    (P54, 49): (2208, {(1, 0): 9, (1, 1): 46, (1, 2): 1}),
+}
+
+
+@pytest.mark.parametrize("poly, q", LARGE_Q_BOUNDS, ids=lambda x: f"{x}")
+def test_certified_upper_pinned_on_benchmark_polygons(poly, q):
+    report = full_report(poly, field_from_order(q))
+    entry = next(e for e in report.entries if e.name == "certified-upper")
+    assert (entry.value, entry.witness.terms) == CERTIFIED_PINS[poly, q]
+
+
 def certified_oracle(poly, field, decs):
     """certified_upper_bound without passing over any decomposition."""
     base = max_zero_section(poly, field)
@@ -964,8 +1076,8 @@ def test_most_zeros_is_the_best_candidate_count(q):
     for part in sorted(parts, key=lambda p: p.vertices):
         if part.fits_in_box(q) is None:
             continue
-        _, words = _max_zero_candidates(part, field)
-        want = int(np.bitwise_count(words).sum(axis=1).max())
+        _, _, sizes = _max_zero_candidates(part, field)
+        want = int(sizes.max())
         assert _most_zeros(part, field, shared) == want == _most_zeros(part, field, {})
 
 
