@@ -459,7 +459,7 @@ def _most_zeros(part, field, cache):
 
 
 def _hits(acc, zeros):
-    """Entry (j, r): how many points of zero list j column r of acc marks.
+    """Entry (j, r) counts the points of zero list j that column r of acc marks.
 
     The lists are gathered in blocks of 255 points, whose sums fit in
     uint8, and each block is summed by halving it, so every add runs over

@@ -9,9 +9,9 @@ import pytest
 
 import matcher_oracles
 import toricode.bounds as bounds_module
-from packed_pairing import exact_counts, greedy_picks, packed
 import toricode.code as code_module
 from lattice_maps import apply_map, classes_in_box, find_equivalence, random_unimodular
+from packed_pairing import exact_counts, greedy_picks, packed
 from toricode.bounds import (
     BoundEntry,
     LowerBound,
@@ -918,7 +918,13 @@ def test_product_section_shared_cache_matches_fresh(q):
 # -- scoring products from zero lists against the packed kernels ----------------
 
 # the `bounds` operations of the large-q benchmark workload, at the origin
-LARGE_Q_BOUNDS = [(HEX9, 49), (HEX9, 128), (BOX22, 64), (BOX22, 256), (P54, 49)]
+LARGE_Q_BOUNDS = {
+    "hexagon-F49": (HEX9, 49),
+    "hexagon-F128": (HEX9, 128),
+    "box2x2-F64": (BOX22, 64),
+    "box2x2-F256": (BOX22, 256),
+    "pentagon-F49": (P54, 49),
+}
 
 
 def _check_pairing(zeros, sizes, n, exact):
@@ -929,8 +935,9 @@ def _check_pairing(zeros, sizes, n, exact):
     assert np.array_equal(picks, want_picks) and np.array_equal(counts, want_counts)
 
 
-@pytest.mark.parametrize("poly, q", LARGE_Q_BOUNDS, ids=lambda x: f"{x}")
-def test_pairing_matches_the_packed_kernels_on_benchmark_polygons(poly, q, monkeypatch):
+@pytest.mark.parametrize("case", LARGE_Q_BOUNDS)
+def test_pairing_matches_the_packed_kernels_on_benchmark_polygons(case, monkeypatch):
+    poly, q = LARGE_Q_BOUNDS[case]
     field = field_from_order(q)
     n = (q - 1) ** 2
     # three rows per chunk, so that every search crosses chunk boundaries
@@ -994,25 +1001,26 @@ def test_pairing_matches_the_packed_kernels_on_random_masks(n, monkeypatch):
 # certified-upper value and witness of the five `bounds` operations of the
 # large-q benchmark workload, at the origin, as computed from bit-packed masks
 CERTIFIED_PINS = {
-    (HEX9, 49): (2162, {(1, 0): 47, (1, 1): 10, (1, 2): 6, (2, 0): 9, (2, 1): 46, (2, 2): 1}),
-    (HEX9, 128): (15750, {(1, 0): 2, (1, 1): 3, (1, 2): 1, (2, 0): 2, (2, 1): 3, (2, 2): 1}),
-    (BOX22, 64): (3721, {
+    "hexagon-F49": (2162, {(1, 0): 47, (1, 1): 10, (1, 2): 6, (2, 0): 9, (2, 1): 46, (2, 2): 1}),
+    "hexagon-F128": (15750, {(1, 0): 2, (1, 1): 3, (1, 2): 1, (2, 0): 2, (2, 1): 3, (2, 2): 1}),
+    "box2x2-F64": (3721, {
         (0, 0): 4, (0, 1): 6, (0, 2): 2, (1, 0): 6, (1, 1): 5, (1, 2): 3, (2, 0): 2, (2, 1): 3,
         (2, 2): 1,
     }),
-    (BOX22, 256): (64009, {
+    "box2x2-F256": (64009, {
         (0, 0): 20, (0, 1): 18, (0, 2): 6, (1, 0): 18, (1, 1): 21, (1, 2): 7, (2, 0): 6,
         (2, 1): 7, (2, 2): 1,
     }),
-    (P54, 49): (2208, {(1, 0): 9, (1, 1): 46, (1, 2): 1}),
+    "pentagon-F49": (2208, {(1, 0): 9, (1, 1): 46, (1, 2): 1}),
 }
 
 
-@pytest.mark.parametrize("poly, q", LARGE_Q_BOUNDS, ids=lambda x: f"{x}")
-def test_certified_upper_pinned_on_benchmark_polygons(poly, q):
+@pytest.mark.parametrize("case", LARGE_Q_BOUNDS)
+def test_certified_upper_pinned_on_benchmark_polygons(case):
+    poly, q = LARGE_Q_BOUNDS[case]
     report = full_report(poly, field_from_order(q))
     entry = next(e for e in report.entries if e.name == "certified-upper")
-    assert (entry.value, entry.witness.terms) == CERTIFIED_PINS[poly, q]
+    assert (entry.value, entry.witness.terms) == CERTIFIED_PINS[case]
 
 
 def certified_oracle(poly, field, decs):
