@@ -150,10 +150,8 @@ def _rank3_polygon(case: str, a: int, b: int, c: int, r: int) -> LatticePolygon:
         return LatticePolygon([(0, 0), (s, 0), (s, t), (b, c + r * b), (0, c)])
     if case == "III":
         return LatticePolygon([(0, 0), (1, 0), (1, 2 * b + c - a), (0, b + c)])
-    if case == "IV":
-        w = s + t
-        return LatticePolygon([(0, 0), (w, 0), (w, a), (w - b, s), (r * s, s)])
-    raise ValueError(f"unknown family case {case!r}")
+    w = s + t
+    return LatticePolygon([(0, 0), (w, 0), (w, a), (w - b, s), (r * s, s)])
 
 
 def _rank3_drop(case: str, a: int, b: int, c: int, r: int) -> int:
@@ -225,46 +223,46 @@ def _max_zero_exhaustive(poly, field, cap=None):
 
     Scalar multiples share a zero set, so messages are normalized to a
     leading coefficient 1 and ordered by lead position, then
-    lexicographically.  The words of one lead are its row plus each
-    column of _build_suffix_table over the rows strictly between the
-    lead and the last row r, the row before r varying fastest, which is
-    that order.  The last coefficient c is resolved per point: w + c*r
-    = 0 iff w = c = 0, or c != 0 with log c = log(-w) - log r mod q-1,
-    since r never vanishes; a bincount of that log per column counts
-    every c at once, and a winner's zeros are the points whose log is its
-    c's (q-1 standing for c = 0).  Returns the count, the first `cap`
+    lexicographically.  One _build_suffix_table, over rows 1 .. k-2,
+    serves every lead: its first q^(k-2-lead) columns run through the
+    rows strictly between the lead and the last row r, the row before r
+    fastest, which is that order, and a lead's words are its row plus
+    each of those columns.  Lead k-1, r alone, vanishes nowhere while
+    lead 0 has a binomial with a zero, so it is never searched.  The
+    last coefficient c is resolved per point: w + c*r = 0 iff w = c = 0,
+    or c != 0 with log c = log(-w) - log r mod q-1, since r never
+    vanishes; a bincount of that log per column counts every c at once,
+    and a winner's zeros are the points whose log is its c's (q-1
+    standing for c = 0).  Returns the count, the first `cap`
     maximizing sections in that order and their zeros, each an ascending
-    array of torus indices.  The polygon stays where it lies.
+    array of torus indices.  The polygon stays where it lies; a point
+    has its one section, which vanishes nowhere.
     """
     q, qm = field.q, field.q - 1
     pts = [tuple(p) for p in poly.lattice_points()]
     k = len(pts)
+    if k == 1:
+        return 0, [SectionPoly({pts[0]: 1})], [np.zeros(0, dtype=np.intp)]
     logs = _log_rows(pts, qm)
     shift = (field.log_table[field.neg(1)] - logs[-1])[:, None]
     # bincount columns are in log order with c = 0 last; reorder to coefficient codes
     by_code = [qm] + field.log_table[1:]
+    table = _build_suffix_table(field, logs[: k - 1], k - 2)
     best, sections, zeros = -1, [], []
-    for lead in range(k):
-        if lead < k - 1:
-            words = field.add_np(
-                _build_suffix_table(field, logs[lead + 1 : k - 1], k - 2 - lead),
-                field.exp_np[logs[lead]][:, None],
-            )
-            bins = np.where(words == 0, qm, (field.log_np[words] + shift) % qm)
-            counts = np.bincount(
-                (bins + np.arange(bins.shape[1]) * q).ravel(), minlength=bins.shape[1] * q
-            )
-            counts = counts.reshape(-1, q)[:, by_code].ravel()
-        else:
-            # the last monomial alone, a unit on the torus: no point has a bin
-            bins, counts = np.full((qm * qm, 1), -1), np.zeros(1, dtype=np.int64)
+    for lead in range(k - 1):
+        words = field.add_np(table[:, : q ** (k - 2 - lead)], field.exp_np[logs[lead]][:, None])
+        bins = np.where(words == 0, qm, (field.log_np[words] + shift) % qm)
+        counts = np.bincount(
+            (bins + np.arange(bins.shape[1]) * q).ravel(), minlength=bins.shape[1] * q
+        )
+        counts = counts.reshape(-1, q)[:, by_code].ravel()
         top = int(counts.max())
         if top < best:
             continue
         if top > best:
             best, sections, zeros = top, [], []
         room = None if cap is None else cap - len(sections)
-        # index = column * q + c; the last lead has one message, index 0
+        # index = column * q + c
         for index in np.flatnonzero(counts == top)[:room].tolist():
             column, c = divmod(index, q)
             zeros.append(np.flatnonzero(bins[:, column] == by_code[c]))
@@ -274,20 +272,6 @@ def _max_zero_exhaustive(poly, field, cap=None):
                 index, msg[pos] = divmod(index, q)
             sections.append(SectionPoly({p: v for p, v in zip(pts, msg) if v}))
     return best, sections, zeros
-
-
-def _best_run(ptset, u):
-    # longest consecutive lattice run along u; convexity makes
-    # consecutive and endpoint containment equivalent
-    best, base = 0, None
-    for p in sorted(ptset):
-        x, y = p
-        t = 0
-        while (x + u[0], y + u[1]) in ptset:
-            x, y, t = x + u[0], y + u[1], t + 1
-        if t > best:
-            best, base = t, p
-    return best, base
 
 
 class _CatalogEntry(NamedTuple):
@@ -333,7 +317,11 @@ def _catalog_sections(poly, field):
     root rotations, which give products room to avoid common zeros,
     plus one product of two pencils per unimodular direction pair that
     spans a cell inside the polygon.  Entries carry their closed-form zero
-    counts and build their sections on demand.
+    counts and build their sections on demand.  runs[u][p] counts the
+    steps along u from p that stay in the polygon, one walk per lattice
+    line, which a convex polygon meets in consecutive points; p and
+    p + g*u put p + u in it, so every direction has a run.  A pencil
+    sits at the first point of the longest run in lattice-point order.
     """
     qm = field.q - 1
     pts = [tuple(p) for p in poly.lattice_points()]
@@ -341,32 +329,32 @@ def _catalog_sections(poly, field):
     out = []
     runs = {}
     for u in _run_directions(pts):
-        t, base = _best_run(ptset, u)
-        if t:
-            runs[u] = (t, base)
+        run = runs[u] = {}
+        for x, y in pts:
+            if (x - u[0], y - u[1]) in ptset:
+                continue
+            line = [(x, y)]
+            while (x + u[0], y + u[1]) in ptset:
+                x, y = x + u[0], y + u[1]
+                line.append((x, y))
+            for steps, p in enumerate(reversed(line)):
+                run[p] = steps
 
-    for u in sorted(runs):
-        t, base = runs[u]
+    for u, run in runs.items():
+        base = max(pts, key=run.__getitem__)
+        t = run[base]
         for j in range(qm):
             out.append(_CatalogEntry(t * qm, base, ((u, t, j),)))
 
-    for u, v in itertools.combinations(sorted(runs), 2):
+    for u, v in itertools.combinations(runs, 2):
         if abs(u[0] * v[1] - u[1] * v[0]) != 1:
             continue
+        run_u, run_v = runs[u], runs[v]
         best = None
         for p in pts:
-            t1 = 0
-            x, y = p
-            while (x + u[0], y + u[1]) in ptset:
-                x, y, t1 = x + u[0], y + u[1], t1 + 1
-            for i in range(1, t1 + 1):
-                t2 = 0
-                cx, cy = p[0] + i * u[0], p[1] + i * u[1]
-                while (
-                    (p[0] + v[0] * (t2 + 1), p[1] + v[1] * (t2 + 1)) in ptset
-                    and (cx + v[0] * (t2 + 1), cy + v[1] * (t2 + 1)) in ptset
-                ):
-                    t2 += 1
+            for i in range(1, run_u[p] + 1):
+                # the cell's sides along v run from p and from p + i*u
+                t2 = min(run_v[p], run_v[p[0] + i * u[0], p[1] + i * u[1]])
                 if t2 < 1:
                     continue
                 score = (i + t2) * qm - i * t2
@@ -545,11 +533,11 @@ def _best_product_section(dec, field, cache):
     every choice of the first factor; both keep the first maximum in
     their order, and both count unions from the candidates' zero lists
     (see _pairing).  `cache` holds the candidates of summands already
-    seen (see _part_candidates).  Returns (zeros, section) or None.
+    seen (see _part_candidates).  Every summand, a primitive segment, a
+    unimodular triangle or T0 (see decomp), has a candidate.  Returns
+    (zeros, section).
     """
     cand_lists, lists, sizes = zip(*(_part_candidates(p, field, cache) for p in dec.parts))
-    if any(not lst for lst in cand_lists):
-        return None
     exact = prod(len(lst) for lst in cand_lists) <= _PAIRING_CAP
     picks, counts = _pairing(lists, sizes, (field.q - 1) ** 2, exact)
     # argmax keeps the first maximum in row order
@@ -606,10 +594,7 @@ def certified_upper_bound(
         # cannot pass the best section so far is passed over
         if sum(_most_zeros(p, F, most) for p in dec.parts) <= best_zeros:
             continue
-        got = _best_product_section(dec, F, cache)
-        if got is None:
-            continue
-        zeros, section = got
+        zeros, section = _best_product_section(dec, F, cache)
         if zeros > best_zeros:
             best_zeros, best_section = zeros, section
     return (q - 1) ** 2 - best_zeros, best_section
@@ -778,7 +763,7 @@ def _rank3_members(case, volume2):
             for c in range(1, _RANK3_SCAN_CAP):
                 for r in r_range:
                     cv = _rank3_volume2(case, a, b, c, r)
-                    if cv > volume2 and case != "III":
+                    if cv > volume2:
                         break
                     if cv != volume2:
                         continue
@@ -950,15 +935,18 @@ def full_report(
     bound, and exact=True adds an exhaustive search.  Every decomposition
     the search returns is maximal; the product and lower bound entries
     come from the exact distances of their summands (see
-    _component_distance), whose searches, like the exact one, are each
-    bounded by `deadline` seconds.  A decomposition search that runs out
-    of its budget leaves out the product and lower bound entries, and the
-    certified upper bound then uses no decomposition.  A summand search
-    cut short by the deadline leaves out the product and lower bound
-    entries only.  All applicable entries are cross-checked before the
-    report is returned; witness sections are given in box-normalized
-    coordinates.  Fields whose torus exceeds _TORUS_CAP points raise
-    TooLarge before any work.
+    _component_distance).  `deadline` bounds the exact search and each
+    summand search of the lower bound, in seconds, but not a summand
+    that _exhaustive admits (q^#(points) at most DEFAULT_SECTION_BUDGET):
+    the certified upper bound has already searched that one without a
+    deadline, when it ranks the decompositions (see _most_zeros).  A
+    decomposition search that runs out of its budget leaves out the
+    product and lower bound entries, and the certified upper bound then
+    uses no decomposition.  A summand search cut short by the deadline
+    leaves out the product and lower bound entries only.  All applicable
+    entries are cross-checked before the report is returned; witness
+    sections are given in box-normalized coordinates.  Fields whose
+    torus exceeds _TORUS_CAP points raise TooLarge before any work.
     """
     q = F.q
     _check_torus_size(q)
@@ -975,17 +963,10 @@ def full_report(
     except BudgetExceeded:
         decs = []
 
-    exact_d = None
-    partial_upper = None
-    partial_scanned = 0
+    search = None
     if exact:
-        code = build_code(boxed, F)
-        res = min_distance_exact(code, threads=threads, deadline=deadline)
-        if res.exact:
-            exact_d = res.weight
-        else:
-            partial_upper = res.weight
-            partial_scanned = res.enumerated
+        search = min_distance_exact(build_code(boxed, F), threads=threads, deadline=deadline)
+    exact_d = search.weight if search is not None and search.exact else None
 
     value, witness = certified_upper_bound(boxed, F, decs)
     entries.append(
@@ -1033,15 +1014,15 @@ def full_report(
                 )
             )
 
-    if partial_upper is not None:
+    if search is not None and not search.exact:
         entries.append(
             BoundEntry(
                 "search-upper",
                 "upper",
-                partial_upper,
+                search.weight,
                 True,
                 f"smallest weight seen in a stopped enumeration of "
-                f"{partial_scanned} messages",
+                f"{search.enumerated} messages",
             )
         )
 

@@ -580,13 +580,13 @@ def _worker_run(args):
     return (task, *_WORKER_CTX.run_task(task, deadline, want_hist))
 
 
-def _checkpoint_key(code: ToricCode, plan: SearchPlan, want_hist: bool) -> str:
+def _checkpoint_key(code: ToricCode, plan: SearchPlan) -> str:
     payload = json.dumps(
         {
             "q": code.field.q,
             "modulus": list(code.field.modulus),
             "vertices": [list(v) for v in code.polygon.vertices],
-            "mode": "hist" if want_hist else "min",
+            "mode": "min",
             "depth": plan.depth,
             "frobenius": len(plan.frobenius),
             "tasks": [list(t) for t in plan.tasks],
@@ -600,8 +600,17 @@ def _is_count(x) -> bool:
     return type(x) is int and x >= 0
 
 
-def _load_checkpoint(path, key, plan, n, want_hist):
-    """Saved state of the same search, or None to start fresh.
+@dataclass
+class _Outcome:
+    result: object  # max zero count, or the zero-count histogram in normalized messages
+    scanned: int  # normalized messages covered
+    representatives: int
+    completed: bool
+    done: set  # tasks completed
+
+
+def _load_checkpoint(path, key, plan, n):
+    """Saved outcome of the same maximum search, or None to start fresh.
 
     A file that cannot be read, belongs to another search or does not
     hold well-typed state for this plan's tasks is ignored.
@@ -615,35 +624,22 @@ def _load_checkpoint(path, key, plan, n, want_hist):
         return None
     if not isinstance(data, dict) or data.get("key") != key:
         return None
-    done, scanned = data.get("done"), data.get("scanned")
-    if not isinstance(done, list) or not _is_count(scanned):
+    done, scanned, best = data.get("done"), data.get("scanned"), data.get("best")
+    if not isinstance(done, list) or not _is_count(scanned) or not _is_count(best) or best > n:
         return None
-    tasks = set(plan.tasks)
-    state = {"done": set()}
+    tasks, finished = set(plan.tasks), set()
     for entry in done:
         if not isinstance(entry, list) or not all(type(x) is int for x in entry):
             return None
         task = tuple(entry)
         if task not in tasks:
             return None
-        state["done"].add(task)
+        finished.add(task)
     # the count must be what the completed tasks cover
-    counts = [plan.count(t) for t in state["done"]]
+    counts = [plan.count(t) for t in finished]
     if scanned != sum(covered for _, covered in counts):
         return None
-    state["scanned"] = scanned
-    state["representatives"] = sum(reps for reps, _ in counts)
-    if want_hist:
-        hist = data.get("hist")
-        if not isinstance(hist, list) or len(hist) != n + 1 or not all(map(_is_count, hist)):
-            return None
-        state["hist"] = np.array(hist, dtype=np.int64)
-    else:
-        best = data.get("best")
-        if not _is_count(best) or best > n:
-            return None
-        state["best"] = best
-    return state
+    return _Outcome(best, scanned, sum(reps for reps, _ in counts), True, finished)
 
 
 def _check_checkpoint_path(path):
@@ -654,16 +650,8 @@ def _check_checkpoint_path(path):
         raise ValueError(f"checkpoint {path}: no such directory")
 
 
-def _save_checkpoint(path, key, done, scanned, result, want_hist):
-    data = {
-        "key": key,
-        "done": sorted(list(t) for t in done),
-        "scanned": scanned,
-    }
-    if want_hist:
-        data["hist"] = [int(x) for x in result]
-    else:
-        data["best"] = result
+def _save_checkpoint(path, key, done, scanned, best):
+    data = {"key": key, "done": sorted(list(t) for t in done), "scanned": scanned, "best": best}
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -675,33 +663,18 @@ def _save_checkpoint(path, key, done, scanned, result, want_hist):
         raise
 
 
-@dataclass
-class _Outcome:
-    result: object  # max zero count, or the zero-count histogram in normalized messages
-    scanned: int  # normalized messages covered
-    representatives: int
-    completed: bool
-
-
 def _enumerate(code, threads, deadline_s, checkpoint, want_hist):
+    """Run the search's pending tasks; only the maximum search takes a checkpoint."""
     n = code.n
     _check_checkpoint_path(checkpoint)
     plan = search_plan(code)
-    key = _checkpoint_key(code, plan, want_hist)
-    state = _load_checkpoint(checkpoint, key, plan, n, want_hist) or {
-        "done": set(), "scanned": 0, "representatives": 0, "best": 0,
-        "hist": np.zeros(n + 1, dtype=np.int64),
-    }
-    done = state["done"]
-    out = _Outcome(
-        state["hist"] if want_hist else state["best"],
-        state["scanned"],
-        state["representatives"],
-        True,
+    key = _checkpoint_key(code, plan)
+    out = _load_checkpoint(checkpoint, key, plan, n) or _Outcome(
+        np.zeros(n + 1, dtype=np.int64) if want_hist else 0, 0, 0, True, set()
     )
     # what the completed tasks cover; a stopped task's rows are rescanned on resume
     saved = out.scanned
-    pending = [t for t in plan.tasks if t not in done]
+    pending = [t for t in plan.tasks if t not in out.done]
     deadline = time.monotonic() + deadline_s if deadline_s is not None else None
 
     def absorb(task, result, reps, covered, completed):
@@ -713,10 +686,10 @@ def _enumerate(code, threads, deadline_s, checkpoint, want_hist):
         else:
             out.result = max(out.result, result)
         if completed:
-            done.add(task)
+            out.done.add(task)
             saved += covered
             if checkpoint:
-                _save_checkpoint(checkpoint, key, done, saved, out.result, want_hist)
+                _save_checkpoint(checkpoint, key, out.done, saved, out.result)
         else:
             out.completed = False
 
@@ -739,7 +712,7 @@ def _enumerate(code, threads, deadline_s, checkpoint, want_hist):
                     pool.terminate()
                     break
     if out.completed:
-        out.completed = all(t in done for t in plan.tasks)
+        out.completed = all(t in out.done for t in plan.tasks)
     return out
 
 

@@ -97,9 +97,6 @@ class MinkowskiDecomposition:
     def ell(self) -> int:
         return len(self.parts)
 
-    def __len__(self):
-        return len(self.parts)
-
 
 def _make_decomposition(parent, placed_sub, parts):
     """The decomposition of placed_sub, the sum of `parts`, as it sits in parent."""

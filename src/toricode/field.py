@@ -75,10 +75,8 @@ def _poly_mod(a, m, p):
 
 
 def _poly_is_irreducible(m, p):
-    """Trial division by every monic polynomial of degree up to deg(m)/2."""
+    """Trial division of m, of degree 1 or more, by every monic polynomial up to deg(m)/2."""
     e = len(m) - 1
-    if e < 1:
-        return False
     if e == 1:
         return True
     if m[0] == 0:

@@ -17,7 +17,6 @@ from toricode.bounds import (
     LowerBound,
     MaxZeroResult,
     _best_product_section,
-    _best_run,
     _catalog_sections,
     _check_consistency,
     _closed_forms,
@@ -125,6 +124,15 @@ def test_full_triangle():
         d_full_triangle(4, 5)
     tri = LatticePolygon([(0, 0), (2, 0), (0, 2)])
     assert d_full_triangle(2, 5) == exact_distance(tri, F5)
+
+
+def test_closed_forms_refuse_negative_sizes():
+    with pytest.raises(ValueError):
+        d_full_triangle(-1, 8)
+    with pytest.raises(ValueError):
+        d_rectangle(-1, 2, 8)
+    with pytest.raises(ValueError):
+        d_rectangle(2, -1, 8)
 
 
 def _triangles_up_to_translation(side):
@@ -614,9 +622,23 @@ def _pencil_section_oracle(field, base, u, alphas):
     return s.shift(*base)
 
 
-def catalog_sections_oracle(poly, field, variants=1):
-    """The split-form catalog with every section built, in catalog order."""
-    q = field.q
+def _best_run(ptset, u):
+    # longest consecutive lattice run along u; convexity makes
+    # consecutive and endpoint containment equivalent
+    best, base = 0, None
+    for p in sorted(ptset):
+        x, y = p
+        t = 0
+        while (x + u[0], y + u[1]) in ptset:
+            x, y, t = x + u[0], y + u[1], t + 1
+        if t > best:
+            best, base = t, p
+    return best, base
+
+
+def catalog_walk_oracle(poly, q):
+    """The split-form catalog as (zeros, base, pencils), walking runs from each point anew."""
+    qm = q - 1
     pts = [tuple(p) for p in poly.lattice_points()]
     ptset = set(pts)
     out = []
@@ -626,13 +648,9 @@ def catalog_sections_oracle(poly, field, variants=1):
         if t:
             runs[u] = (t, base)
 
-    def roots(length, offset):
-        return [field.exp_table[(offset + i) % (q - 1)] for i in range(length)]
-
     for u in sorted(runs):
         t, base = runs[u]
-        for j in range(max(1, min(variants, q - 1))):
-            out.append(_pencil_section_oracle(field, base, u, roots(t, j)))
+        out += [(t * qm, base, ((u, t, j),)) for j in range(qm)]
 
     for u, v in itertools.combinations(sorted(runs), 2):
         if abs(u[0] * v[1] - u[1] * v[0]) != 1:
@@ -653,24 +671,37 @@ def catalog_sections_oracle(poly, field, variants=1):
                     t2 += 1
                 if t2 < 1:
                     continue
-                score = (i + t2) * (q - 1) - i * t2
+                score = (i + t2) * qm - i * t2
                 if best is None or score > best[0]:
                     best = (score, p, i, t2)
         if best is not None:
-            _, p, t1, t2 = best
+            score, p, t1, t2 = best
+            out.append((score, p, ((u, t1, 0), (v, t2, 0))))
+    return out
+
+
+def catalog_sections_oracle(poly, field):
+    """The split-form catalog with every section built, in catalog order."""
+    q = field.q
+
+    def roots(length, offset):
+        return [field.exp_table[(offset + i) % (q - 1)] for i in range(length)]
+
+    out = []
+    for _, base, pencils in catalog_walk_oracle(poly, q):
+        sec = SectionPoly({(0, 0): 1})
+        for u, t, offset in pencils:
             sec = multiply_sections(
-                _pencil_section_oracle(field, (0, 0), u, roots(t1, 0)),
-                _pencil_section_oracle(field, (0, 0), v, roots(t2, 0)),
-                field,
+                sec, _pencil_section_oracle(field, (0, 0), u, roots(t, offset)), field
             )
-            out.append(sec.shift(*p))
+        out.append(sec.shift(*base))
     return out
 
 
 def catalog_candidates_oracle(poly, field, cap=64):
     """Catalog sections ranked by counted zeros, then catalog index."""
     scored = []
-    for i, cand in enumerate(catalog_sections_oracle(poly, field, variants=field.q - 1)):
+    for i, cand in enumerate(catalog_sections_oracle(poly, field)):
         scored.append((-int(np.count_nonzero(zero_mask_oracle(cand, field))), i, cand))
     scored.sort(key=lambda s: s[:2])
     return [cand for _, _, cand in scored[:cap]]
@@ -778,7 +809,7 @@ def test_catalog_scores_and_masks_match_oracle(q):
             continue
         entries = _catalog_sections(boxed, field)
         sections = [e.section(field) for e in entries]
-        assert sections == catalog_sections_oracle(boxed, field, variants=q - 1)
+        assert sections == catalog_sections_oracle(boxed, field)
         for entry, section in zip(entries, sections):
             want = zero_mask_oracle(section, field)
             assert entry.zeros == int(np.count_nonzero(want)), (poly.vertices, entry)
@@ -786,6 +817,24 @@ def test_catalog_scores_and_masks_match_oracle(q):
             negative += any(min(u) < 0 for u, _, _ in entry.pencils)
     if q >= 7:
         assert negative > 0
+
+
+@pytest.mark.parametrize("q", [8, 64])
+def test_catalog_run_maps_match_the_two_walk_catalog(q):
+    # every translation class in [0,3]^2, segments included
+    field = field_from_order(q)
+    classes = classes_in_box(3)
+    assert len(classes) == 1657
+    for key in classes:
+        poly = LatticePolygon(key)
+        assert [tuple(e) for e in _catalog_sections(poly, field)] == catalog_walk_oracle(poly, q)
+
+
+def test_catalog_run_maps_match_the_two_walk_catalog_on_a_large_box():
+    box = LatticePolygon([(0, 0), (10, 0), (10, 10), (0, 10)])
+    entries = [tuple(e) for e in _catalog_sections(box, field_from_order(64))]
+    assert entries == catalog_walk_oracle(box, 64)
+    assert len(entries) > 63 * 20
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)

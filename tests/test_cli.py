@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+import toricode.bounds as bounds_module
 import toricode.cli as cli_module
 import toricode.code as code_module
+from test_code import _TickClock
 from toricode import errors
 from toricode.cli import main
-from toricode.code import build_code
+from toricode.code import build_code, min_distance_exact
 from toricode.field import field_from_order
 from toricode.polygon import LatticePolygon
 
@@ -132,6 +134,20 @@ def test_boolean_coordinate_exits_2(capsys, tmp_path, vertex):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['[[0, 0], [1, 0], [0, 1]]', '{"vertices": "(0,0) (1,0) (0,1)"}',
+     '{"vertices": [[0, 0], [1, 0, 2], [0, 1]]}', '{"vertices": [[0, 0], 5, [0, 1]]}'],
+    ids=["list", "vertices-not-a-list", "triple", "number"],
+)
+def test_malformed_polygon_file_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["info", "--polygon", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_deeply_nested_json_exits_2(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + "]" * 200_000)
@@ -165,6 +181,22 @@ def test_modulus_of_wrong_degree_exits_2(capsys, tmp_path):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "degree 3" in captured.err
+
+
+def test_modulus_that_is_not_integers_is_a_usage_error(capsys, tmp_path):
+    path = polygon_file(tmp_path, HEXAGON)
+    with pytest.raises(SystemExit) as exc:
+        main(["code", "--polygon", path, "--q", "8", "--modulus", "1,x"])
+    assert exc.value.code == 2
+    assert "modulus must be comma-separated integers" in capsys.readouterr().err
+
+
+def test_generator_past_the_entry_cap_exits_3(capsys, tmp_path):
+    path = polygon_file(tmp_path, HEXAGON)
+    assert main(["code", "--polygon", path, "--q", "6561"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: generator matrix with 9x43033600 entries is too large\n"
 
 
 def test_oversized_coordinates_exit_3(capsys, tmp_path):
@@ -256,6 +288,15 @@ def test_q_below_3_is_a_usage_error(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["code", "--polygon", path, "--q", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_is_a_usage_error(capsys, tmp_path, threads):
+    path = polygon_file(tmp_path, HEXAGON)
+    with pytest.raises(SystemExit) as exc:
+        main(["mindist", "--polygon", path, "--q", "5", "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads must be positive" in capsys.readouterr().err
 
 
 def test_bad_thread_env_is_a_usage_error(capsys, tmp_path, monkeypatch):
@@ -540,6 +581,54 @@ def test_bounds_csv_projection(capsys, tmp_path):
     assert any(l.startswith("certified-upper,upper,20,") for l in lines)
 
 
+def test_bounds_exact_cut_by_the_deadline_reports_the_stopped_search(
+    capsys, tmp_path, monkeypatch
+):
+    # the clock, one second a reading, cuts the hexagon over F16 after five of its 8 tasks
+    path = polygon_file(tmp_path, HEXAGON)
+    monkeypatch.setattr(code_module, "time", _TickClock())
+    stopped = min_distance_exact(build_code(LatticePolygon(HEXAGON), field_from_order(16)),
+                                 deadline=40)
+    assert not stopped.exact
+    monkeypatch.setattr(code_module, "time", _TickClock())
+    status, out = run(capsys, "bounds", "--polygon", path, "--q", "16", "--exact",
+                      "--deadline", "40")
+    assert status == 0
+    payload = json.loads(out)
+    validate("bounds", payload)
+    assert payload["exact_d"] is None
+    found = [e for e in payload["entries"] if e["name"] == "search-upper"]
+    assert found == [{
+        "name": "search-upper", "kind": "upper", "value": stopped.weight, "applicable": True,
+        "provenance": "smallest weight seen in a stopped enumeration of "
+                      f"{stopped.enumerated} messages",
+        "witness": None,
+    }]
+
+
+def _bounds_entries(capsys, path, q, *extra):
+    status, out = run(capsys, "bounds", "--polygon", path, "--q", str(q), *extra)
+    assert status == 0
+    return {e["name"]: e for e in json.loads(out)["entries"]}
+
+
+@pytest.mark.parametrize("q, searched", [(23, True), (25, False)])
+def test_bounds_deadline_spares_summands_the_upper_bound_searched(capsys, tmp_path,
+                                                                  monkeypatch, q, searched):
+    # T0 has 4 points: 23^4 = 279841 fits the section budget of 300000, so
+    # the certified upper bound searches it without the deadline; 25^4 does not
+    monkeypatch.setattr(bounds_module, "_DISTANCES", {})
+    path = polygon_file(tmp_path, PENTAGON)
+    cut = _bounds_entries(capsys, path, q, "--deadline", "1e-9")
+    full = _bounds_entries(capsys, path, q)
+    assert cut["certified-upper"] == full["certified-upper"]
+    assert ("decomposition-lower" in cut) == searched
+    assert any(name.startswith("product-bound[") for name in cut) == searched
+    assert "decomposition-lower" in full and "product-bound[0]" in full
+    if searched:
+        assert cut == full
+
+
 @pytest.mark.parametrize("q", [11, 13])
 def test_bounds_cut_decomposition_search_is_not_applicable(capsys, tmp_path, q):
     # a decomposition search that runs out of budget gives no product or
@@ -618,11 +707,111 @@ def test_reproduce_all_rows_match(capsys):
     assert "skew-triangle/F8/min-distance" not in sources
 
 
+def test_reproduce_long_adds_the_two_largest_searches(capsys):
+    status, out = run(capsys, "reproduce", "--long")
+    assert status == 0
+    payload = json.loads(out)
+    validate("reproduce", payload)
+    assert len(payload) == 20 and all(r["match"] for r in payload)
+    rows = {r["source"]: r["computed"] for r in payload}
+    assert rows["hexagon/F11/min-distance"] == 72
+    assert rows["skew-triangle/F8/min-distance"] == 28
+
+
+def test_split_bound_of_a_missing_split_is_none():
+    # the reproduce row then reads null and mismatches
+    seg = LatticePolygon([(0, 0), (1, 0)])
+    assert cli_module._split_bound([], {seg}, 8, 1) is None
+
+
 def test_reproduce_csv(capsys):
     status, out = run(capsys, "reproduce", "--output", "csv")
     lines = out.splitlines()
     assert lines[0] == "source,expected,computed,match"
     assert len(lines) == 19
+
+
+# -- text and csv projections, bytes pinned ----------------------------------------
+
+
+_GOLDEN = {
+    ("info", "skew", "--q", "5", "text"): (
+        "polygon: (0,0) (4,1) (1,4)\ndim = 2\nvolume2 = 15\ntotal = 11\nboundary = 5\n"
+        "interior = 6\nwidth = 4\nheight = 4\ngenus = 6\nscott = ok\nbox q=5: does not fit\n"
+    ),
+    ("mindist", "hexagon", "--q", "8", "text"): (
+        "q = 8\nn = 49\nk = 9\nd = 28\nexact = true\nenumerated = 19173961\n"
+    ),
+    ("bounds", "hexagon", "--q", "8", "--exact", "text"): (
+        "polygon: (0,1) (1,0) (2,0) (3,2) (3,3) (1,2)\nq = 8\nexact d = 28\n"
+        "certified-upper              upper              30  holds\n"
+        "product-bound[0]             upper              28  conditional\n"
+        "decomposition-lower          lower              28  conditional\n"
+    ),
+    ("decompose", "hexagon", "text"): (
+        "ell = 3 exhaustive = yes\nsubpolygon: (1,0) (2,0) (2,2) (1,2)\n"
+        "  part: (0,0) (0,1)\n  part: (0,0) (0,1)\n  part: (0,0) (1,0)\n"
+        "ell = 3 exhaustive = yes\nsubpolygon: (1,0) (3,2) (3,3) (1,1)\n"
+        "  part: (0,0) (0,1)\n  part: (0,0) (1,1)\n  part: (0,0) (1,1)\n"
+        "ell = 3 exhaustive = yes\nsubpolygon: (0,1) (2,1) (3,2) (1,2)\n"
+        "  part: (0,0) (1,0)\n  part: (0,0) (1,0)\n  part: (0,0) (1,1)\n"
+    ),
+    ("info", "hexagon", "csv"): (
+        "polygon,dim,volume2,total,boundary,interior,genus,scott_ok,width,height,q,fits\n"
+        '"(0,1) (1,0) (2,0) (3,2) (3,3) (1,2)",2,10,9,6,3,3,True,3,3,,\n'
+    ),
+    ("info", "skew", "--q", "8", "csv"): (
+        "polygon,dim,volume2,total,boundary,interior,genus,scott_ok,width,height,q,fits\n"
+        '"(0,0) (4,1) (1,4)",2,15,11,5,6,6,True,4,4,8,True\n'
+    ),
+    ("mindist", "hexagon", "--q", "8", "csv"): (
+        "q,n,k,d,exact,enumerated\n8,49,9,28,True,19173961\n"
+    ),
+    ("decompose", "hexagon", "csv"): (
+        "index,ell,exhaustive,subpolygon,summands\n"
+        '0,3,True,"(1,0) (2,0) (2,2) (1,2)","(0,0) (0,1) + (0,0) (0,1) + (0,0) (1,0)"\n'
+        '1,3,True,"(1,0) (3,2) (3,3) (1,1)","(0,0) (0,1) + (0,0) (1,1) + (0,0) (1,1)"\n'
+        '2,3,True,"(0,1) (2,1) (3,2) (1,2)","(0,0) (1,0) + (0,0) (1,0) + (0,0) (1,1)"\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN), ids=" ".join)
+def test_text_and_csv_bytes(capsys, tmp_path, case):
+    command, name, *extra, fmt = case
+    verts = {"hexagon": HEXAGON, "skew": SKEW_TRIANGLE}[name]
+    path = polygon_file(tmp_path, verts)
+    status, out = run(capsys, command, "--polygon", path, *extra, "--output", fmt)
+    assert status == 0
+    assert out == _GOLDEN[case]
+
+
+_REPRODUCE_TEXT = (
+    "hexagon/F5/min-distance                  expected    6 computed    6  ok\n"
+    "hexagon/F7/min-distance                  expected   20 computed   20  ok\n"
+    "hexagon/F8/min-distance                  expected   28 computed   28  ok\n"
+    "hexagon/F9/min-distance                  expected   42 computed   42  ok\n"
+    "hexagon/F5/section-upper                 expected    6 computed    6  ok\n"
+    "hexagon/F7/section-upper                 expected   20 computed   20  ok\n"
+    "hexagon/F8/section-upper                 expected   30 computed   30  ok\n"
+    "hexagon/F9/section-upper                 expected   42 computed   42  ok\n"
+    "hexagon/F11/section-upper                expected   72 computed   72  ok\n"
+    "hexagon/F8/dimension                     expected    9 computed    9  ok\n"
+    "hexagon/F8/zero-count                    expected   21 computed   21  ok\n"
+    "hexagon/F8/zero-count-alt-modulus        expected   21 computed   21  ok\n"
+    "hexagon/F13/decomposition-lower          expected  108 computed  108  ok\n"
+    "pentagon/F8/min-distance                 expected   33 computed   33  ok\n"
+    "pentagon/F8/split-bound-interior         expected   33 computed   33  ok\n"
+    "pentagon/F8/split-bound-flat             expected   35 computed   35  ok\n"
+    "skew-triangle/F8/dimension               expected   11 computed   11  ok\n"
+    "skew-triangle/F8/triangle-upper          expected   28 computed   28  ok\n"
+)
+
+
+def test_reproduce_text_bytes(capsys):
+    status, out = run(capsys, "reproduce", "--output", "text")
+    assert status == 0
+    assert out == _REPRODUCE_TEXT
 
 
 # -- process level ------------------------------------------------------------------

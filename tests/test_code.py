@@ -349,6 +349,40 @@ def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch, threads, cpus, size)
     assert not any(isinstance(a, np.ndarray) for args in _InlinePool.initargs for a in args)
 
 
+class _StoppablePool(_InlinePool):
+    """An _InlinePool that records the jobs it starts and when it is terminated."""
+
+    ran: list = []
+    terminated: list = []
+
+    def imap_unordered(self, fn, jobs):
+        for job in jobs:
+            self.ran.append(job[0])
+            yield fn(job)
+
+    def terminate(self):
+        self.terminated.append(len(self.ran))
+
+
+def test_pool_search_stops_its_pool_when_the_deadline_fires(monkeypatch):
+    # the clock, one second a reading, fires the deadline while the hexagon
+    # over F16 has tasks left; no real process is started
+    for name in ("sizes", "initargs", "ran", "terminated"):
+        monkeypatch.setattr(_StoppablePool, name, [])
+    monkeypatch.setattr(code_module, "multiprocessing", type("mp", (), {"Pool": _StoppablePool}))
+    monkeypatch.setattr(code_module, "_WORKER_CTX", None)
+    monkeypatch.setattr(code_module.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(code_module, "time", _TickClock())
+    code = build_code(HEX9, field_from_order(16))
+    res = min_distance_exact(code, threads=2, deadline=40)
+    assert not res.exact
+    assert _StoppablePool.sizes == [2]
+    assert 0 < len(_StoppablePool.ran) < len(search_plan(code).tasks)
+    # stopped right after the result that found the deadline passed
+    assert _StoppablePool.terminated == [len(_StoppablePool.ran)]
+    assert 0 < res.enumerated < (16**9 - 1) // 15
+
+
 def test_deadline_returns_upper_bound():
     # the whole search takes about 0.1 s
     code = build_code(SKEW_TRIANGLE, field_from_order(8))
@@ -709,8 +743,8 @@ def _first_task_checkpoint(path, code, **override):
     """A checkpoint of the min search with its first task done, fields overridable."""
     plan = search_plan(code)
     task = plan.tasks[0]
-    key = _checkpoint_key(code, plan, False)
-    _save_checkpoint(path, key, {task}, plan.count(task)[1], 3, False)
+    key = _checkpoint_key(code, plan)
+    _save_checkpoint(path, key, {task}, plan.count(task)[1], 3)
     with open(path) as fh:
         data = json.load(fh)
     for name, value in override.items():
@@ -727,8 +761,10 @@ def test_checkpoint_state_is_loaded(tmp_path):
     path = str(tmp_path / "search.json")
     code = build_code(HEX9, field_from_order(8))
     plan, key = _first_task_checkpoint(path, code)
-    state = _load_checkpoint(path, key, plan, code.n, False)
-    assert state["done"] == {plan.tasks[0]} and state["best"] == 3
+    state = _load_checkpoint(path, key, plan, code.n)
+    assert state.done == {plan.tasks[0]} and state.result == 3
+    assert (state.representatives, state.scanned) == plan.count(plan.tasks[0])
+    assert state.completed
 
 
 @pytest.mark.parametrize(
@@ -752,32 +788,61 @@ def test_bad_checkpoint_starts_fresh(tmp_path, override):
     path = str(tmp_path / "search.json")
     code = build_code(HEX9, field_from_order(8))
     plan, key = _first_task_checkpoint(path, code, **override)
-    assert _load_checkpoint(path, key, plan, code.n, False) is None
+    assert _load_checkpoint(path, key, plan, code.n) is None
     res = min_distance_exact(code, checkpoint=path)
     assert res.exact and res.weight == 28
     assert res.enumerated == (8**9 - 1) // 7
     assert res.representatives == _representatives(plan)
 
 
-def test_bad_hist_checkpoint_starts_fresh(tmp_path):
-    path = str(tmp_path / "search.json")
-    code = build_code(HEX9, field_from_order(5))
+def test_checkpoint_that_is_not_utf8_starts_fresh(tmp_path):
+    path = tmp_path / "search.json"
+    path.write_bytes(b'{"key": "\xff\xfe"}')
+    code = build_code(HEX9, field_from_order(8))
     plan = search_plan(code)
-    key = _checkpoint_key(code, plan, True)
-    for hist in (None, [0] * code.n, [0] * code.n + ["1"], [-1] + [0] * code.n):
-        with open(path, "w") as fh:
-            json.dump({"key": key, "done": [], "scanned": 0, "hist": hist}, fh)
-        assert _load_checkpoint(path, key, plan, code.n, True) is None
-    with open(path, "w") as fh:
-        json.dump({"key": key, "done": [], "scanned": 0, "hist": [0] * (code.n + 1)}, fh)
-    assert _load_checkpoint(path, key, plan, code.n, True)["done"] == set()
+    assert _load_checkpoint(str(path), _checkpoint_key(code, plan), plan, code.n) is None
+    res = min_distance_exact(code, checkpoint=str(path))
+    assert res.exact and res.weight == 28
+    assert res.representatives == _representatives(plan)
+
+
+def test_failed_checkpoint_write_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "search.json"
+    # json.dump fails on the unserializable best after the file is opened
+    with pytest.raises(TypeError):
+        _save_checkpoint(str(path), "key", {(0, 1)}, 5, object())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_of_an_earlier_version_resumes(tmp_path, monkeypatch):
+    # as earlier versions wrote it for the hexagon over F16, cut by the
+    # ticking clock after five of its 8 tasks
+    path = tmp_path / "search.json"
+    path.write_text(json.dumps({
+        "key": "50f1999cecb419f8edc75d1857b6656f1c1207cf3796b923b5f1f3498ac157b1",
+        "done": [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 0, 0]],
+        "scanned": 303108369, "best": 43,
+    }))
+    ran = []
+    real_run = _SearchContext.run_task
+
+    def recording_run(ctx, task, *args):
+        ran.append(task)
+        return real_run(ctx, task, *args)
+
+    monkeypatch.setattr(_SearchContext, "run_task", recording_run)
+    code = build_code(HEX9, field_from_order(16))
+    res = min_distance_exact(code, checkpoint=str(path))
+    assert res == DistanceResult(182, True, (16**9 - 1) // 15)
+    assert res.representatives == _representatives(search_plan(code))
+    assert sorted(ran) == [(1, 0, 1), (1, 1, 0), (1, 1, 1)]
 
 
 def test_checkpoint_key_names_the_enumeration_scheme(tmp_path):
     path = str(tmp_path / "search.json")
     code = build_code(HEX9, field_from_order(8))
     plan = search_plan(code)
-    key = _checkpoint_key(code, plan, False)
+    key = _checkpoint_key(code, plan)
     # a checkpoint keyed without the scheme, as earlier versions wrote it
     old_key = hashlib.sha256(json.dumps(
         {"q": 8, "modulus": list(code.field.modulus),
@@ -787,12 +852,19 @@ def test_checkpoint_key_names_the_enumeration_scheme(tmp_path):
     assert old_key != key
     with open(path, "w") as fh:
         json.dump({"key": old_key, "done": [[0, None]], "scanned": 1, "best": 40}, fh)
-    assert _load_checkpoint(path, key, plan, code.n, False) is None
+    assert _load_checkpoint(path, key, plan, code.n) is None
     # another suffix depth is another search
     other = dataclasses.replace(plan, depth=plan.depth - 1)
-    assert _checkpoint_key(code, other, False) != key
+    assert _checkpoint_key(code, other) != key
     res = min_distance_exact(code, checkpoint=path)
     assert res.exact and res.weight == 28
+
+
+def test_reprs():
+    s = SectionPoly({(1, 0): 2, (0, 1): 1})
+    assert repr(s) == "SectionPoly({(0, 1): 1, (1, 0): 2})"
+    code = build_code(Q1, field_from_order(5))
+    assert repr(code) == "ToricCode(n=16, k=4, q=5, polygon=[(0, 0), (2, 1), (1, 2)])"
 
 
 class _TickClock:
@@ -818,13 +890,13 @@ def test_checkpoint_resume_over_a_nonprime_field(tmp_path, monkeypatch):
         m.setattr(code_module, "time", _TickClock())
         first = min_distance_exact(code, deadline=40, checkpoint=path)
     assert not first.exact
-    key = _checkpoint_key(code, plan, False)
-    state = _load_checkpoint(path, key, plan, code.n, False)
-    done = state["done"]
+    key = _checkpoint_key(code, plan)
+    state = _load_checkpoint(path, key, plan, code.n)
+    done = state.done
     assert 0 < len(done) < len(plan.tasks)
     assert any(orbit == 4 for t in done for _, _, orbit, _ in plan.steps(t))
-    assert state["scanned"] == sum(plan.count(t)[1] for t in done)
-    assert state["scanned"] != sum(plan.count(t)[0] for t in done)
+    assert state.scanned == sum(plan.count(t)[1] for t in done)
+    assert state.scanned != sum(plan.count(t)[0] for t in done)
     ran = []
     real_run = _SearchContext.run_task
 
@@ -846,9 +918,9 @@ def test_checkpoint_of_the_every_pin_plan_is_ignored(tmp_path):
     plan, oracle = search_plan(code), _every_vector_plan(code)
     done = set(oracle.tasks[:10])
     scanned = sum(oracle.count(t)[1] for t in done)
-    _save_checkpoint(path, _checkpoint_key(code, oracle, False), done, scanned, 20, False)
-    assert _checkpoint_key(code, oracle, False) != _checkpoint_key(code, plan, False)
-    assert _load_checkpoint(path, _checkpoint_key(code, plan, False), plan, code.n, False) is None
+    _save_checkpoint(path, _checkpoint_key(code, oracle), done, scanned, 20)
+    assert _checkpoint_key(code, oracle) != _checkpoint_key(code, plan)
+    assert _load_checkpoint(path, _checkpoint_key(code, plan), plan, code.n) is None
     res = min_distance_exact(code, checkpoint=path)
     assert res.exact and res.weight == 28
     assert res.enumerated == (8**9 - 1) // 7
@@ -865,9 +937,9 @@ def test_checkpoint_of_the_frame_plan_is_ignored(tmp_path):
     with open(path, "w") as fh:
         json.dump({"key": old_key, "done": [list(t) for t in done],
                    "scanned": sum(old.rows(t) * old.weight(t) for t in done), "best": 20}, fh)
-    key = _checkpoint_key(code, plan, False)
+    key = _checkpoint_key(code, plan)
     assert old_key != key
-    assert _load_checkpoint(path, key, plan, code.n, False) is None
+    assert _load_checkpoint(path, key, plan, code.n) is None
     res = min_distance_exact(code, checkpoint=path)
     assert res.exact and res.weight == 28
     assert res.enumerated == (8**9 - 1) // 7

@@ -143,6 +143,22 @@ def test_make_field_takes_characteristic_and_degree():
         make_field(2, 17)
 
 
+def test_characteristic_below_two_is_refused():
+    assert not _is_prime(0) and not _is_prime(1)
+    with pytest.raises(NonPrimeCharacteristic):
+        make_field(1, 3)
+
+
+def test_scale_np_by_zero():
+    f = field_from_order(9)
+    a = np.arange(9, dtype=f.dtype)
+    assert np.array_equal(f.scale_np(a, 0), np.zeros(9, dtype=f.dtype))
+
+
+def test_field_repr():
+    assert repr(field_from_order(8)) == "FieldSpec(q=8, p=2, e=3, modulus=[1, 0, 1, 1])"
+
+
 def test_modulus_validation():
     with pytest.raises(ReducibleModulus):
         field_from_order(4, modulus=[1, 0, 1])  # (u+1)^2

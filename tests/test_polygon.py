@@ -19,6 +19,7 @@ from toricode.errors import (
 )
 from toricode.polygon import (
     LatticePolygon,
+    _run_directions,
     convex_hull,
     minkowski_sum,
     normal_form,
@@ -170,6 +171,19 @@ def test_genus_and_scott():
         LatticePolygon([(0, 0), (4, 2)]).genus()
     with pytest.raises(NotApplicable):
         LatticePolygon([(0, 0), (1, 0), (1, 1), (0, 1)]).scott_check()
+
+
+def test_run_directions_are_lex_positive_in_any_point_order():
+    pts = HEX9.lattice_points()
+    want = _run_directions(pts)
+    assert want == sorted(want)
+    assert all(dx > 0 or (dx == 0 and dy > 0) for dx, dy in want)
+    assert _run_directions(pts[::-1]) == want
+    assert _run_directions([(1, 2), (0, 0), (2, 1)]) == [(1, -1), (1, 2), (2, 1)]
+
+
+def test_repr_names_the_vertices():
+    assert repr(Q1) == "LatticePolygon([(0, 0), (2, 1), (1, 2)])"
 
 
 def test_coordinate_overflow():
