@@ -49,8 +49,8 @@ _CANDIDATE_CAP = 64
 # exact search over candidate tuples is done up to this many combinations
 _PAIRING_CAP = 10_000
 
-# the pairing searches score rows in chunks whose accumulators (one byte
-# per torus point and row) take about this many bytes
+# the pairing searches score rows in chunks whose accumulator (one byte
+# per torus point and row) takes about this many bytes
 _PAIRING_BYTES = 1 << 21
 
 # parameter grid limit when matching against the rank-3 families
@@ -233,9 +233,12 @@ def _max_zero_exhaustive(poly, field, cap=None):
     or c != 0 with log c = log(-w) - log r mod q-1, since r never
     vanishes; a bincount of that log per column counts every c at once,
     and a winner's zeros are the points whose log is its c's (q-1
-    standing for c = 0).  Returns the count, the first `cap`
-    maximizing sections in that order and their zeros, each an ascending
-    array of torus indices.  The polygon stays where it lies; a point
+    standing for c = 0).  One stable argsort of a winning column groups
+    its points by log, each group in ascending order, and the cumulative
+    bincount of the column bounds the groups, so every winner in the
+    column reads its zeros from that one sort.  Returns the count, the
+    first `cap` maximizing sections in that order and their zeros, each
+    an ascending array of torus indices.  The polygon stays where it lies; a point
     has its one section, which vanishes nowhere.
     """
     q, qm = field.q, field.q - 1
@@ -262,10 +265,16 @@ def _max_zero_exhaustive(poly, field, cap=None):
         if top > best:
             best, sections, zeros = top, [], []
         room = None if cap is None else cap - len(sections)
-        # index = column * q + c
+        column = None
+        # index = column * q + c, so a column's winners are consecutive
         for index in np.flatnonzero(counts == top)[:room].tolist():
-            column, c = divmod(index, q)
-            zeros.append(np.flatnonzero(bins[:, column] == by_code[c]))
+            if index // q != column:
+                column = index // q
+                codes = bins[:, column].astype(np.uint16)
+                order = np.argsort(codes, kind="stable")
+                edges = np.concatenate(([0], np.bincount(codes, minlength=q).cumsum()))
+            code = by_code[index % q]
+            zeros.append(order[edges[code] : edges[code + 1]])
             msg = [0] * k
             msg[lead] = 1
             for pos in range(k - 1, lead, -1):
@@ -310,18 +319,21 @@ class _CatalogEntry(NamedTuple):
         return mask
 
 
-def _catalog_sections(poly, field):
+def _catalog_sections(poly, field, cap):
     """Split-form candidate sections supported inside the polygon.
 
-    One pencil per lattice direction with a run, in each of its q-1
-    root rotations, which give products room to avoid common zeros,
-    plus one product of two pencils per unimodular direction pair that
-    spans a cell inside the polygon.  Entries carry their closed-form zero
-    counts and build their sections on demand.  runs[u][p] counts the
+    One pencil per lattice direction with a run, in the first `cap` of
+    its q-1 root rotations, which give products room to avoid common
+    zeros, plus one product of two pencils per unimodular direction pair
+    that spans a cell inside the polygon.  Entries carry their
+    closed-form zero counts and build their sections on demand.  runs[u][p] counts the
     steps along u from p that stay in the polygon, one walk per lattice
     line, which a convex polygon meets in consecutive points; p and
     p + g*u put p + u in it, so every direction has a run.  A pencil
     sits at the first point of the longest run in lattice-point order.
+    A direction's rotations share one zero count and sit next to each
+    other, so a stable ranking keeps them in rotation order, and its
+    first `cap` entries are the same for any `cap` rotations or more.
     """
     qm = field.q - 1
     pts = [tuple(p) for p in poly.lattice_points()]
@@ -343,7 +355,7 @@ def _catalog_sections(poly, field):
     for u, run in runs.items():
         base = max(pts, key=run.__getitem__)
         t = run[base]
-        for j in range(qm):
+        for j in range(min(cap, qm)):
             out.append(_CatalogEntry(t * qm, base, ((u, t, j),)))
 
     for u, v in itertools.combinations(runs, 2):
@@ -406,7 +418,7 @@ def _max_zero_candidates(poly, field, cap=_CANDIDATE_CAP):
     if _exhaustive(poly, q):
         _, sections, lists = _max_zero_exhaustive(poly, field, cap=cap)
     else:
-        kept = sorted(_catalog_sections(poly, field), key=lambda e: -e.zeros)[:cap]
+        kept = sorted(_catalog_sections(poly, field, cap), key=lambda e: -e.zeros)[:cap]
         sections = [e.section(field) for e in kept]
         lists = [np.flatnonzero(e.zero_mask(q - 1)) for e in kept]
     sizes = np.array([len(z) for z in lists], dtype=np.intp)
@@ -416,15 +428,121 @@ def _max_zero_candidates(poly, field, cap=_CANDIDATE_CAP):
     return sections, zeros, sizes
 
 
+def _shape(pts):
+    """Shape key of lattice points in lexicographic order, with its frame.
+
+    The differences p_i - p_0 are the columns of a 2 x (k-1) matrix D.
+    Row operations in GL2(Z) bring D to its Hermite normal form H = V D,
+    carried out on [I | D] so that V, the frame, is read off its first
+    columns: the first column goes to (g, 0) with g its gcd, and where
+    the rank is two, the first column with a nonzero second row gets a
+    positive entry h there and the entry above it reduced into [0, h).
+    H, the key, is the same for every point list that a unimodular map
+    sends to this one point by point.  Returns the key and V.
+    """
+    x0, y0 = pts[0]
+    r0 = [1, 0] + [x - x0 for x, _ in pts[1:]]
+    r1 = [0, 1] + [y - y0 for _, y in pts[1:]]
+    if len(pts) > 1:
+        # the points are distinct, so the first difference is nonzero
+        g, u, v = _xgcd(r0[2], r1[2])
+        a, b = r0[2] // g, r1[2] // g
+        r0, r1 = [u * s + v * t for s, t in zip(r0, r1)], [a * t - b * s for s, t in zip(r0, r1)]
+        j = next((j for j in range(3, len(r1)) if r1[j]), None)
+        if j is not None:
+            if r1[j] < 0:
+                r1 = [-t for t in r1]
+            f = r0[j] // r1[j]
+            r0 = [s - f * t for s, t in zip(r0, r1)]
+    return (tuple(r0[2:]), tuple(r1[2:])), ((r0[0], r0[1]), (r1[0], r1[1]))
+
+
+def _torus_map(frame, new_frame):
+    """The matrix A^-T, for A = V'^-1 V with V and V' the frames of one shape.
+
+    det(V) adj(V) is V^-1 when V is unimodular, so the product below is
+    A^-1 = V^-1 V', with determinant 1 or -1, exactly when both frames
+    are unimodular.
+    """
+    (a, b), (c, d) = frame
+    det = a * d - b * c
+    (e, f), (g, h) = new_frame
+    (w, x), (y, z) = (
+        (det * (d * e - b * g), det * (d * f - b * h)),
+        (det * (a * g - c * e), det * (a * h - c * f)),
+    )
+    if w * z - x * y not in (1, -1):
+        raise InvariantViolation(f"frames {frame} and {new_frame} are not related by GL2(Z)")
+    return (w, y), (x, z)
+
+
+def _moved_candidates(pts, frame, found, new_pts, new_frame, qm):
+    """Candidates of new_pts from those found for pts, points of one shape.
+
+    With frames V and V' (see _shape), A = V'^-1 V sends p_i - p_0 to
+    p'_i - p'_0 for every i.  A section sum c_i x^(p'_i) at the torus
+    point (g^i, g^j) is a monomial, which vanishes nowhere, times
+    sum c_i x^(p_i) at A^T (i, j), so its zeros are those of the first
+    section moved by (i, j) -> A^-T (i, j) mod q-1, a permutation of the
+    torus.  Each section keeps its coefficients, placed on the new
+    points, and each zero list is moved and sorted again; the padding
+    index (q-1)^2 stays last.
+    """
+    sections, zeros, sizes = found
+    (a, b), (c, d) = _torus_map(frame, new_frame)
+    onto = dict(zip(pts, new_pts))
+    sections = [SectionPoly({onto[p]: v for p, v in s.terms.items()}) for s in sections]
+    i, j = np.divmod(zeros, qm)
+    moved = (a * i + b * j) % qm * qm + (c * i + d * j) % qm
+    moved[zeros == qm * qm] = qm * qm
+    moved.sort(axis=1)
+    return sections, moved, sizes
+
+
+class _ReportCache:
+    """What the product searches of one report share.
+
+    `parts` maps a summand's vertices to its candidates and `shapes` a
+    shape key to the points, frame and candidates of the first
+    exhaustive summand of that shape (see _part_candidates).  `acc` is
+    the accumulator of _pairing, grown to the largest chunk a search of
+    the report has needed and clear between searches.
+    """
+
+    def __init__(self):
+        self.parts, self.shapes = {}, {}
+        self.acc = np.zeros(0, dtype=np.uint8)
+
+
 def _part_candidates(part, field, cache):
-    """Candidate sections of one summand with their zero lists, memoized.
+    """Candidate sections of one summand with their zero lists, memoized in `cache`.
 
     Parts are stored at the origin, so equal summands of different
-    decompositions share one entry of `cache`, keyed by their vertices.
+    decompositions share one entry of cache.parts, keyed by their
+    vertices.  Summands that _exhaustive admits are searched once per
+    shape (see _shape): a summand of a shape seen before takes the
+    first one's candidates, moved onto its points (see
+    _moved_candidates).  _max_zero_exhaustive ranks coefficient vectors
+    on the points in lexicographic order, and the unimodular map between
+    two summands of one shape keeps that order and every zero count, so
+    the search would pick the same vectors in the same order on both.
+    Catalog entries follow run directions, whose order such a map does
+    not keep, so catalog summands are searched as they are.
     """
-    if part.vertices not in cache:
-        cache[part.vertices] = _max_zero_candidates(part, field)
-    return cache[part.vertices]
+    if part.vertices in cache.parts:
+        return cache.parts[part.vertices]
+    if not _exhaustive(part, field.q):
+        found = _max_zero_candidates(part, field)
+    else:
+        pts = [tuple(p) for p in part.lattice_points()]
+        key, frame = _shape(pts)
+        if key in cache.shapes:
+            found = _moved_candidates(*cache.shapes[key], pts, frame, field.q - 1)
+        else:
+            found = _max_zero_candidates(part, field)
+            cache.shapes[key] = pts, frame, found
+    cache.parts[part.vertices] = found
+    return found
 
 
 def _most_zeros(part, field, cache):
@@ -442,7 +560,7 @@ def _most_zeros(part, field, cache):
     if _exhaustive(part, q):
         return (q - 1) ** 2 - _component_distance(part, q)
     if part not in cache:
-        cache[part] = max((e.zeros for e in _catalog_sections(part, field)), default=0)
+        cache[part] = max((e.zeros for e in _catalog_sections(part, field, 1)), default=0)
     return cache[part]
 
 
@@ -466,7 +584,7 @@ def _hits(acc, zeros):
     return hits
 
 
-def _pairing(zeros, sizes, n, exact):
+def _pairing(zeros, sizes, n, exact, cache):
     """Zero counts of the unions of candidate tuples, one candidate per part.
 
     zeros[p] and sizes[p] are part p's zero lists and their sizes (see
@@ -476,13 +594,16 @@ def _pairing(zeros, sizes, n, exact):
     tuple in that order.  Greedy: the rows fix the first part, and each
     further part takes the candidate adding the most zeros, the first of
     equal gains.  Rows go in chunks whose accumulator, n + 1 bytes per
-    row, holds at most about _PAIRING_BYTES.  Byte z * width + r of it
-    marks that row r's picks so far vanish at point z; the bytes of the
-    padding index n stay clear.  Gathering it at a list Z counts Z's
-    zeros already in the union (see _hits), so the candidate adds its
-    size minus that, and a row's count is its first pick's size plus its
-    gains.  Returns the picks, one row per tuple or per first factor, and
-    their counts.
+    row, holds at most about _PAIRING_BYTES: the first bytes of
+    cache.acc, a clear buffer that one report's searches share (see
+    _ReportCache), grown here when a chunk needs more.  Byte
+    z * width + r marks that row r's picks so far vanish at point z;
+    the bytes of the padding index n stay clear.  Gathering them at a
+    list Z counts Z's zeros already in the union (see _hits), so the
+    candidate adds its size minus that, and a row's count is its first
+    pick's size plus its gains.  Each chunk unmarks what it marked, so
+    the buffer is clear again on return.  Returns the picks, one row
+    per tuple or per first factor, and their counts.
     """
     parts = len(zeros)
     dims = [len(s) for s in sizes]
@@ -491,21 +612,24 @@ def _pairing(zeros, sizes, n, exact):
     else:
         lead = np.arange(dims[0])[:, None]
     step = max(1, _PAIRING_BYTES // (n + 1))
+    need = (n + 1) * min(step, len(lead))
+    if len(cache.acc) < need:
+        cache.acc = np.zeros(need, dtype=np.uint8)
     picks, counts = [], []
     for start in range(0, len(lead), step):
         rows = lead[start : start + step]
         width = len(rows)
         at = np.arange(width)
-        acc = np.zeros((n + 1) * width, dtype=np.uint8)
+        marked = cache.acc[: (n + 1) * width]
         count = np.zeros(width, dtype=np.intp)
-        chosen = []
+        chosen, marks_made = [], []
         for p in range(parts):
             if p < rows.shape[1]:
                 idx = rows[:, p]
                 marks = zeros[p][idx] * width + at[:, None]
-                gain = sizes[p][idx] - np.take(acc, marks).sum(axis=1, dtype=np.intp)
+                gain = sizes[p][idx] - np.take(marked, marks).sum(axis=1, dtype=np.intp)
             else:
-                gains = sizes[p][:, None] - _hits(acc.reshape(n + 1, width), zeros[p])
+                gains = sizes[p][:, None] - _hits(marked.reshape(n + 1, width), zeros[p])
                 if exact:
                     counts.append((count + gains).T.ravel())
                     break
@@ -515,11 +639,14 @@ def _pairing(zeros, sizes, n, exact):
             count += gain
             chosen.append(idx)
             if p < parts - 1:
-                acc[marks] = 1
-                acc[n * width :] = 0
+                marked[marks] = 1
+                marked[n * width :] = 0
+                marks_made.append(marks)
         else:
             picks.append(np.stack(chosen, axis=1))
             counts.append(count)
+        for marks in marks_made:
+            marked[marks] = 0
     if exact:
         return np.indices(dims).reshape(parts, -1).T, np.concatenate(counts)
     return np.concatenate(picks), np.concatenate(counts)
@@ -532,14 +659,14 @@ def _best_product_section(dec, field, cache):
     at most _PAIRING_CAP, else by greedy accumulation restarted from
     every choice of the first factor; both keep the first maximum in
     their order, and both count unions from the candidates' zero lists
-    (see _pairing).  `cache` holds the candidates of summands already
-    seen (see _part_candidates).  Every summand, a primitive segment, a
-    unimodular triangle or T0 (see decomp), has a candidate.  Returns
-    (zeros, section).
+    (see _pairing).  `cache`, a _ReportCache, holds the candidates of
+    summands already seen (see _part_candidates) and the accumulator.
+    Every summand, a primitive segment, a unimodular triangle or T0 (see
+    decomp), has a candidate.  Returns (zeros, section).
     """
     cand_lists, lists, sizes = zip(*(_part_candidates(p, field, cache) for p in dec.parts))
     exact = prod(len(lst) for lst in cand_lists) <= _PAIRING_CAP
-    picks, counts = _pairing(lists, sizes, (field.q - 1) ** 2, exact)
+    picks, counts = _pairing(lists, sizes, (field.q - 1) ** 2, exact, cache)
     # argmax keeps the first maximum in row order
     best = int(np.argmax(counts))
     best_count, best_pick = int(counts[best]), tuple(picks[best].tolist())
@@ -577,7 +704,7 @@ def certified_upper_bound(
     torus zeros exactly.  The result (q-1)^2 - zeros is unconditionally
     valid: the witness evaluates to a codeword of that weight.  A
     single catalog section on the whole polygon is kept as fallback.
-    Summands that recur across decompositions are searched once, and a
+    Summands are searched once per shape (see _part_candidates), and a
     decomposition whose factors' best zero counts add up to no more
     than the best section so far is passed over.
     Fields whose torus exceeds _TORUS_CAP points raise TooLarge.
@@ -586,7 +713,7 @@ def certified_upper_bound(
     _check_torus_size(q)
     base = max_zero_section(P, F)
     best_zeros, best_section = base.zeros, base.section
-    cache: dict = {}
+    cache = _ReportCache()
     most: dict = {}
     for dec in decs:
         # a product vanishes exactly where some factor does, so it has at

