@@ -240,6 +240,30 @@ def _max_zero_exhaustive(poly, field, cap=None):
     first `cap` maximizing sections in that order and their zeros, each
     an ascending array of torus indices.  The polygon stays where it lies; a point
     has its one section, which vanishes nowhere.
+
+    With cap 1, each lead scans one coefficient prefix per torus orbit
+    on rows lead+1 and lead+2 where they precede the last row.  The
+    torus point (g^s, g^t), with the scalar that keeps the lead at 1,
+    adds s*a + t*b to the log of the coefficient at p_lead + (a, b) and
+    permutes the zeros, so an orbit shares its lead and its count.  The
+    first maximizer is then the least member of its orbit, and the
+    restricted scan keeps it if it keeps every orbit's least member.
+    Lexicographic half-planes are convex, so a lattice point on the
+    segment or triangle that consecutive lattice points span lies in
+    the polygon between them in lexicographic order: consecutive points
+    differ by a primitive vector, and three span an empty triangle.  So
+    row lead+1 takes every log, and its nonzero values form one orbit,
+    least at the code 1.  When it is 0, row lead+2's image is the
+    subgroup of index gcd(p_lead+2 - p_lead, q-1).  When it is 1, the
+    torus points that keep it are the multiples of a vector orthogonal
+    to the primitive p_lead+1 - p_lead mod q-1, whose image on row lead+2 has index
+    gcd(det(p_lead+1 - p_lead, p_lead+2 - p_lead), q-1); the det is +-1,
+    or 0 on a collinear triple, index q-1 with every value alone.  The
+    least member holds 0 or the least code of its coset (see
+    _orbit_prefixes).  The suffix table's columns then cover only the
+    rows after those two, in one block per kept prefix, in order, so the
+    count, the first maximizer and its zeros are the full scan's.
+    Larger caps scan every prefix.
     """
     q, qm = field.q, field.q - 1
     pts = [tuple(p) for p in poly.lattice_points()]
@@ -253,7 +277,16 @@ def _max_zero_exhaustive(poly, field, cap=None):
     table = _build_suffix_table(field, logs[: k - 1], k - 2)
     best, sections, zeros = -1, [], []
     for lead in range(k - 1):
-        words = field.add_np(table[:, : q ** (k - 2 - lead)], field.exp_np[logs[lead]][:, None])
+        free = k - 2 - lead
+        fixed = min(2, free) if cap == 1 else 0
+        width = q ** (free - fixed)
+        cols = table[:, : q**free]
+        prefixes = [0]
+        if fixed:
+            # column block b holds prefix b on the fixed rows, the first the higher digit
+            prefixes = _orbit_prefixes(field, pts[lead : lead + fixed + 1])
+            cols = cols.reshape(len(cols), -1, width)[:, prefixes].reshape(len(cols), -1)
+        words = field.add_np(cols, field.exp_np[logs[lead]][:, None])
         bins = np.where(words == 0, qm, (field.log_np[words] + shift) % qm)
         counts = np.bincount(
             (bins + np.arange(bins.shape[1]) * q).ravel(), minlength=bins.shape[1] * q
@@ -268,19 +301,47 @@ def _max_zero_exhaustive(poly, field, cap=None):
         column = None
         # index = column * q + c, so a column's winners are consecutive
         for index in np.flatnonzero(counts == top)[:room].tolist():
-            if index // q != column:
-                column = index // q
+            at, c = divmod(index, q)
+            if at != column:
+                column = at
                 codes = bins[:, column].astype(np.uint16)
                 order = np.argsort(codes, kind="stable")
                 edges = np.concatenate(([0], np.bincount(codes, minlength=q).cumsum()))
-            code = by_code[index % q]
+            code = by_code[c]
             zeros.append(order[edges[code] : edges[code + 1]])
+            block, offset = divmod(at, width)
+            index = (prefixes[block] * width + offset) * q + c
             msg = [0] * k
             msg[lead] = 1
             for pos in range(k - 1, lead, -1):
                 index, msg[pos] = divmod(index, q)
             sections.append(SectionPoly({p: v for p, v in zip(pts, msg) if v}))
     return best, sections, zeros
+
+
+def _orbit_prefixes(field, pts):
+    """Least member of each torus orbit of prefixes on the rows after a lead, as block numbers.
+
+    pts are the lead's point and the one or two points after it.  The
+    first row takes 0 and 1; the second, after each, takes 0 and the
+    least code of each coset of the subgroup of index g (see
+    _max_zero_exhaustive), cosets of logs mod g.  Prefix (c1, c2) is
+    block c1*q + c2, so the blocks come in lexicographic order.
+    """
+    if len(pts) == 2:
+        return [0, 1]
+    q = field.q
+    (x0, y0), (x1, y1), (x2, y2) = pts
+    out = []
+    for c1, g in (
+        (0, gcd(x2 - x0, y2 - y0, q - 1)),
+        (1, gcd((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0), q - 1)),
+    ):
+        least = {}
+        for c in range(1, q):
+            least.setdefault(field.log_table[c] % g, c)
+        out += [c1 * q + c for c in [0, *sorted(least.values())]]
+    return out
 
 
 class _CatalogEntry(NamedTuple):
@@ -485,18 +546,33 @@ def _moved_candidates(pts, frame, found, new_pts, new_frame, qm):
     sum c_i x^(p_i) at A^T (i, j), so its zeros are those of the first
     section moved by (i, j) -> A^-T (i, j) mod q-1, a permutation of the
     torus.  Each section keeps its coefficients, placed on the new
-    points, and each zero list is moved and sorted again; the padding
-    index (q-1)^2 stays last.
+    points when it is read (see _Placed), and each zero list is moved
+    and sorted again; the padding index (q-1)^2 stays last.
     """
     sections, zeros, sizes = found
     (a, b), (c, d) = _torus_map(frame, new_frame)
-    onto = dict(zip(pts, new_pts))
-    sections = [SectionPoly({onto[p]: v for p, v in s.terms.items()}) for s in sections]
     i, j = np.divmod(zeros, qm)
     moved = (a * i + b * j) % qm * qm + (c * i + d * j) % qm
     moved[zeros == qm * qm] = qm * qm
     moved.sort(axis=1)
-    return sections, moved, sizes
+    return _Placed(sections, dict(zip(pts, new_pts))), moved, sizes
+
+
+class _Placed:
+    """Candidate sections of one summand, each placed on another's points when read.
+
+    A product search multiplies one candidate per summand, so only the
+    picks are ever built.
+    """
+
+    def __init__(self, sections, onto):
+        self.sections, self.onto = sections, onto
+
+    def __len__(self):
+        return len(self.sections)
+
+    def __getitem__(self, i):
+        return SectionPoly({self.onto[p]: v for p, v in self.sections[i].terms.items()})
 
 
 class _ReportCache:

@@ -1,7 +1,7 @@
 """Exact integer geometry for convex lattice polygons.
 
-Everything here is exact: hulls and point counts use integer or
-Fraction arithmetic, never floats.  Polygons may degenerate to a
+Everything here is exact: hulls, point counts and point lists use
+integer arithmetic, never floats.  Polygons may degenerate to a
 segment or a single point; those cases stay representable because
 Minkowski summands are often segments.
 """
@@ -9,8 +9,6 @@ Minkowski summands are often segments.
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 from math import gcd
 
 from .errors import (
@@ -157,6 +155,13 @@ class LatticePolygon:
         return pts
 
     def _scanline(self):
+        """Lattice points column by column, each column's bounds in exact integers.
+
+        A non-vertical edge from (ax, ay) to (bx, by) meets column x at
+        height ay + (x - ax)(by - ay)/(bx - ax), and a vertical edge on
+        the column at both ends; the column's points run from the least
+        ceiling of those heights to the greatest floor.
+        """
         vs = self.vertices
         n = len(vs)
         xmin = min(x for x, _ in vs)
@@ -169,17 +174,19 @@ class LatticePolygon:
                 if ax == bx:
                     if ax != x:
                         continue
-                    ys = (Fraction(ay), Fraction(by))
+                    bottom, top = min(ay, by), max(ay, by)
                 else:
                     if not (min(ax, bx) <= x <= max(ax, bx)):
                         continue
-                    ys = (ay + Fraction((x - ax) * (by - ay), bx - ax),)
-                for y in ys:
-                    lo = y if lo is None or y < lo else lo
-                    hi = y if hi is None or y > hi else hi
+                    num, den = (x - ax) * (by - ay), bx - ax
+                    if den < 0:
+                        num, den = -num, -den
+                    bottom, top = ay - (-num // den), ay + num // den
+                lo = bottom if lo is None or bottom < lo else lo
+                hi = top if hi is None or top > hi else hi
             if lo is None:
                 raise InvariantViolation(f"scanline x = {x} misses the polygon")
-            pts.extend((x, y) for y in range(math.ceil(lo), math.floor(hi) + 1))
+            pts.extend((x, y) for y in range(lo, hi + 1))
         return pts
 
     # -- transforms ----------------------------------------------------------

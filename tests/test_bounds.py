@@ -2,7 +2,7 @@ import functools
 import itertools
 import json
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -617,6 +617,130 @@ def test_winner_zero_lists_match_a_scan_per_winner(q):
             assert got.dtype == want.dtype and np.array_equal(got, want), (poly.vertices, s)
 
 
+# -- the first maximizer from one prefix per torus orbit ------------------------
+
+RESTRICTED_QS = [3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 25, 27, 32]
+
+
+def orbit_prefixes_oracle(field, pts):
+    """Least prefix of each orbit of the torus on the rows after pts[0], by closure.
+
+    The torus point (g^s, g^t) multiplies the coefficient at pts[0] + (a, b)
+    by g^(s*a + t*b); prefixes are visited in lexicographic order, so the
+    first one not yet reached is the least of its orbit.
+    """
+    q, qm = field.q, field.q - 1
+    steps = [(x - pts[0][0], y - pts[0][1]) for x, y in pts[1:]]
+
+    def act(prefix, s, t):
+        return tuple(
+            0 if c == 0 else field.exp_table[(field.log_table[c] + s * a + t * b) % qm]
+            for c, (a, b) in zip(prefix, steps)
+        )
+
+    reached, least = set(), []
+    for prefix in itertools.product(range(q), repeat=len(steps)):
+        if prefix in reached:
+            continue
+        least.append(sum(c * q**i for i, c in enumerate(reversed(prefix))))
+        todo = [prefix]
+        reached.add(prefix)
+        while todo:
+            here = todo.pop()
+            for there in (act(here, 1, 0), act(here, 0, 1)):
+                if there not in reached:
+                    reached.add(there)
+                    todo.append(there)
+    return least
+
+
+# (lead, next, the one after): a collinear triple (det 0, row lead+2
+# unrestricted after a 1), a step of (0, 2) (index 2 at odd q), det 2
+# and det 3, and a triple whose steps and det are prime to every q-1
+ORBIT_TRIPLES = [
+    [(0, 0), (1, 0), (2, 0)],
+    [(0, 0), (0, 1), (0, 2)],
+    [(0, 0), (1, -1), (2, 0)],
+    [(0, 0), (1, 0), (2, 3)],
+    [(0, 0), (1, 0), (1, 1)],
+]
+
+
+@pytest.mark.parametrize("q", RESTRICTED_QS)
+def test_orbit_prefixes_are_the_least_of_each_torus_orbit(q):
+    field = field_from_order(q)
+    assert bounds_module._orbit_prefixes(field, [(0, 0), (1, 0)]) == [0, 1]
+    assert bounds_module._orbit_prefixes(field, [(3, 1), (4, 3)]) == [0, 1]
+    for pts in ORBIT_TRIPLES:
+        assert bounds_module._orbit_prefixes(field, pts) == orbit_prefixes_oracle(field, pts), pts
+    # after a 1 on the first row, the collinear triple keeps every value
+    assert bounds_module._orbit_prefixes(field, ORBIT_TRIPLES[0])[-q:] == list(range(q, 2 * q))
+
+
+@functools.cache
+def _small_classes():
+    """One polygon per class in [0,3]^2 up to unimodular equivalence, segments included."""
+    forms = {}
+    for key in sorted(classes_in_box(3)):
+        poly = LatticePolygon(key)
+        forms.setdefault(normal_form(poly)[0], poly)
+    return list(forms.values())
+
+
+def _restricted_kinds(pts, q):
+    """Which restrictions the leads of pts exercise, with the dets of their triples.
+
+    Three consecutive lattice points span a triangle whose lattice
+    points all lie between them in lexicographic order, so it is empty:
+    the det is 0 or +-1, and a step of index above 1 is a collinear one.
+    """
+    kinds, dets = set(), set()
+    for p0, p1, p2 in zip(pts, pts[1:], pts[2:-1]):
+        det = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p1[1] - p0[1]) * (p2[0] - p0[0])
+        dets.add(det)
+        if det == 0:
+            kinds.add("collinear")
+        if gcd(p2[0] - p0[0], p2[1] - p0[1], q - 1) > 1:
+            kinds.add("step")
+    return kinds, dets
+
+
+@pytest.mark.parametrize("q", RESTRICTED_QS)
+def test_first_maximizer_matches_the_full_scan(q):
+    # every class in [0,3]^2 and two seeded unimodular images of each, where
+    # the search is exhaustive; the images change which points follow a lead.
+    # Named: a column of four points (collinear leads, steps (0, 2)) and a
+    # triangle with a collinear bottom row
+    field = field_from_order(q)
+    rng = random.Random(2200 + q)
+    polys = [HEX9, P54, Q1]
+    polys += [LatticePolygon([(0, 0), (0, 3)]), LatticePolygon([(0, 0), (3, 0), (0, 1)])]
+    for poly in _small_classes():
+        polys += [poly] + [apply_map(poly, random_unimodular(rng)) for _ in range(2)]
+    searched, oracled, kinds = 0, 0, set()
+    for poly in polys:
+        poly = _boxed(poly, q)
+        if poly is None or not bounds_module._exhaustive(poly, q):
+            continue
+        best, sections, zeros = _max_zero_exhaustive(poly, field, cap=1)
+        want_best, want_sections, want_zeros = _max_zero_exhaustive(poly, field)
+        assert best == want_best and sections == want_sections[:1], (poly.vertices, q)
+        assert np.array_equal(zeros[0], want_zeros[0]), (poly.vertices, q)
+        pts = poly.lattice_points()
+        if q ** len(pts) <= 1024:
+            assert (best, sections) == max_zero_oracle(poly, field, cap=1), (poly.vertices, q)
+            oracled += 1
+        searched += 1
+        more, dets = _restricted_kinds(pts, q)
+        assert dets <= {-1, 0, 1}, poly.vertices
+        kinds |= more
+    assert searched > 0 and oracled > 0
+    # a collinear lead triple needs four points at least two apart, which
+    # fit from F4; row lead+2 after 0 has cosets of index 2 at odd q
+    if q >= 4 and q**4 <= bounds_module.DEFAULT_SECTION_BUDGET:
+        assert kinds == ({"collinear", "step"} if q % 2 else {"collinear"}), kinds
+
+
 # -- the section search against field-arithmetic oracles -----------------------
 #
 # The routines the exponent-domain search replaced: evaluation by
@@ -1070,7 +1194,7 @@ def _check_shared_candidates(parts, field):
         shapes = len(cache.shapes)
         sections, zeros, sizes = _part_candidates(part, field, cache)
         want_sections, want_zeros, want_sizes = _max_zero_candidates(part, field)
-        assert sections == want_sections, part.vertices
+        assert list(sections) == want_sections, part.vertices
         assert np.array_equal(zeros, want_zeros) and np.array_equal(sizes, want_sizes)
         assert _part_candidates(part, field, cache)[1] is zeros
         moved += len(cache.shapes) == shapes
@@ -1080,11 +1204,7 @@ def _check_shared_candidates(parts, field):
 @functools.cache
 def _class_decompositions():
     """Each class in [0,3]^2 up to unimodular equivalence, with its maximal decompositions."""
-    forms = {}
-    for key in sorted(classes_in_box(3)):
-        poly = LatticePolygon(key)
-        forms.setdefault(normal_form(poly)[0], poly)
-    return [(poly, best_subpolygon_decomposition(poly)) for poly in forms.values()]
+    return [(poly, best_subpolygon_decomposition(poly)) for poly in _small_classes()]
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])

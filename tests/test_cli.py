@@ -853,3 +853,18 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     validate("info", payload)
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    # fractions imports decimal, together a few ms of every cold start
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, toricode.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

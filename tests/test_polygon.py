@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -318,6 +320,43 @@ def test_property_point_count_matches_brute_force():
         ]
         assert sorted(box) == p.lattice_points()
         assert len(box) == p.num_lattice_points
+
+
+def scanline_oracle(vertices):
+    """Lattice points column by column from Fraction heights, the routine
+    the integer scanline replaced."""
+    n = len(vertices)
+    pts = []
+    for x in range(min(x for x, _ in vertices), max(x for x, _ in vertices) + 1):
+        lo = hi = None
+        for i in range(n):
+            (ax, ay), (bx, by) = vertices[i], vertices[(i + 1) % n]
+            if ax == bx:
+                if ax != x:
+                    continue
+                ys = (Fraction(ay), Fraction(by))
+            else:
+                if not (min(ax, bx) <= x <= max(ax, bx)):
+                    continue
+                ys = (ay + Fraction((x - ax) * (by - ay), bx - ax),)
+            for y in ys:
+                lo = y if lo is None or y < lo else lo
+                hi = y if hi is None or y > hi else hi
+        pts.extend((x, y) for y in range(math.ceil(lo), math.floor(hi) + 1))
+    return pts
+
+
+def test_property_scanline_matches_the_fraction_scanline():
+    # random polygons with negative coordinates and their unimodular images,
+    # whose thin slanted columns miss lattice points between edges
+    rng = random.Random(1007)
+    polys = [HEX9, P54, Q1, T_1_4_4_1, LatticePolygon([(0, 0), (3, 1), (3, 2)])]
+    while len(polys) < 300:
+        p = _random_polygon(rng, span=6, npts=rng.randint(3, 7)).translate(-3, -2)
+        if p.dim == 2:
+            polys += [p, apply_map(p, random_unimodular(rng))]
+    for p in polys:
+        assert p._scanline() == scanline_oracle(p.vertices), p.vertices
 
 
 def test_property_minkowski_counts_and_edges():
