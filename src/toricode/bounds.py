@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from typing import NamedTuple, Optional, Sequence
@@ -227,7 +228,8 @@ def _max_zero_exhaustive(poly, field, cap=None):
     serves every lead: its first q^(k-2-lead) columns run through the
     rows strictly between the lead and the last row r, the row before r
     fastest, which is that order, and a lead's words are its row plus
-    each of those columns.  Lead k-1, r alone, vanishes nowhere while
+    each of those columns, set side by side with the other leads' in
+    scan order for one count.  Lead k-1, r alone, vanishes nowhere while
     lead 0 has a binomial with a zero, so it is never searched.  The
     last coefficient c is resolved per point: w + c*r = 0 iff w = c = 0,
     or c != 0 with log c = log(-w) - log r mod q-1, since r never
@@ -262,8 +264,9 @@ def _max_zero_exhaustive(poly, field, cap=None):
     least member holds 0 or the least code of its coset (see
     _orbit_prefixes).  The suffix table's columns then cover only the
     rows after those two, in one block per kept prefix, in order, so the
-    count, the first maximizer and its zeros are the full scan's.
-    Larger caps scan every prefix.
+    count, the first maximizer and its zeros are the full scan's.  The
+    table's row 1 is lead 0's next row and 0 for every other lead, so
+    only its values 0 and 1 are built.  Larger caps scan every prefix.
     """
     q, qm = field.q, field.q - 1
     pts = [tuple(p) for p in poly.lattice_points()]
@@ -274,8 +277,11 @@ def _max_zero_exhaustive(poly, field, cap=None):
     shift = (field.log_table[field.neg(1)] - logs[-1])[:, None]
     # bincount columns are in log order with c = 0 last; reorder to coefficient codes
     by_code = [qm] + field.log_table[1:]
-    table = _build_suffix_table(field, logs[: k - 1], k - 2)
-    best, sections, zeros = -1, [], []
+    table = _build_suffix_table(field, logs[: k - 1], k - 2 - (cap == 1 and k > 2))
+    if cap == 1 and k > 2:
+        # row 1 takes 0 and 1 only: the full table's first 2q^(k-3) columns
+        table = np.concatenate((table, field.add_np(table, field.exp_np[logs[1]][:, None])), axis=1)
+    words, starts, spans = [], [0], []
     for lead in range(k - 1):
         free = k - 2 - lead
         fixed = min(2, free) if cap == 1 else 0
@@ -286,36 +292,36 @@ def _max_zero_exhaustive(poly, field, cap=None):
             # column block b holds prefix b on the fixed rows, the first the higher digit
             prefixes = _orbit_prefixes(field, pts[lead : lead + fixed + 1])
             cols = cols.reshape(len(cols), -1, width)[:, prefixes].reshape(len(cols), -1)
-        words = field.add_np(cols, field.exp_np[logs[lead]][:, None])
-        bins = np.where(words == 0, qm, (field.log_np[words] + shift) % qm)
-        counts = np.bincount(
-            (bins + np.arange(bins.shape[1]) * q).ravel(), minlength=bins.shape[1] * q
-        )
-        counts = counts.reshape(-1, q)[:, by_code].ravel()
-        top = int(counts.max())
-        if top < best:
-            continue
-        if top > best:
-            best, sections, zeros = top, [], []
-        room = None if cap is None else cap - len(sections)
-        column = None
-        # index = column * q + c, so a column's winners are consecutive
-        for index in np.flatnonzero(counts == top)[:room].tolist():
-            at, c = divmod(index, q)
-            if at != column:
-                column = at
-                codes = bins[:, column].astype(np.uint16)
-                order = np.argsort(codes, kind="stable")
-                edges = np.concatenate(([0], np.bincount(codes, minlength=q).cumsum()))
-            code = by_code[c]
-            zeros.append(order[edges[code] : edges[code + 1]])
-            block, offset = divmod(at, width)
-            index = (prefixes[block] * width + offset) * q + c
-            msg = [0] * k
-            msg[lead] = 1
-            for pos in range(k - 1, lead, -1):
-                index, msg[pos] = divmod(index, q)
-            sections.append(SectionPoly({p: v for p, v in zip(pts, msg) if v}))
+        words.append(field.add_np(cols, field.exp_np[logs[lead]][:, None]))
+        starts.append(starts[-1] + cols.shape[1])
+        spans.append((prefixes, width))
+    words = np.concatenate(words, axis=1)
+    bins = np.where(words == 0, qm, (field.log_np[words] + shift) % qm)
+    total = starts[-1]
+    counts = np.bincount((bins + np.arange(total) * q).ravel(), minlength=total * q)
+    counts = counts.reshape(-1, q)[:, by_code].ravel()
+    best = int(counts.max())
+    sections, zeros = [], []
+    column = None
+    # index = column * q + c, so a column's winners are consecutive
+    for index in np.flatnonzero(counts == best)[:cap].tolist():
+        at, c = divmod(index, q)
+        if at != column:
+            column = at
+            codes = bins[:, column].astype(np.uint16)
+            order = np.argsort(codes, kind="stable")
+            edges = np.concatenate(([0], np.bincount(codes, minlength=q).cumsum()))
+        code = by_code[c]
+        zeros.append(order[edges[code] : edges[code + 1]])
+        lead = bisect_right(starts, at) - 1
+        prefixes, width = spans[lead]
+        block, offset = divmod(at - starts[lead], width)
+        index = (prefixes[block] * width + offset) * q + c
+        msg = [0] * k
+        msg[lead] = 1
+        for pos in range(k - 1, lead, -1):
+            index, msg[pos] = divmod(index, q)
+        sections.append(SectionPoly({p: v for p, v in zip(pts, msg) if v}))
     return best, sections, zeros
 
 
