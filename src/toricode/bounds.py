@@ -258,15 +258,16 @@ def _max_zero_exhaustive(poly, field, cap=None):
     least at the code 1.  When it is 0, row lead+2's image is the
     subgroup of index gcd(p_lead+2 - p_lead, q-1).  When it is 1, the
     torus points that keep it are the multiples of a vector orthogonal
-    to the primitive p_lead+1 - p_lead mod q-1, whose image on row lead+2 has index
-    gcd(det(p_lead+1 - p_lead, p_lead+2 - p_lead), q-1); the det is +-1,
-    or 0 on a collinear triple, index q-1 with every value alone.  The
-    least member holds 0 or the least code of its coset (see
-    _orbit_prefixes).  The suffix table's columns then cover only the
-    rows after those two, in one block per kept prefix, in order, so the
-    count, the first maximizer and its zeros are the full scan's.  The
-    table's row 1 is lead 0's next row and 0 for every other lead, so
-    only its values 0 and 1 are built.  Larger caps scan every prefix.
+    to the primitive p_lead+1 - p_lead mod q-1, whose image on row
+    lead+2 has index gcd(det(p_lead+1 - p_lead, p_lead+2 - p_lead), q-1);
+    the det is +-1, or 0 on a collinear triple, index q-1 with every
+    value alone.  The least member holds 0 or the least code of its
+    coset (see _orbit_prefixes).  The suffix table's columns then cover
+    only the rows after those two, in one block per kept prefix, in
+    order, so the count, the first maximizer and its zeros are the full
+    scan's.  The table's row 1 is lead 0's next row and 0 for every
+    other lead, so only its values 0 and 1 are built.  Larger caps scan
+    every prefix.
     """
     q, qm = field.q, field.q - 1
     pts = [tuple(p) for p in poly.lattice_points()]
