@@ -52,10 +52,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import math
-import multiprocessing
 import os
 import tempfile
 import time
@@ -581,6 +579,8 @@ def _worker_run(args):
 
 
 def _checkpoint_key(code: ToricCode, plan: SearchPlan) -> str:
+    import hashlib  # only a checkpointed search needs it, so cold starts skip it
+
     payload = json.dumps(
         {
             "q": code.field.q,
@@ -668,7 +668,7 @@ def _enumerate(code, threads, deadline_s, checkpoint, want_hist):
     n = code.n
     _check_checkpoint_path(checkpoint)
     plan = search_plan(code)
-    key = _checkpoint_key(code, plan)
+    key = _checkpoint_key(code, plan) if checkpoint else None
     out = _load_checkpoint(checkpoint, key, plan, n) or _Outcome(
         np.zeros(n + 1, dtype=np.int64) if want_hist else 0, 0, 0, True, set()
     )
@@ -703,6 +703,8 @@ def _enumerate(code, threads, deadline_s, checkpoint, want_hist):
                 break
             absorb(task, *ctx.run_task(task, deadline, want_hist))
     else:
+        import multiprocessing  # only a pooled search needs it, so cold starts skip it
+
         with multiprocessing.Pool(workers, _worker_init, ctx_args) as pool:
             jobs = [(t, deadline, want_hist) for t in pending]
             for task, *outcome in pool.imap_unordered(_worker_run, jobs):

@@ -54,10 +54,6 @@ from .polygon import LatticePolygon, _run_directions, minkowski_sum
 
 DEFAULT_BUDGET = 200_000
 
-# every L = 1 shape contains a primitive segment u, whose widths along
-# these functionals sum to |u1| + |u2| + |u1 + u2| + |u1 - u2| >= 3
-_WIDTH_FUNCTIONALS = ((1, 0), (0, 1), (1, 1), (1, -1))
-
 
 class _Budget:
     __slots__ = ("left",)
@@ -69,14 +65,6 @@ class _Budget:
         self.left -= k
         if self.left < 0:
             raise BudgetExceeded("search budget exhausted")
-
-
-def _parts_key(parts):
-    return tuple(p.vertices for p in parts)
-
-
-def _sort_parts(parts):
-    return tuple(sorted(parts, key=lambda p: (p.num_lattice_points, p.vertices)))
 
 
 @dataclass(frozen=True)
@@ -98,42 +86,31 @@ class MinkowskiDecomposition:
         return len(self.parts)
 
 
-def _make_decomposition(parent, placed_sub, parts):
-    """The decomposition of placed_sub, the sum of `parts`, as it sits in parent."""
-    x0, y0, _, _ = placed_sub.bounding_box()
-    if not all(parent.contains(v) for v in placed_sub.vertices):
-        raise InvariantViolation("subpolygon leaves the parent polygon")
-    parts = _sort_parts(p.translate_to_origin() for p in parts)
-    return MinkowskiDecomposition(parent, placed_sub.translate_to_origin(), (x0, y0), parts)
-
-
 class _Grid:
     """The polygon's lattice points as the set bits of one integer.
 
-    Point (x, y) is bit (x - x0) * stride + (y - y0).  The stride leaves
-    `height` empty rows above each column, so subtracting a vector whose
-    y is at most the height in absolute value, as every vector of a
-    shape drawn on the polygon's directions is, never carries a point
-    into a neighbouring column.
+    Point (x, y) is bit (x - x0) * stride + (y - y0) for a polygon of
+    width w and height h.  The stride s = h + max(h, w) + 2 leaves more
+    than h empty rows above each column, so subtracting a vector whose
+    y is at most h in absolute value, as every vector of a shape drawn
+    on the polygon's directions is, never carries a point into a
+    neighbouring column.  `room` needs s > h + w + 1.
     """
 
     def __init__(self, poly):
-        x0, y0, _, y1 = poly.bounding_box()
-        self.origin = x0, y0
-        self.stride = 2 * (y1 - y0) + 1
+        x0, y0, x1, y1 = poly.bounding_box()
+        w, h = x1 - x0, y1 - y0
+        self.origin, self.height = (x0, y0), h
+        self.stride = s = h + max(h, w) + 2
         self.points = self._mask(poly.lattice_points())
-        # cuts[f][c]: the points whose value of f is below its least value + c
-        self.cuts = []
-        for a, b in _WIDTH_FUNCTIONALS:
-            levels = {}
-            for x, y in poly.lattice_points():
-                levels.setdefault(a * x + b * y, []).append((x, y))
-            lo, hi = min(levels), max(levels)
-            cut, acc = [0], 0
-            for c in range(lo, hi + 1):
-                acc |= self._mask(levels.get(c, ()))
-                cut.append(acc)
-            self.cuts.append(cut)
+        self.column, self.top = (1 << s) - 1, w * s
+        # shifts by k = 1, 2, 4, ... columns that together fold every
+        # column onto one, k up to w
+        self.folds = []
+        k = 1
+        while k <= w:
+            self.folds.append((k * s, k * (s - 1), k * (s + 1)))
+            k *= 2
 
     def _mask(self, pts):
         (x0, y0), s = self.origin, self.stride
@@ -149,19 +126,47 @@ class _Grid:
         x, y = divmod(t.bit_length() - 1, self.stride)
         return self.origin[0] + x, self.origin[1] + y
 
+    def holds(self, pts):
+        """Whether every point is a lattice point of the polygon."""
+        (x0, y0), s = self.origin, self.stride
+        return all(
+            x >= x0 and 0 <= y - y0 <= self.height and self.points >> ((x - x0) * s + y - y0) & 1
+            for x, y in pts
+        )
+
     def room(self, t):
         """How many more L = 1 shapes a sum with positions T can take, at most.
 
         If S + R fits at t, every vertex r of R has t + r in T, so R's
-        width along each functional is at most T's.  Widths add over the
-        shapes of R, and each shape's widths sum to at least 3.
+        width along each of x, y, x + y and x - y is at most T's.
+        Widths add over the shapes of R, and each shape's four widths
+        sum to at least 3: it contains a primitive segment u, whose
+        widths are |u1|, |u2|, |u1 + u2| and |u1 - u2|.
+
+        T's least and greatest x are the columns of its lowest and
+        highest bits.  The other values are gathered on one column by
+        shifts of 1, 2, 4, ... columns: right by s keeps y, which
+        gathers the y values on column 0; right by s - 1 a column moves
+        (x, y) to (x - 1, y + 1), which gathers x + y on column 0; left
+        by s + 1 moves it to (x + 1, y + 1), which gathers y - x + w on
+        column w.  Each gathered value lies in [0, h + w], below the
+        stride.  A point shifted past column 0 falls below bit 0, except
+        one shifted a column too far, which would carry back into
+        column 0 only at x + y + 1 >= s; a point shifted past column w
+        stays above it.
         """
-        total = 0
-        for cut in self.cuts:
-            levels = range(len(cut))
-            first = bisect_left(levels, True, key=lambda c: t & cut[c] != 0)
-            last = bisect_left(levels, True, key=lambda c: t & cut[c] == t)
-            total += last - first
+        s, cut = self.stride, self.column
+        ys = diag = anti = t
+        for by_y, by_diag, by_anti in self.folds:
+            ys |= ys >> by_y
+            diag |= diag >> by_diag
+            anti |= anti << by_anti
+        ys &= cut
+        diag &= cut
+        anti = anti >> self.top & cut
+        total = (t.bit_length() - 1) // s - ((t & -t).bit_length() - 1) // s
+        for f in (ys, diag, anti):
+            total += f.bit_length() - (f & -f).bit_length()
         return total // 3
 
 
@@ -189,11 +194,17 @@ def _shapes(poly, bud):
 def _largest_multisets(shapes, grid, bud):
     """Every largest multiset of shapes that fits, with its positions.
 
-    Returns the size and a list of (shape indices, position set) pairs.
+    Returns the size and a list of (shape indices, position set) pairs,
+    in depth-first order.  A node's position set T fixes its room and
+    the shapes that fit at it, so both are computed once per distinct
+    T.  A shape that fits at T fits at every superset of T, so the
+    shapes that fit at a child are found among those that fit at its
+    parent, and a node adds those not below the last shape it added.
     """
     best, found = 0, []
+    rooms, fits = {}, {}
 
-    def visit(chosen, t, options):
+    def visit(chosen, t, last, options):
         nonlocal best, found
         bud.tick()
         depth = len(chosen)
@@ -201,23 +212,63 @@ def _largest_multisets(shapes, grid, bud):
             best, found = depth, []
         if depth == best:
             found.append((chosen, t))
-        if depth + grid.room(t) < best:
+        room = rooms.get(t)
+        if room is None:
+            room = rooms[t] = grid.room(t)
+        if depth + room < best:
             return
-        kids = []
-        for i, shifts in options:
-            nt = t
-            for k in shifts:
-                nt &= t >> k
-            if nt:
-                kids.append((i, shifts, nt))
-        # a shape that no longer fits never fits again further down
-        options = [(i, shifts) for i, shifts, _ in kids]
-        for j, (i, _, nt) in enumerate(kids):
-            visit(chosen + (i,), nt, options[j:])
+        kids = fits.get(t)
+        if kids is None:
+            entries = [(i, a, b, nt) for i, a, b, _ in options if (nt := t & t >> a & t >> b)]
+            kids = fits[t] = [i for i, _, _, _ in entries], entries
+        indices, entries = kids
+        for i, _, _, nt in entries[bisect_left(indices, last) :]:
+            visit(chosen + (i,), nt, i, entries)
 
-    shifts = [tuple(grid.shift(v) for v in verts[1:]) for verts in shapes]
-    visit((), grid.points, list(enumerate(shifts)))
+    # the shifts of a shape's other vertices; a segment's last is its second
+    shifts = [(i, grid.shift(v[1]), grid.shift(v[-1]), 0) for i, v in enumerate(shapes)]
+    visit((), grid.points, 0, shifts)
     return best, found
+
+
+def _decompositions(poly, shapes, grid, found):
+    """The decompositions of the found multisets, sorted by their parts.
+
+    Consecutive multisets share prefixes, and each prefix's sum is
+    built once.  Shapes have their lex-min vertex at the origin, so
+    each sum has too, and it goes to the one point of its positions.
+    """
+    polys, parts, keys = {}, {}, {}
+    for i in {i for chosen, _ in found for i in chosen}:
+        polys[i] = LatticePolygon(shapes[i])
+        part = parts[i] = polys[i].translate_to_origin()
+        # #(part): 2 on a segment, 3 on a unimodular triangle, 4 on T0
+        (ax, ay), (bx, by) = shapes[i][1], shapes[i][-1]
+        keys[i] = len(shapes[i]) + (abs(ax * by - ay * bx) == 3), part.vertices
+    decs = []
+    # sums[d]: the sum of the first d + 1 shapes of the last multiset
+    sums, last = [], ()
+    for chosen, t in found:
+        d = 0
+        while d < len(last) and chosen[d] == last[d]:
+            d += 1
+        del sums[d:]
+        for i in chosen[d:]:
+            sums.append(minkowski_sum(sums[-1], polys[i]) if sums else polys[i])
+        last, total = chosen, sums[-1]
+        px, py = grid.point(t)
+        if not grid.holds((x + px, y + py) for x, y in total.vertices):
+            raise InvariantViolation("subpolygon leaves the parent polygon")
+        x0, y0, _, _ = total.bounding_box()
+        order = sorted(chosen, key=keys.__getitem__)
+        decs.append((
+            tuple(parts[i].vertices for i in order),
+            MinkowskiDecomposition(
+                poly, total.translate(-x0, -y0), (px + x0, py + y0), tuple(parts[i] for i in order)
+            ),
+        ))
+    decs.sort(key=lambda kd: kd[0])
+    return tuple(dec for _, dec in decs)
 
 
 @dataclass(frozen=True)
@@ -253,18 +304,7 @@ def subpolygon_decomposition_search(
     shapes = _shapes(poly, bud)
     grid = _Grid(poly)
     best, found = _largest_multisets(shapes, grid, bud)
-    # each shape used, built once, with its bounding box at the origin
-    used = {i for chosen, _ in found for i in chosen}
-    polys = {i: LatticePolygon(shapes[i]).translate_to_origin() for i in used}
-    decs = []
-    for chosen, t in found:
-        parts = [polys[i] for i in chosen]
-        total = minkowski_sum(*parts)
-        # the sum's lex-min vertex, its first, goes to the one position
-        (lx, ly), (px, py) = total.vertices[0], grid.point(t)
-        decs.append(_make_decomposition(poly, total.translate(px - lx, py - ly), parts))
-    decs.sort(key=lambda d: _parts_key(d.parts))
-    return SubpolygonSearch(best, tuple(decs))
+    return SubpolygonSearch(best, _decompositions(poly, shapes, grid, found))
 
 
 def best_subpolygon_decomposition(

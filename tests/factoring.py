@@ -19,13 +19,29 @@ from math import gcd
 
 from toricode.decomp import (
     DEFAULT_BUDGET,
+    MinkowskiDecomposition,
     SubpolygonSearch,
     _Budget,
-    _make_decomposition,
-    _parts_key,
 )
 from toricode.errors import DegeneratePolygon, InvariantViolation
 from toricode.polygon import LatticePolygon, minkowski_sum
+
+
+def _parts_key(parts):
+    return tuple(p.vertices for p in parts)
+
+
+def _sort_parts(parts):
+    return tuple(sorted(parts, key=lambda p: (p.num_lattice_points, p.vertices)))
+
+
+def _make_decomposition(parent, placed_sub, parts):
+    """The decomposition of placed_sub, the sum of `parts`, as it sits in parent."""
+    x0, y0, _, _ = placed_sub.bounding_box()
+    if not all(parent.contains(v) for v in placed_sub.vertices):
+        raise InvariantViolation("subpolygon leaves the parent polygon")
+    parts = _sort_parts(p.translate_to_origin() for p in parts)
+    return MinkowskiDecomposition(parent, placed_sub.translate_to_origin(), (x0, y0), parts)
 
 
 def edge_multiset(poly):

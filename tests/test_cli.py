@@ -689,6 +689,13 @@ def test_decompose_budget_flag(capsys, tmp_path):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("budget, status", [(177, 3), (178, 0)])
+def test_decompose_budget_edge_on_the_hexagon(capsys, tmp_path, budget, status):
+    # the hexagon's search spends exactly 178 ticks
+    path = polygon_file(tmp_path, HEXAGON)
+    assert run(capsys, "decompose", "--polygon", path, "--budget", str(budget))[0] == status
+
+
 # -- reproduce ---------------------------------------------------------------------
 
 
@@ -855,16 +862,26 @@ def test_module_entry_point(tmp_path):
     validate("info", payload)
 
 
-def test_cli_import_loads_no_fractions_or_decimal():
-    # fractions imports decimal, together a few ms of every cold start
+def _loaded_by_cli_import(names):
+    """Which of the named modules a fresh `import toricode.cli` loads."""
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, toricode.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))",
+            f"import sys, toricode.cli; print(sorted({set(names)!r} & set(sys.modules)))",
         ],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    # fractions imports decimal, together a few ms of every cold start
+    assert _loaded_by_cli_import(["fractions", "decimal"]) == "[]"
+
+
+def test_cli_import_loads_no_multiprocessing_or_hashlib():
+    # code.py imports them only for a pooled search and a checkpoint key
+    assert _loaded_by_cli_import(["multiprocessing", "hashlib"]) == "[]"

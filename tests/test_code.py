@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import random
 import sys
 
@@ -336,7 +337,7 @@ def test_pool_size_is_capped_by_tasks_and_cpus(monkeypatch, threads, cpus, size)
     # the skew triangle over F8 has 20 tasks; no real process is started
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(_InlinePool, "initargs", [])
-    monkeypatch.setattr(code_module, "multiprocessing", type("mp", (), {"Pool": _InlinePool}))
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
     monkeypatch.setattr(code_module, "_WORKER_CTX", None)
     monkeypatch.setattr(code_module.os, "cpu_count", lambda: cpus)
     code = build_code(SKEW_TRIANGLE, field_from_order(8))
@@ -369,7 +370,7 @@ def test_pool_search_stops_its_pool_when_the_deadline_fires(monkeypatch):
     # over F16 has tasks left; no real process is started
     for name in ("sizes", "initargs", "ran", "terminated"):
         monkeypatch.setattr(_StoppablePool, name, [])
-    monkeypatch.setattr(code_module, "multiprocessing", type("mp", (), {"Pool": _StoppablePool}))
+    monkeypatch.setattr(multiprocessing, "Pool", _StoppablePool)
     monkeypatch.setattr(code_module, "_WORKER_CTX", None)
     monkeypatch.setattr(code_module.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(code_module, "time", _TickClock())

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import factoring
+import multiset_search
 import toricode.decomp as decomp_module
 from factoring import (
     factor_polygon,
@@ -11,7 +12,7 @@ from factoring import (
     maximal_decompositions,
     walk_search,
 )
-from lattice_maps import apply_map, classes_in_box
+from lattice_maps import apply_map, classes_in_box, random_unimodular
 from toricode.decomp import (
     DEFAULT_BUDGET,
     _Budget,
@@ -478,3 +479,97 @@ def test_listed_shapes_are_the_length_one_classes(small_box):
         p.vertices for p in small if p.num_lattice_points <= 4 and walk_search(p).length == 1
     }
     assert fitting == ones
+
+
+# -- the memoized search against the search with a room at every node -------------
+
+
+def _bit_points(t, stride, origin):
+    """The points of a position set at the given stride."""
+    out = []
+    while t:
+        low = t & -t
+        x, y = divmod(low.bit_length() - 1, stride)
+        out.append((origin[0] + x, origin[1] + y))
+        t ^= low
+    return frozenset(out)
+
+
+def _multisets(search, grid, poly, budget=DEFAULT_BUDGET):
+    """(best, [(chosen, points)]) and the ticks that search spent."""
+    bud = _Budget(budget)
+    shapes = decomp_module._shapes(poly, bud)
+    best, found = search(shapes, grid, bud)
+    points = [(chosen, _bit_points(t, grid.stride, grid.origin)) for chosen, t in found]
+    return (best, points), budget - bud.left
+
+
+def _assert_same_as_node_search(poly):
+    got = _multisets(decomp_module._largest_multisets, decomp_module._Grid(poly), poly)
+    want = _multisets(multiset_search.largest_multisets, multiset_search.CutGrid(poly), poly)
+    assert got == want, poly
+    _assert_same_search(
+        subpolygon_decomposition_search(poly), multiset_search.node_search(poly, DEFAULT_BUDGET)
+    )
+
+
+def _memo_test_polygons(small_box):
+    # every class in [0,3]^2 and a seeded unimodular image of each
+    rng = random.Random(2501)
+    classes = _equivalence_classes(small_box)
+    return classes + [apply_map(p, random_unimodular(rng), (rng.randint(-3, 3), 0)) for p in classes]
+
+
+def test_memoized_search_matches_node_search(small_box):
+    polys = _memo_test_polygons(small_box)
+    assert len(polys) == 302
+    for poly in polys:
+        _assert_same_as_node_search(poly)
+
+
+def test_memoized_search_matches_node_search_on_seeded_polygons():
+    # a seeded sample of [0,4]^2, segments and all
+    rng = random.Random(2502)
+    for _ in range(150):
+        poly = _random_polygon(rng, 4, rng.randint(2, 8))
+        if poly.dim:
+            _assert_same_as_node_search(poly)
+
+
+def test_room_matches_the_cut_room_on_every_visited_set(small_box):
+    polys = _memo_test_polygons(small_box) + [_triangle(6), _box(5)]
+    checked = 0
+    for poly in polys:
+        grid, oracle = decomp_module._Grid(poly), multiset_search.CutGrid(poly)
+        visited = []
+        bud = _Budget(DEFAULT_BUDGET)
+        multiset_search.largest_multisets(decomp_module._shapes(poly, bud), oracle, bud, visited)
+        for t in set(visited):
+            mask = grid._mask(_bit_points(t, oracle.stride, oracle.origin))
+            assert grid.room(mask) == oracle.room(t), (poly, t)
+            checked += 1
+    assert checked > 5_000
+
+
+def _triangle(a):
+    return LatticePolygon([(0, 0), (a, 0), (0, a)])
+
+
+# L(P), the number of maximal decompositions and the ticks of the search
+PINNED = [
+    ("hexagon", HEX9, 3, 3, 178),
+    ("triangle6", _triangle(6), 6, 84, 5_062),
+    ("triangle8", _triangle(8), 8, 165, 36_280),
+    ("triangle10", _triangle(10), 10, 286, 197_979),
+    ("box10", _box(10), 20, 1, 30_570),
+    ("box16", _box(16), 32, 1, 181_997),
+]
+
+
+@pytest.mark.parametrize("poly, length, count, ticks", [p[1:] for p in PINNED],
+                         ids=[p[0] for p in PINNED])
+def test_pinned_ticks_and_budget_edge(poly, length, count, ticks):
+    found = subpolygon_decomposition_search(poly, budget=ticks)
+    assert (found.length, len(found.decompositions)) == (length, count)
+    with pytest.raises(BudgetExceeded):
+        subpolygon_decomposition_search(poly, budget=ticks - 1)
