@@ -219,6 +219,11 @@ def _exhaustive(poly, q):
     return q ** poly.num_lattice_points <= DEFAULT_SECTION_BUDGET
 
 
+def _section(pts, vector):
+    """The section with coefficient vector[i] at pts[i]; candidates are such vectors."""
+    return SectionPoly(zip(pts, vector))
+
+
 def _max_zero_exhaustive(poly, field, cap=None):
     """Maximum zero count over all sections supported on the polygon.
 
@@ -239,9 +244,10 @@ def _max_zero_exhaustive(poly, field, cap=None):
     its points by log, each group in ascending order, and the cumulative
     bincount of the column bounds the groups, so every winner in the
     column reads its zeros from that one sort.  Returns the count, the
-    first `cap` maximizing sections in that order and their zeros, each
-    an ascending array of torus indices.  The polygon stays where it lies; a point
-    has its one section, which vanishes nowhere.
+    first `cap` maximizing coefficient vectors in that order, each over
+    the lattice points in lexicographic order (see _section), and their
+    zeros, each an ascending array of torus indices.  A point has its
+    one vector [1], which vanishes nowhere.
 
     With cap 1, each lead scans one coefficient prefix per torus orbit
     on rows lead+1 and lead+2 where they precede the last row.  The
@@ -273,7 +279,7 @@ def _max_zero_exhaustive(poly, field, cap=None):
     pts = [tuple(p) for p in poly.lattice_points()]
     k = len(pts)
     if k == 1:
-        return 0, [SectionPoly({pts[0]: 1})], [np.zeros(0, dtype=np.intp)]
+        return 0, [[1]], [np.zeros(0, dtype=np.intp)]
     logs = _log_rows(pts, qm)
     shift = (field.log_table[field.neg(1)] - logs[-1])[:, None]
     # bincount columns are in log order with c = 0 last; reorder to coefficient codes
@@ -302,7 +308,7 @@ def _max_zero_exhaustive(poly, field, cap=None):
     counts = np.bincount((bins + np.arange(total) * q).ravel(), minlength=total * q)
     counts = counts.reshape(-1, q)[:, by_code].ravel()
     best = int(counts.max())
-    sections, zeros = [], []
+    vectors, zeros = [], []
     column = None
     # index = column * q + c, so a column's winners are consecutive
     for index in np.flatnonzero(counts == best)[:cap].tolist():
@@ -322,8 +328,8 @@ def _max_zero_exhaustive(poly, field, cap=None):
         msg[lead] = 1
         for pos in range(k - 1, lead, -1):
             index, msg[pos] = divmod(index, q)
-        sections.append(SectionPoly({p: v for p, v in zip(pts, msg) if v}))
-    return best, sections, zeros
+        vectors.append(msg)
+    return best, vectors, zeros
 
 
 def _orbit_prefixes(field, pts):
@@ -453,15 +459,15 @@ def max_zero_section(poly: LatticePolygon, field: FieldSpec) -> MaxZeroResult:
     otherwise the best member of a catalog of split forms, with
     exhaustive=False to flag that the count is only a lower estimate of
     the true maximum.  Both come from the first candidate of
-    _max_zero_candidates; the catalog winner's count, the size of the
-    zero list read from its exponent mask, is checked against a count of
-    its zeros.
+    _max_zero_candidates, whose vector is built into a section only
+    here; the catalog winner's count, the size of the zero list read
+    from its exponent mask, is checked against a count of its zeros.
     """
     q = field.q
     boxed, shift = poly.place_in_box(q)
     # a single point has no catalog section, but its q <= MAX_Q messages fit the budget
-    sections, _, sizes = _max_zero_candidates(boxed, field, cap=1)
-    section, zeros = sections[0], int(sizes[0])
+    vectors, _, sizes = _max_zero_candidates(boxed, field, cap=1)
+    section, zeros = _section(boxed.lattice_points(), vectors[0]), int(sizes[0])
     exhaustive = _exhaustive(boxed, q)
     if not exhaustive:
         counted = count_torus_zeros(section, field)
@@ -473,27 +479,33 @@ def max_zero_section(poly: LatticePolygon, field: FieldSpec) -> MaxZeroResult:
 
 
 def _max_zero_candidates(poly, field, cap=_CANDIDATE_CAP):
-    """Candidate sections for one summand, most zeros first, with their zero lists.
+    """Candidate vectors for one summand (see _section), most zeros first, with their zero lists.
 
     Where _exhaustive allows, the first `cap` maximizers of
     _max_zero_exhaustive, with the zeros its enumeration read off.
-    Otherwise catalog entries ranked by their closed-form counts; the
-    sort is stable, so ties keep catalog order.  Returns the sections, a
-    matrix whose row i lists the torus indices where section i vanishes,
-    padded with the index (q-1)^2 past the torus, and the list sizes.
+    Otherwise catalog entries ranked by their closed-form counts, read
+    onto the points; the sort is stable, so ties keep catalog order.
+    Returns the vectors, a matrix whose row i lists the torus indices
+    where vector i vanishes, padded with the index (q-1)^2 past the
+    torus, and the list sizes.
     """
     q = field.q
     if _exhaustive(poly, q):
-        _, sections, lists = _max_zero_exhaustive(poly, field, cap=cap)
+        _, vectors, lists = _max_zero_exhaustive(poly, field, cap=cap)
     else:
         kept = sorted(_catalog_sections(poly, field, cap), key=lambda e: -e.zeros)[:cap]
-        sections = [e.section(field) for e in kept]
+        vectors = []
+        for e in kept:
+            terms = e.section(field).terms
+            vectors.append([terms.pop(p, 0) for p in poly.lattice_points()])
+            if terms:
+                raise InvariantViolation(f"catalog term {next(iter(terms))} is off the polygon")
         lists = [np.flatnonzero(e.zero_mask(q - 1)) for e in kept]
     sizes = np.array([len(z) for z in lists], dtype=np.intp)
     zeros = np.full((len(lists), sizes.max(initial=0)), (q - 1) ** 2, dtype=np.intp)
     for row, z in zip(zeros, lists):
         row[: len(z)] = z
-    return sections, zeros, sizes
+    return vectors, zeros, sizes
 
 
 def _shape(pts):
@@ -544,67 +556,51 @@ def _torus_map(frame, new_frame):
     return (w, y), (x, z)
 
 
-def _moved_candidates(pts, frame, found, new_pts, new_frame, qm):
-    """Candidates of new_pts from those found for pts, points of one shape.
+def _moved_candidates(frame, found, new_frame, qm):
+    """Candidates of points p'_i from those found for points p_i of one shape.
 
     With frames V and V' (see _shape), A = V'^-1 V sends p_i - p_0 to
     p'_i - p'_0 for every i.  A section sum c_i x^(p'_i) at the torus
     point (g^i, g^j) is a monomial, which vanishes nowhere, times
     sum c_i x^(p_i) at A^T (i, j), so its zeros are those of the first
     section moved by (i, j) -> A^-T (i, j) mod q-1, a permutation of the
-    torus.  Each section keeps its coefficients, placed on the new
-    points when it is read (see _Placed), and each zero list is moved
-    and sorted again; the padding index (q-1)^2 stays last.
+    torus.  Both point lists are in lexicographic order, so the vector
+    list is returned as it is; each zero list is moved and sorted again,
+    and the padding index (q-1)^2 stays last.
     """
-    sections, zeros, sizes = found
+    vectors, zeros, sizes = found
     (a, b), (c, d) = _torus_map(frame, new_frame)
     i, j = np.divmod(zeros, qm)
     moved = (a * i + b * j) % qm * qm + (c * i + d * j) % qm
     moved[zeros == qm * qm] = qm * qm
     moved.sort(axis=1)
-    return _Placed(sections, dict(zip(pts, new_pts))), moved, sizes
-
-
-class _Placed:
-    """Candidate sections of one summand, each placed on another's points when read.
-
-    A product search multiplies one candidate per summand, so only the
-    picks are ever built.
-    """
-
-    def __init__(self, sections, onto):
-        self.sections, self.onto = sections, onto
-
-    def __len__(self):
-        return len(self.sections)
-
-    def __getitem__(self, i):
-        return SectionPoly({self.onto[p]: v for p, v in self.sections[i].terms.items()})
+    return vectors, moved, sizes
 
 
 class _ReportCache:
     """What the product searches of one report share.
 
-    `parts` maps a summand's vertices to its candidates and `shapes` a
-    shape key to the points, frame and candidates of the first
-    exhaustive summand of that shape (see _part_candidates).  `acc` is
-    the accumulator of _pairing, grown to the largest chunk a search of
-    the report has needed and clear between searches.
+    `parts` maps a summand's vertices to its candidates, `shapes` a shape
+    key to the frame and candidates of the first exhaustive summand of
+    that shape (see _part_candidates), and `most` a summand to the count
+    certified_upper_bound prunes with (see _most_zeros).  `acc` is the
+    accumulator of _pairing, grown to the largest chunk a search of the
+    report has needed and clear between searches.
     """
 
     def __init__(self):
-        self.parts, self.shapes = {}, {}
+        self.parts, self.shapes, self.most = {}, {}, {}
         self.acc = np.zeros(0, dtype=np.uint8)
 
 
 def _part_candidates(part, field, cache):
-    """Candidate sections of one summand with their zero lists, memoized in `cache`.
+    """Candidates of one summand with their zero lists, memoized in `cache`.
 
     Parts are stored at the origin, so equal summands of different
     decompositions share one entry of cache.parts, keyed by their
     vertices.  Summands that _exhaustive admits are searched once per
     shape (see _shape): a summand of a shape seen before takes the
-    first one's candidates, moved onto its points (see
+    first one's vector list on its own points, zero lists moved (see
     _moved_candidates).  _max_zero_exhaustive ranks coefficient vectors
     on the points in lexicographic order, and the unimodular map between
     two summands of one shape keeps that order and every zero count, so
@@ -617,18 +613,17 @@ def _part_candidates(part, field, cache):
     if not _exhaustive(part, field.q):
         found = _max_zero_candidates(part, field)
     else:
-        pts = [tuple(p) for p in part.lattice_points()]
-        key, frame = _shape(pts)
+        key, frame = _shape(part.lattice_points())
         if key in cache.shapes:
-            found = _moved_candidates(*cache.shapes[key], pts, frame, field.q - 1)
+            found = _moved_candidates(*cache.shapes[key], frame, field.q - 1)
         else:
             found = _max_zero_candidates(part, field)
-            cache.shapes[key] = pts, frame, found
+            cache.shapes[key] = frame, found
     cache.parts[part.vertices] = found
     return found
 
 
-def _most_zeros(part, field, cache):
+def _most_zeros(part, field, most):
     """Most torus zeros among the candidate sections of one summand.
 
     The same count as the first of _max_zero_candidates' sizes, but
@@ -636,15 +631,15 @@ def _most_zeros(part, field, cache):
     Where those come from the exhaustive search, the count is the length
     (q-1)^2 minus the distance of the summand's code (see
     _component_distance).  Otherwise it is the best closed-form catalog
-    count, memoized in `cache` by the summand; the code's length minus
+    count, memoized in `most` by the summand; the code's length minus
     its distance would be a looser bound there.
     """
     q = field.q
     if _exhaustive(part, q):
         return (q - 1) ** 2 - _component_distance(part, q)
-    if part not in cache:
-        cache[part] = max((e.zeros for e in _catalog_sections(part, field, 1)), default=0)
-    return cache[part]
+    if part not in most:
+        most[part] = max((e.zeros for e in _catalog_sections(part, field, 1)), default=0)
+    return most[part]
 
 
 def _hits(acc, zeros):
@@ -744,19 +739,21 @@ def _best_product_section(dec, field, cache):
     their order, and both count unions from the candidates' zero lists
     (see _pairing).  `cache`, a _ReportCache, holds the candidates of
     summands already seen (see _part_candidates) and the accumulator.
-    Every summand, a primitive segment, a unimodular triangle or T0 (see
-    decomp), has a candidate.  Returns (zeros, section).
+    Only the picked vectors are built into sections.  Every summand, a
+    primitive segment, a unimodular triangle or T0 (see decomp), has a
+    candidate.  Returns (zeros, section).
     """
-    cand_lists, lists, sizes = zip(*(_part_candidates(p, field, cache) for p in dec.parts))
-    exact = prod(len(lst) for lst in cand_lists) <= _PAIRING_CAP
+    vectors, lists, sizes = zip(*(_part_candidates(p, field, cache) for p in dec.parts))
+    exact = prod(len(v) for v in vectors) <= _PAIRING_CAP
     picks, counts = _pairing(lists, sizes, (field.q - 1) ** 2, exact, cache)
     # argmax keeps the first maximum in row order
     best = int(np.argmax(counts))
-    best_count, best_pick = int(counts[best]), tuple(picks[best].tolist())
+    best_count, pick = int(counts[best]), picks[best].tolist()
 
-    section = cand_lists[0][best_pick[0]]
-    for part, idx in enumerate(best_pick[1:], start=1):
-        section = multiply_sections(section, cand_lists[part][idx], field)
+    factors = [_section(p.lattice_points(), v[i]) for p, v, i in zip(dec.parts, vectors, pick)]
+    section = factors[0]
+    for factor in factors[1:]:
+        section = multiply_sections(section, factor, field)
     section = section.shift(*dec.translation)
     zeros = count_torus_zeros(section, field)
     # a product vanishes exactly where some factor does
@@ -797,12 +794,11 @@ def certified_upper_bound(
     base = max_zero_section(P, F)
     best_zeros, best_section = base.zeros, base.section
     cache = _ReportCache()
-    most: dict = {}
     for dec in decs:
         # a product vanishes exactly where some factor does, so it has at
         # most the sum of its factors' best counts; a decomposition that
         # cannot pass the best section so far is passed over
-        if sum(_most_zeros(p, F, most) for p in dec.parts) <= best_zeros:
+        if sum(_most_zeros(p, F, cache.most) for p in dec.parts) <= best_zeros:
             continue
         zeros, section = _best_product_section(dec, F, cache)
         if zeros > best_zeros:

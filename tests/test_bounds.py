@@ -409,6 +409,17 @@ def test_rank3_validation():
         rank3_family_distance("V", 1, 1, 1, 1, 7)
 
 
+def test_rank3_closed_areas_match_the_polygons():
+    # _rank3_members raises where they differ, but only reaches members
+    # whose closed area already equals the area it looks up
+    for case in bounds_module._RANK3_CASES:
+        for a, b, c, r in itertools.product(range(1, 8), repeat=4):
+            if case == "III" and (b <= a or r != 1):
+                continue
+            want = _rank3_polygon(case, a, b, c, r).volume2
+            assert bounds_module._rank3_volume2(case, a, b, c, r) == want, (case, a, b, c, r)
+
+
 @pytest.mark.parametrize(
     "case,params,q,want",
     [
@@ -554,6 +565,12 @@ def _lead(section, pts):
     return min(pts.index(m) for m in section.terms)
 
 
+def _built(poly, vectors):
+    """Sections of candidate vectors over poly's lattice points in lexicographic order."""
+    pts = poly.lattice_points()
+    return [SectionPoly({p: c for p, c in zip(pts, v) if c}) for v in vectors]
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_max_zero_exhaustive_matches_oracle(q):
     field = field_from_order(q)
@@ -568,7 +585,8 @@ def test_max_zero_exhaustive_matches_oracle(q):
         past_first = sum(_lead(s, pts) == first for s in everyone) + 1
         crossed += past_first <= len(everyone)
         for cap in (1, 64, None, past_first):
-            best, sections, zeros = _max_zero_exhaustive(poly, field, cap=cap)
+            best, vectors, zeros = _max_zero_exhaustive(poly, field, cap=cap)
+            sections = _built(poly, vectors)
             want_best, want_sections = max_zero_oracle(poly, field, cap=cap)
             assert best == want_best, (poly.vertices, cap)
             assert [s.terms for s in sections] == [s.terms for s in want_sections]
@@ -611,8 +629,8 @@ def test_winner_zero_lists_match_a_scan_per_winner(q):
     ):
         if not bounds_module._exhaustive(poly, q):
             continue
-        _, sections, zeros = _max_zero_exhaustive(poly, field)
-        for s, got in zip(sections, zeros):
+        _, vectors, zeros = _max_zero_exhaustive(poly, field)
+        for s, got in zip(_built(poly, vectors), zeros):
             want = np.flatnonzero(evaluate_section(s, field) == 0)
             assert got.dtype == want.dtype and np.array_equal(got, want), (poly.vertices, s)
 
@@ -722,8 +740,9 @@ def test_first_maximizer_matches_the_full_scan(q):
         poly = _boxed(poly, q)
         if poly is None or not bounds_module._exhaustive(poly, q):
             continue
-        best, sections, zeros = _max_zero_exhaustive(poly, field, cap=1)
-        want_best, want_sections, want_zeros = _max_zero_exhaustive(poly, field)
+        best, vectors, zeros = _max_zero_exhaustive(poly, field, cap=1)
+        want_best, want_vectors, want_zeros = _max_zero_exhaustive(poly, field)
+        sections, want_sections = _built(poly, vectors), _built(poly, want_vectors)
         assert best == want_best and sections == want_sections[:1], (poly.vertices, q)
         assert np.array_equal(zeros[0], want_zeros[0]), (poly.vertices, q)
         pts = poly.lattice_points()
@@ -890,7 +909,7 @@ def best_pick_oracle(masks, pairing_cap):
 
 
 def best_product_oracle(dec, field, pairing_cap):
-    cand_lists = [bounds_module._max_zero_candidates(p, field)[0] for p in dec.parts]
+    cand_lists = [_built(p, bounds_module._max_zero_candidates(p, field)[0]) for p in dec.parts]
     masks = [[zero_mask_oracle(s, field) for s in lst] for lst in cand_lists]
     count, pick = best_pick_oracle(masks, pairing_cap)
     section = cand_lists[0][pick[0]]
@@ -1018,11 +1037,13 @@ def test_max_zero_candidates_match_oracle(q):
             continue
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bounds_module, "DEFAULT_SECTION_BUDGET", 0)
-            sections, zeros, sizes = _max_zero_candidates(part, field)
+            vectors, zeros, sizes = _max_zero_candidates(part, field)
+        sections = _built(part, vectors)
         assert sections == catalog_candidates_oracle(part, field), poly.vertices
         want = [zero_mask_oracle(s, field) for s in sections]
         assert np.array_equal(_dense(zeros, sizes, n), np.array(want).reshape(len(want), n))
-        sections, zeros, sizes = _max_zero_candidates(part, field)
+        vectors, zeros, sizes = _max_zero_candidates(part, field)
+        sections = _built(part, vectors)
         want = [zero_mask_oracle(s, field) for s in sections]
         assert np.array_equal(_dense(zeros, sizes, n), np.array(want).reshape(len(want), n))
 
@@ -1068,6 +1089,23 @@ def test_catalog_zero_count_is_checked(monkeypatch):
     monkeypatch.setattr(bounds_module, "count_torus_zeros", lambda s, f: res.zeros - 1)
     with pytest.raises(InvariantViolation):
         max_zero_section(P54, F8)
+
+
+def test_catalog_candidates_refuse_terms_off_the_polygon(monkeypatch):
+    monkeypatch.setattr(bounds_module, "DEFAULT_SECTION_BUDGET", 0)
+    catalog = bounds_module._catalog_sections
+
+    def moved_off(poly, field, cap):
+        entries = catalog(poly, field, cap)
+        # the top-ranked entry, the first of the most zeros, is always kept
+        top = entries.index(max(entries, key=lambda e: e.zeros))
+        entries[top] = entries[top]._replace(base=(-1, -1))
+        return entries
+
+    assert len(_max_zero_candidates(P54, F8)[0]) > 0
+    monkeypatch.setattr(bounds_module, "_catalog_sections", moved_off)
+    with pytest.raises(InvariantViolation):
+        _max_zero_candidates(P54, F8)
 
 
 def test_bound_reports_refuse_huge_tori():
@@ -1192,11 +1230,14 @@ def _check_shared_candidates(parts, field):
         if not bounds_module._exhaustive(part, field.q):
             continue
         shapes = len(cache.shapes)
-        sections, zeros, sizes = _part_candidates(part, field, cache)
-        want_sections, want_zeros, want_sizes = _max_zero_candidates(part, field)
-        assert list(sections) == want_sections, part.vertices
+        vectors, zeros, sizes = _part_candidates(part, field, cache)
+        want_vectors, want_zeros, want_sizes = _max_zero_candidates(part, field)
+        assert vectors == want_vectors, part.vertices
         assert np.array_equal(zeros, want_zeros) and np.array_equal(sizes, want_sizes)
         assert _part_candidates(part, field, cache)[1] is zeros
+        # a shape seen before hands on the first summand's list itself
+        _, first = cache.shapes[_shape(part.lattice_points())[0]]
+        assert vectors is first[0]
         moved += len(cache.shapes) == shapes
     return moved
 
