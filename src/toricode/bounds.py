@@ -1132,7 +1132,7 @@ def full_report(
     exact: bool = False,
     threads: int = 1,
     deadline: Optional[float] = None,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> BoundReport:
     """Aggregate every applicable bound on the polygon's code distance.
 
@@ -1163,9 +1163,7 @@ def full_report(
     ]
 
     try:
-        decs = [] if boxed.dim == 0 else best_subpolygon_decomposition(
-            boxed, budget if budget is not None else DEFAULT_BUDGET
-        )
+        decs = [] if boxed.dim == 0 else best_subpolygon_decomposition(boxed, budget)
     except BudgetExceeded:
         decs = []
 

@@ -192,8 +192,7 @@ def cmd_bounds(args):
 
 def cmd_decompose(args):
     poly = _read_polygon(args.polygon)
-    budget = args.budget if args.budget is not None else DEFAULT_BUDGET
-    search = subpolygon_decomposition_search(poly, budget)
+    search = subpolygon_decomposition_search(poly, args.budget)
     payload = [
         {
             "subpolygon": _verts(dec.subpolygon.translate(*dec.translation)),
@@ -529,7 +528,7 @@ def _parser():
                          help="resumable progress file for long searches")
 
     bounds = add("bounds", "all applicable distance bounds", field=True, compute=True)
-    bounds.add_argument("--budget", type=int, default=None,
+    bounds.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="work budget for the decomposition search")
     bounds.add_argument("--exact", action="store_true",
                         help="also run the exhaustive distance search")
@@ -538,7 +537,7 @@ def _parser():
                        help="time limit of each exhaustive search")
 
     decompose = add("decompose", "maximal Minkowski splits over all subpolygons")
-    decompose.add_argument("--budget", type=int, default=None)
+    decompose.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     reproduce = add("reproduce", "recompute the published example values", polygon=False,
                     compute=True)
@@ -562,7 +561,7 @@ def _parse_args(argv):
                 parser.error(f"TORICODE_THREADS must be an integer, got {env!r}")
         if args.threads < 1:
             parser.error(f"--threads must be positive, got {args.threads}")
-    if getattr(args, "budget", None) is not None and args.budget < 1:
+    if hasattr(args, "budget") and args.budget < 1:
         parser.error(f"--budget must be positive, got {args.budget}")
     deadline = getattr(args, "deadline", None)
     if deadline is not None and not (math.isfinite(deadline) and deadline > 0):

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import BudgetExceeded, DegeneratePolygon, InvariantViolation
@@ -71,19 +72,23 @@ class _Budget:
 class MinkowskiDecomposition:
     """A subpolygon of a parent polygon, split into Minkowski summands.
 
-    The subpolygon is stored translated to the origin; translation
-    places it back inside the parent.  Summands are normalized the
-    same way, so they add up to the subpolygon only up to translation.
+    Each part sits with its bounding box corner at the origin, and so
+    does their sum, the subpolygon; translation places it inside the
+    parent.
     """
 
     parent: LatticePolygon
-    subpolygon: LatticePolygon
     translation: tuple[int, int]
     parts: tuple[LatticePolygon, ...]
 
     @property
     def ell(self) -> int:
         return len(self.parts)
+
+    @cached_property
+    def subpolygon(self) -> LatticePolygon:
+        """The sum of the parts, built on first read."""
+        return minkowski_sum(*self.parts)
 
 
 class _Grid:
@@ -100,7 +105,7 @@ class _Grid:
     def __init__(self, poly):
         x0, y0, x1, y1 = poly.bounding_box()
         w, h = x1 - x0, y1 - y0
-        self.origin, self.height = (x0, y0), h
+        self.origin = x0, y0
         self.stride = s = h + max(h, w) + 2
         self.points = self._mask(poly.lattice_points())
         self.column, self.top = (1 << s) - 1, w * s
@@ -125,14 +130,6 @@ class _Grid:
             raise InvariantViolation("a largest sum fits at more than one position")
         x, y = divmod(t.bit_length() - 1, self.stride)
         return self.origin[0] + x, self.origin[1] + y
-
-    def holds(self, pts):
-        """Whether every point is a lattice point of the polygon."""
-        (x0, y0), s = self.origin, self.stride
-        return all(
-            x >= x0 and 0 <= y - y0 <= self.height and self.points >> ((x - x0) * s + y - y0) & 1
-            for x, y in pts
-        )
 
     def room(self, t):
         """How many more L = 1 shapes a sum with positions T can take, at most.
@@ -234,41 +231,38 @@ def _largest_multisets(shapes, grid, bud):
 def _decompositions(poly, shapes, grid, found):
     """The decompositions of the found multisets, sorted by their parts.
 
-    Consecutive multisets share prefixes, and each prefix's sum is
-    built once.  Shapes have their lex-min vertex at the origin, so
-    each sum has too, and it goes to the one point of its positions.
+    A shape's lex-min vertex, which has its least x, sits at the origin,
+    so the shape moved up by -y0, with y0 its least y, is a part with
+    its bounding box corner at the origin.  The sum of the shapes goes
+    to the one point p of its positions, so the sum of the parts goes
+    to p + (0, sum of the y0).  That sum lies in P when, along every
+    outer normal n of P's edges and of P's bounding box, the parts'
+    largest values plus <n, translation> stay within P's; the box
+    normals bound a segment P at its ends.
     """
-    polys, parts, keys = {}, {}, {}
+    vs = poly.vertices
+    normals = [(by - ay, ax - bx) for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1])]
+    normals += [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    tops = [max(a * x + b * y for x, y in vs) for a, b in normals]
+    parts, lows, keys, values = {}, {}, {}, {}
     for i in {i for chosen, _ in found for i in chosen}:
-        polys[i] = LatticePolygon(shapes[i])
-        part = parts[i] = polys[i].translate_to_origin()
+        lows[i] = min(y for _, y in shapes[i])
+        part = parts[i] = LatticePolygon(shapes[i]).translate(0, -lows[i])
         # #(part): 2 on a segment, 3 on a unimodular triangle, 4 on T0
         (ax, ay), (bx, by) = shapes[i][1], shapes[i][-1]
         keys[i] = len(shapes[i]) + (abs(ax * by - ay * bx) == 3), part.vertices
+        values[i] = [max(a * x + b * y for x, y in part.vertices) for a, b in normals]
     decs = []
-    # sums[d]: the sum of the first d + 1 shapes of the last multiset
-    sums, last = [], ()
     for chosen, t in found:
-        d = 0
-        while d < len(last) and chosen[d] == last[d]:
-            d += 1
-        del sums[d:]
-        for i in chosen[d:]:
-            sums.append(minkowski_sum(sums[-1], polys[i]) if sums else polys[i])
-        last, total = chosen, sums[-1]
         px, py = grid.point(t)
-        if not grid.holds((x + px, y + py) for x, y in total.vertices):
+        tx, ty = px, py + sum(lows[i] for i in chosen)
+        reach = map(sum, zip(*(values[i] for i in chosen)))
+        if any(r + a * tx + b * ty > top for r, (a, b), top in zip(reach, normals, tops)):
             raise InvariantViolation("subpolygon leaves the parent polygon")
-        x0, y0, _, _ = total.bounding_box()
         order = sorted(chosen, key=keys.__getitem__)
-        decs.append((
-            tuple(parts[i].vertices for i in order),
-            MinkowskiDecomposition(
-                poly, total.translate(-x0, -y0), (px + x0, py + y0), tuple(parts[i] for i in order)
-            ),
-        ))
-    decs.sort(key=lambda kd: kd[0])
-    return tuple(dec for _, dec in decs)
+        decs.append(MinkowskiDecomposition(poly, (tx, ty), tuple(parts[i] for i in order)))
+    decs.sort(key=lambda dec: [p.vertices for p in dec.parts])
+    return tuple(decs)
 
 
 @dataclass(frozen=True)

@@ -296,17 +296,22 @@ class LatticePolygon:
 
 
 def minkowski_sum(*polys: LatticePolygon) -> LatticePolygon:
-    """Minkowski sum, as the hull of pairwise vertex sums."""
+    """Minkowski sum, as the hull of pairwise vertex sums.
+
+    Equal summands are added in one step: m copies of a convex polygon
+    sum to it dilated m times.
+    """
     if not polys:
         raise EmptyInput("Minkowski sum of no polygons")
-    acc = polys[0]
-    for nxt in polys[1:]:
+    counts = {}
+    for p in polys:
+        counts[p] = counts.get(p, 0) + 1
+    (acc, m), *rest = counts.items()
+    if m > 1:
+        acc = LatticePolygon([(m * x, m * y) for x, y in acc.vertices])
+    for p, m in rest:
         acc = LatticePolygon(
-            [
-                (ax + bx, ay + by)
-                for ax, ay in acc.vertices
-                for bx, by in nxt.vertices
-            ]
+            [(ax + m * bx, ay + m * by) for ax, ay in acc.vertices for bx, by in p.vertices]
         )
     return acc
 

@@ -41,7 +41,7 @@ def _make_decomposition(parent, placed_sub, parts):
     if not all(parent.contains(v) for v in placed_sub.vertices):
         raise InvariantViolation("subpolygon leaves the parent polygon")
     parts = _sort_parts(p.translate_to_origin() for p in parts)
-    return MinkowskiDecomposition(parent, placed_sub.translate_to_origin(), (x0, y0), parts)
+    return MinkowskiDecomposition(parent, (x0, y0), parts)
 
 
 def edge_multiset(poly):

@@ -6,13 +6,16 @@ filters its parent's fitting shapes and asks `CutGrid.room`, which
 finds T's width along each functional by bisecting over the level sets
 of the polygon's points.  `node_search` is the whole search as it was,
 its decompositions built one sum and one `_make_decomposition` each.
+`prefix_decompositions` is how `decomp._decompositions` worked while a
+decomposition stored its subpolygon: it builds the hull of every prefix
+sum and checks the placed sum's vertices against `PointGrid.holds`.
 """
 
 from bisect import bisect_left
 
 from factoring import _make_decomposition, _parts_key
-from toricode.decomp import SubpolygonSearch, _Budget, _shapes
-from toricode.errors import DegeneratePolygon
+from toricode.decomp import SubpolygonSearch, _Budget, _Grid, _shapes
+from toricode.errors import DegeneratePolygon, InvariantViolation
 from toricode.polygon import LatticePolygon, minkowski_sum
 
 # every L = 1 shape contains a primitive segment u, whose widths along
@@ -120,3 +123,57 @@ def node_search(poly, budget):
         decs.append(_make_decomposition(poly, total.translate(px - lx, py - ly), parts))
     decs.sort(key=lambda d: _parts_key(d.parts))
     return SubpolygonSearch(best, tuple(decs))
+
+
+class PointGrid(_Grid):
+    """`decomp._Grid` with a lattice-point test on its bits."""
+
+    def __init__(self, poly):
+        super().__init__(poly)
+        self.height = poly.width_height()[1]
+
+    def holds(self, pts):
+        """Whether every point is a lattice point of the polygon."""
+        (x0, y0), s = self.origin, self.stride
+        return all(
+            x >= x0 and 0 <= y - y0 <= self.height and self.points >> ((x - x0) * s + y - y0) & 1
+            for x, y in pts
+        )
+
+
+def prefix_decompositions(poly, shapes, grid, found):
+    """(translation, parts, subpolygon) of the found multisets, sorted by their parts.
+
+    Consecutive multisets share prefixes, and each prefix's sum is
+    built once.  Shapes have their lex-min vertex at the origin, so
+    each sum has too, and it goes to the one point of its positions.
+    """
+    polys, parts, keys = {}, {}, {}
+    for i in {i for chosen, _ in found for i in chosen}:
+        polys[i] = LatticePolygon(shapes[i])
+        part = parts[i] = polys[i].translate_to_origin()
+        # #(part): 2 on a segment, 3 on a unimodular triangle, 4 on T0
+        (ax, ay), (bx, by) = shapes[i][1], shapes[i][-1]
+        keys[i] = len(shapes[i]) + (abs(ax * by - ay * bx) == 3), part.vertices
+    decs = []
+    # sums[d]: the sum of the first d + 1 shapes of the last multiset
+    sums, last = [], ()
+    for chosen, t in found:
+        d = 0
+        while d < len(last) and chosen[d] == last[d]:
+            d += 1
+        del sums[d:]
+        for i in chosen[d:]:
+            sums.append(minkowski_sum(sums[-1], polys[i]) if sums else polys[i])
+        last, total = chosen, sums[-1]
+        px, py = grid.point(t)
+        if not grid.holds((x + px, y + py) for x, y in total.vertices):
+            raise InvariantViolation("subpolygon leaves the parent polygon")
+        x0, y0, _, _ = total.bounding_box()
+        order = sorted(chosen, key=keys.__getitem__)
+        decs.append((
+            tuple(parts[i].vertices for i in order),
+            ((px + x0, py + y0), tuple(parts[i] for i in order), total.translate(-x0, -y0)),
+        ))
+    decs.sort(key=lambda kd: kd[0])
+    return [dec for _, dec in decs]

@@ -441,7 +441,7 @@ def test_rank3_matches_search(case, params, q, want):
 def trivial_decomposition(poly):
     sub = poly.translate_to_origin()
     x0, y0, _, _ = poly.bounding_box()
-    return MinkowskiDecomposition(poly, sub, (x0, y0), (sub,))
+    return MinkowskiDecomposition(poly, (x0, y0), (sub,))
 
 
 def test_upper_bound_identity_for_single_part():
@@ -1490,9 +1490,7 @@ def test_product_zero_count_is_checked(monkeypatch):
 
 def test_product_support_is_checked():
     dec = best_subpolygon_decomposition(HEX9)[0]
-    shrunk = MinkowskiDecomposition(
-        LatticePolygon([(0, 0)]), dec.subpolygon, dec.translation, dec.parts
-    )
+    shrunk = MinkowskiDecomposition(LatticePolygon([(0, 0)]), dec.translation, dec.parts)
     with pytest.raises(InvariantViolation):
         _best_product_section(shrunk, F8, _ReportCache())
 

@@ -19,7 +19,7 @@ from toricode.decomp import (
     best_subpolygon_decomposition,
     subpolygon_decomposition_search,
 )
-from toricode.errors import BudgetExceeded, DegeneratePolygon
+from toricode.errors import BudgetExceeded, DegeneratePolygon, InvariantViolation
 from toricode.polygon import LatticePolygon, minkowski_sum, normal_form
 
 HEX9 = LatticePolygon([(1, 0), (2, 0), (0, 1), (1, 2), (3, 2), (3, 3)])
@@ -573,3 +573,64 @@ def test_pinned_ticks_and_budget_edge(poly, length, count, ticks):
     assert (found.length, len(found.decompositions)) == (length, count)
     with pytest.raises(BudgetExceeded):
         subpolygon_decomposition_search(poly, budget=ticks - 1)
+
+
+# -- the decompositions against the prefix-sum assembly ----------------------------
+
+
+def _assert_same_records(poly):
+    bud = _Budget(DEFAULT_BUDGET)
+    shapes = decomp_module._shapes(poly, bud)
+    grid = decomp_module._Grid(poly)
+    _, found = decomp_module._largest_multisets(shapes, grid, bud)
+    decs = decomp_module._decompositions(poly, shapes, grid, found)
+    assert all(d.parent is poly for d in decs)
+    got = [(d.translation, d.parts, d.subpolygon) for d in decs]
+    oracle = multiset_search.PointGrid(poly)
+    assert got == multiset_search.prefix_decompositions(poly, shapes, oracle, found), poly
+
+
+def test_decompositions_match_the_prefix_sums(small_box):
+    for poly in _memo_test_polygons(small_box):
+        _assert_same_records(poly)
+
+
+def test_decompositions_match_the_prefix_sums_on_seeded_polygons():
+    # the same seeded sample of [0,4]^2 as the node-search comparison
+    rng = random.Random(2502)
+    for _ in range(150):
+        poly = _random_polygon(rng, 4, rng.randint(2, 8))
+        if poly.dim:
+            _assert_same_records(poly)
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [_triangle(a) for a in range(6, 11)]
+    + [_box(d) for d in range(1, 17)]
+    + [LatticePolygon([(0, 0), (a, 0), (a, b), (0, b)]) for a, b in [(1, 5), (7, 3), (16, 9)]]
+    + [LatticePolygon([(0, 0), (5, 0)]), LatticePolygon([(1, 2), (7, 5)])],
+    ids=lambda p: repr(p.vertices),
+)
+def test_decompositions_match_the_prefix_sums_on_large_polygons(poly):
+    _assert_same_records(poly)
+
+
+@pytest.mark.parametrize(
+    "poly",
+    # the 2x2 box's only sum is the box itself; the segment's sum moved one
+    # column right stays on its line and passes only an end, which the
+    # bounding box normals catch
+    [_box(2), LatticePolygon([(0, 0), (3, 0)])],
+    ids=["box2", "segment"],
+)
+def test_containment_check_raises_on_a_sum_moved_right(monkeypatch, poly):
+    point = decomp_module._Grid.point
+
+    def moved(self, t):
+        x, y = point(self, t)
+        return x + 1, y
+
+    monkeypatch.setattr(decomp_module._Grid, "point", moved)
+    with pytest.raises(InvariantViolation, match="^subpolygon leaves the parent polygon$"):
+        subpolygon_decomposition_search(poly)

@@ -377,6 +377,48 @@ def test_property_minkowski_counts_and_edges():
             assert merged == es
 
 
+def _pairwise_sum(polys):
+    """The Minkowski sum folded one summand at a time, each step a hull."""
+    acc = polys[0]
+    for nxt in polys[1:]:
+        acc = LatticePolygon([(ax + bx, ay + by) for ax, ay in acc.vertices for bx, by in nxt.vertices])
+    return acc
+
+
+SUMMAND_KINDS = ("point", "parallel", "collinear", "triangle")
+
+
+def _summand(rng, kind, line):
+    """A point, a segment along `line`, a segment on the line through 0 along it, or a triangle."""
+    x, y, k = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3)
+    dx, dy = line
+    if kind == "point":
+        return LatticePolygon([(x, y)])
+    if kind == "parallel":
+        return LatticePolygon([(x, y), (x + k * dx, y + k * dy)])
+    if kind == "collinear":
+        return LatticePolygon([(x * dx, x * dy), ((x + k) * dx, (x + k) * dy)])
+    return LatticePolygon([(x, y)] + [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2)])
+
+
+@pytest.mark.parametrize("kind", SUMMAND_KINDS + ("mixed",))
+def test_property_minkowski_groups_equal_summands(kind):
+    # repeated summands are added by dilation; the pairwise fold is the oracle
+    rng = random.Random(2701)
+    repeated = 0
+    for _ in range(200):
+        line = (rng.randint(-3, 3), rng.randint(1, 3))
+        kinds = SUMMAND_KINDS if kind == "mixed" else (kind,)
+        pool = [_summand(rng, rng.choice(kinds), line) for _ in range(rng.randint(1, 3))]
+        polys = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
+        repeated += len(set(polys)) < len(polys)
+        got = minkowski_sum(*polys)
+        assert got.vertices == _pairwise_sum(polys).vertices, polys
+        rng.shuffle(polys)
+        assert minkowski_sum(*polys).vertices == got.vertices, polys
+    assert repeated > 100
+
+
 def test_property_minkowski_associative():
     rng = random.Random(1003)
     for _ in range(200):
