@@ -276,7 +276,7 @@ def _max_zero_exhaustive(poly, field, cap=None):
     every prefix.
     """
     q, qm = field.q, field.q - 1
-    pts = [tuple(p) for p in poly.lattice_points()]
+    pts = poly.lattice_points()
     k = len(pts)
     if k == 1:
         return 0, [[1]], [np.zeros(0, dtype=np.intp)]
@@ -410,7 +410,7 @@ def _catalog_sections(poly, field, cap):
     first `cap` entries are the same for any `cap` rotations or more.
     """
     qm = field.q - 1
-    pts = [tuple(p) for p in poly.lattice_points()]
+    pts = poly.lattice_points()
     ptset = set(pts)
     out = []
     runs = {}
@@ -631,14 +631,15 @@ def _most_zeros(part, field, most):
     Where those come from the exhaustive search, the count is the length
     (q-1)^2 minus the distance of the summand's code (see
     _component_distance).  Otherwise it is the best closed-form catalog
-    count, memoized in `most` by the summand; the code's length minus
-    its distance would be a looser bound there.
+    count; the code's length minus its distance would be a looser bound
+    there.  Both are memoized in `most` by the summand.
     """
-    q = field.q
-    if _exhaustive(part, q):
-        return (q - 1) ** 2 - _component_distance(part, q)
     if part not in most:
-        most[part] = max((e.zeros for e in _catalog_sections(part, field, 1)), default=0)
+        q = field.q
+        if _exhaustive(part, q):
+            most[part] = (q - 1) ** 2 - _component_distance(part, q)
+        else:
+            most[part] = max((e.zeros for e in _catalog_sections(part, field, 1)), default=0)
     return most[part]
 
 
@@ -868,13 +869,11 @@ def mainthm_lower_bound(
     decs = [d for d in decs if d.ell == ell]
     value = min(_decomposition_value(d, q, threads, deadline) for d in decs)
 
-    interior = P.interior_count
-    strong = (4 * interior + 3) ** 2
+    strong = (4 * P.interior_count + 3) ** 2
     all_flat = all(p.interior_count == 0 for d in decs for p in d.parts)
     relaxed = P.num_lattice_points + ell + 1
     threshold = min(strong, relaxed) if all_flat else strong
-    applicable = q >= strong or (all_flat and q >= relaxed)
-    return LowerBound(value, applicable, threshold)
+    return LowerBound(value, q >= threshold, threshold)
 
 
 # -- pattern matchers -----------------------------------------------------------
@@ -985,13 +984,22 @@ def _match_rank3(poly, form, case):
     return _rank3_members(case, poly.volume2).get(form)
 
 
+def _closed_form(formula, *args):
+    """formula(*args), or None where it raises FieldTooSmall or HypothesisViolated."""
+    try:
+        return formula(*args)
+    except (FieldTooSmall, HypothesisViolated):
+        return None
+
+
 def _closed_forms(poly, q):
     """Every closed-form distance that matches the polygon over F_q.
 
     Yields (name, value, provenance) in a fixed order, cheapest matcher
     first: point, segment, standard-triangle, triangle, rectangle,
     hirzebruch, then the rank-3 families.  Matchers are lazy, so a
-    caller that needs one value stops at the first match.
+    caller that needs one value stops at the first match.  Each formula
+    decides its own field size: a match it rejects is skipped.
     """
     qm = q - 1
     if poly.dim == 0:
@@ -999,43 +1007,32 @@ def _closed_forms(poly, q):
         return
     if poly.dim == 1:
         a = poly.num_lattice_points - 1
-        if q > a + 1:
-            yield "segment", d_segment(a, q), f"lattice segment of length {a}"
+        if (value := _closed_form(d_segment, a, q)) is not None:
+            yield "segment", value, f"lattice segment of length {a}"
         return
     tri = _match_triangle(poly)
-    if tri is not None and q > tri[0] + 1:
+    if tri is not None:
         a, b, c = tri
         # a >= b + c makes this (a, 0, a): conv{(0,0),(a,0),(0,a)} up to
         # a unimodular map
-        if c == a:
-            yield (
-                "standard-triangle",
-                d_full_triangle(a, q),
-                f"equivalent to the right triangle of side {a}",
-            )
-        yield "triangle", d_triangle(a, b, c, q), f"triangle form (a,b,c)={tri} with a >= b+c"
+        if c == a and (value := _closed_form(d_full_triangle, a, q)) is not None:
+            yield "standard-triangle", value, f"equivalent to the right triangle of side {a}"
+        if (value := _closed_form(d_triangle, a, b, c, q)) is not None:
+            yield "triangle", value, f"triangle form (a,b,c)={tri} with a >= b+c"
     form = normal_form(poly)[0]
     hz = _match_hirzebruch(poly, form)
-    if hz is not None:
+    if hz is not None and (value := _closed_form(d_hirzebruch, *hz, q)) is not None:
         d, e, r = hz
-        if r == 0 and q > max(d, e) + 1:
-            yield "rectangle", d_rectangle(d, e, q), f"equivalent to the {d}x{e} box"
-        elif r and e + d * r < q - 1:
-            twisted = f"equivalent to the twisted box (d,e,r)={hz}"
-            yield "hirzebruch", d_hirzebruch(d, e, r, q), twisted
+        if r:
+            yield "hirzebruch", value, f"equivalent to the twisted box (d,e,r)={hz}"
+        else:
+            yield "rectangle", value, f"equivalent to the {d}x{e} box"
     for case in _RANK3_CASES:
         params = _match_rank3(poly, form, case)
-        if params is None:
-            continue
-        try:
-            value, _ = rank3_family_distance(case, *params, q)
-        except (FieldTooSmall, HypothesisViolated):
-            continue
-        yield (
-            f"family-{case}",
-            value,
-            f"rank-3 fan family, configuration {case}, parameters (a,b,c,r)={params}",
-        )
+        found = params and _closed_form(rank3_family_distance, case, *params, q)
+        if found:
+            provenance = f"rank-3 fan family, configuration {case}, parameters (a,b,c,r)={params}"
+            yield f"family-{case}", found[0], provenance
 
 
 # -- the aggregate report -------------------------------------------------------

@@ -304,8 +304,7 @@ class SearchPlan:
     depth: int
     frobenius: tuple
     tasks: tuple = ()
-    # the pivot rule by (pivots, row), layouts and columns by pivots, filled on first use
-    _rule: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
+    # layouts and columns by pivots, filled on first use
     _layouts: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
     _columns: dict = dataclasses.field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -320,27 +319,15 @@ class SearchPlan:
         nonzero coefficient of row r to 1 exactly when this gcd is 1
         (see the module docstring).
         """
-        key = (pivots, r)
-        if key not in self._rule:
-            if len(pivots) == 3:
-                g = 0
-            elif not pivots:
-                g = 1
-            else:
-                (a0, b0), (a, b) = self.monomials[pivots[0]], self.monomials[r]
-                if len(pivots) == 1:
-                    g = math.gcd(a - a0, b - b0, self.q - 1)
-                else:
-                    a1, b1 = self.monomials[pivots[1]]
-                    g = math.gcd((a1 - a0) * (b - b0) - (b1 - b0) * (a - a0), self.q - 1)
-            self._rule[key] = g == 1
-        return self._rule[key]
-
-    def choices(self, pivots, r):
-        """(coefficient, pivots after it) for each value row r takes in normal form."""
-        if self.takes_pivot(pivots, r):
-            return ((0, pivots), (1, pivots + (r,)))
-        return tuple((c, pivots) for c in range(self.q))
+        if len(pivots) == 3:
+            return False
+        if not pivots:
+            return True
+        (a0, b0), (a, b) = self.monomials[pivots[0]], self.monomials[r]
+        if len(pivots) == 1:
+            return math.gcd(a - a0, b - b0, self.q - 1) == 1
+        a1, b1 = self.monomials[pivots[1]]
+        return math.gcd((a1 - a0) * (b - b0) - (b1 - b0) * (a - a0), self.q - 1) == 1
 
     def extend(self, coeffs, pivots, tied, stop):
         """Normalized extensions of a coefficient prefix to `stop` rows, least in their orbits.
@@ -359,8 +346,13 @@ class SearchPlan:
             if r == stop:
                 yield coeffs, pivots, tied
                 continue
+            # the values row r takes in normal form, with the pivots after each
+            if self.takes_pivot(pivots, r):
+                choices = ((0, pivots), (1, pivots + (r,)))
+            else:
+                choices = ((c, pivots) for c in range(self.q))
             longer = []
-            for c, after in self.choices(pivots, r):
+            for c, after in choices:
                 still = []
                 for i in tied:
                     image = self.frobenius[i][c]

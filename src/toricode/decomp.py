@@ -50,10 +50,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .errors import BudgetExceeded, DegeneratePolygon, InvariantViolation
+from .errors import BudgetExceeded, DegeneratePolygon, InvariantViolation, TooLarge
 from .polygon import LatticePolygon, _run_directions, minkowski_sum
 
 DEFAULT_BUDGET = 200_000
+# the most bits a position grid may take; a polygon in [0, 1022]^2, the
+# largest box a bound report allows, takes at most 1023 * 2046 = 2,093,058
+_GRID_CAP = 1 << 22
 
 
 class _Budget:
@@ -99,7 +102,8 @@ class _Grid:
     than h empty rows above each column, so subtracting a vector whose
     y is at most h in absolute value, as every vector of a shape drawn
     on the polygon's directions is, never carries a point into a
-    neighbouring column.  `room` needs s > h + w + 1.
+    neighbouring column.  `room` needs s > h + w + 1.  Points are listed
+    on first read; a grid of more than _GRID_CAP bits raises TooLarge.
     """
 
     def __init__(self, poly):
@@ -107,7 +111,9 @@ class _Grid:
         w, h = x1 - x0, y1 - y0
         self.origin = x0, y0
         self.stride = s = h + max(h, w) + 2
-        self.points = self._mask(poly.lattice_points())
+        if (w + 1) * s > _GRID_CAP:
+            raise TooLarge(f"a {w}x{h} polygon needs {(w + 1) * s} grid bits, over {_GRID_CAP}")
+        self.poly = poly
         self.column, self.top = (1 << s) - 1, w * s
         # shifts by k = 1, 2, 4, ... columns that together fold every
         # column onto one, k up to w
@@ -116,6 +122,10 @@ class _Grid:
         while k <= w:
             self.folds.append((k * s, k * (s - 1), k * (s + 1)))
             k *= 2
+
+    @cached_property
+    def points(self):
+        return self._mask(self.poly.lattice_points())
 
     def _mask(self, pts):
         (x0, y0), s = self.origin, self.stride
@@ -173,11 +183,12 @@ def _shapes(poly, bud):
     Segments come first, one per primitive direction with a lattice run,
     then unimodular triangles, then triangles of doubled area 3 with
     primitive edges, each from a pair of those directions.  The search
-    drops the triangles that have no translate in the polygon.
+    drops the triangles that have no translate in the polygon.  Point
+    pairs are charged from their count, before any point is listed.
     """
-    pts = poly.lattice_points()
-    bud.tick(len(pts) * (len(pts) - 1) // 2)
-    dirs = _run_directions(pts)
+    k = poly.num_lattice_points
+    bud.tick(k * (k - 1) // 2)
+    dirs = _run_directions(poly.lattice_points())
     bud.tick(len(dirs) * (len(dirs) - 1) // 2)
     triangles = {1: [], 3: []}
     for i, (ax, ay) in enumerate(dirs):
@@ -290,13 +301,14 @@ def subpolygon_decomposition_search(
     achieving it, each at the one position where its sum fits.  The
     budget counts one tick per pair of lattice points and per pair of
     segment directions listed, and one per search node; running out
-    raises BudgetExceeded.
+    raises BudgetExceeded.  A polygon whose position grid would exceed
+    _GRID_CAP bits raises TooLarge.
     """
     if poly.dim == 0:
         raise DegeneratePolygon("a single point admits no subpolygon search")
     bud = _Budget(budget)
-    shapes = _shapes(poly, bud)
     grid = _Grid(poly)
+    shapes = _shapes(poly, bud)
     best, found = _largest_multisets(shapes, grid, bud)
     return SubpolygonSearch(best, _decompositions(poly, shapes, grid, found))
 

@@ -45,7 +45,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    """Split q into (p, e) with p prime, or raise NonPrimeCharacteristic."""
+    """Split q = p^e, p its least divisor above 1 and so prime, or raise NonPrimeCharacteristic."""
     if q < 2:
         raise NonPrimeCharacteristic(f"field order must be at least 2, got {q}")
     p = 2
@@ -57,7 +57,7 @@ def _prime_power(q: int) -> tuple[int, int]:
     while m % p == 0:
         m //= p
         e += 1
-    if m != 1 or not _is_prime(p):
+    if m != 1:
         raise NonPrimeCharacteristic(f"{q} is not a prime power")
     return p, e
 
@@ -314,14 +314,12 @@ def make_field(p: int, e: int = 1, modulus=None) -> FieldSpec:
     mod = [int(c) % p for c in modulus]
     if len(mod) != e + 1 or mod[-1] == 0:
         raise DegreeMismatch(f"modulus must have degree {e} for GF({q}), got {list(modulus)}")
-    if mod[-1] != 1:
-        # scale to monic; the quotient ring does not change
-        s = pow(mod[-1], p - 2, p)
-        mod = [c * s % p for c in mod]
-    if not _poly_is_irreducible(mod, p):
-        raise ReducibleModulus(f"{list(modulus)} is reducible over GF({p})")
-    mod = tuple(mod)
+    # scale to monic; the quotient ring does not change
+    s = pow(mod[-1], p - 2, p)
+    mod = tuple(c * s % p for c in mod)
     if (p, e, mod) not in _FIELDS:
+        if not _poly_is_irreducible(mod, p):
+            raise ReducibleModulus(f"{list(modulus)} is reducible over GF({p})")
         _FIELDS[p, e, mod] = FieldSpec(p, e, mod)
     return _FIELDS[p, e, mod]
 

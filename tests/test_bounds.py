@@ -22,6 +22,7 @@ from toricode.bounds import (
     _check_consistency,
     _closed_forms,
     _component_distance,
+    _exhaustive,
     _match_triangle,
     _max_zero_candidates,
     _max_zero_exhaustive,
@@ -223,6 +224,25 @@ def _oracle_closed_forms(poly, q):
         return list(_closed_forms(poly, q))
 
 
+def _threshold_polygons(q):
+    """(polygon, family, whether its formula holds over F_q) at q and one below.
+
+    Each family's formula holds on the first polygon of its pair and
+    raises FieldTooSmall on the second, which does not fit [0, q-2]^2.
+    """
+    out = []
+    for n, holds in ((q - 2, True), (q - 1, False)):
+        out += [
+            (LatticePolygon([(0, 0), (n, 0)]), "segment", holds),
+            (LatticePolygon([(0, 0), (n, 0), (0, n)]), "standard-triangle", holds),
+            (LatticePolygon([(0, 0), (n, 0), (1, 1)]), "triangle", holds),
+            (LatticePolygon([(0, 0), (n, 0), (n, 1), (0, 1)]), "rectangle", holds),
+            # the twisted box (d, e, r) = (2, n - 2, 1), with e + d*r = n
+            (LatticePolygon([(0, 0), (2, 0), (0, n - 2), (2, n)]), "hirzebruch", holds),
+        ]
+    return out
+
+
 @pytest.mark.parametrize("q", [7, 8, 11, 16, 32])
 def test_closed_forms_match_oracles(q):
     classes, images, family = _closed_form_polygons()
@@ -232,6 +252,11 @@ def test_closed_forms_match_oracles(q):
         got = list(_closed_forms(poly, q))
         assert got == _oracle_closed_forms(poly, q), poly
         names.update(name for name, _, _ in got)
+    for poly, name, holds in _threshold_polygons(q):
+        got = list(_closed_forms(poly, q))
+        assert got == _oracle_closed_forms(poly, q), poly
+        assert (name in [n for n, _, _ in got]) == holds, poly
+        assert (poly.fits_in_box(q) is not None) == holds, poly
     want = {"standard-triangle", "triangle", "rectangle", "hirzebruch"}
     if q > 7:
         want |= {f"family-{case}" for case in bounds_module._RANK3_CASES}
@@ -1479,6 +1504,9 @@ def test_most_zeros_is_the_best_candidate_count(q):
         _, _, sizes = _max_zero_candidates(part, field)
         want = int(sizes.max())
         assert _most_zeros(part, field, shared) == want == _most_zeros(part, field, {})
+        # the shared memo holds every summand asked, exhaustive ones too
+        assert shared[part] == want
+    assert any(_exhaustive(part, q) for part in shared)
 
 
 def test_product_zero_count_is_checked(monkeypatch):

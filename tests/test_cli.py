@@ -696,6 +696,20 @@ def test_decompose_budget_edge_on_the_hexagon(capsys, tmp_path, budget, status):
     assert run(capsys, "decompose", "--polygon", path, "--budget", str(budget))[0] == status
 
 
+@pytest.mark.parametrize("m", [10**4, 10**6, 2**31 - 2])
+@pytest.mark.parametrize("shape", ["thin", "long"])
+def test_decompose_refuses_huge_polygons(capsys, tmp_path, shape, m):
+    # the thin triangle has 3 lattice points and a position grid of about
+    # m^2 bits, the long one about m points; both exit 3 before listing them
+    vertices = [[0, 0], [1, 0], [m, 1]] if shape == "thin" else [[0, 0], [m, 0], [0, 1]]
+    path = polygon_file(tmp_path, vertices)
+    status = main(["decompose", "--polygon", path])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 # -- reproduce ---------------------------------------------------------------------
 
 

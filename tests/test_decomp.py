@@ -19,7 +19,7 @@ from toricode.decomp import (
     best_subpolygon_decomposition,
     subpolygon_decomposition_search,
 )
-from toricode.errors import BudgetExceeded, DegeneratePolygon, InvariantViolation
+from toricode.errors import BudgetExceeded, DegeneratePolygon, InvariantViolation, TooLarge
 from toricode.polygon import LatticePolygon, minkowski_sum, normal_form
 
 HEX9 = LatticePolygon([(1, 0), (2, 0), (0, 1), (1, 2), (3, 2), (3, 3)])
@@ -564,6 +564,22 @@ PINNED = [
     ("box10", _box(10), 20, 1, 30_570),
     ("box16", _box(16), 32, 1, 181_997),
 ]
+
+
+def test_size_limits_are_checked_before_any_point_is_listed(monkeypatch):
+    def unlisted(poly):
+        raise AssertionError(f"lattice points of {poly} listed")
+
+    monkeypatch.setattr(LatticePolygon, "lattice_points", unlisted)
+    # 3 lattice points, a position grid of 10001 * 10003 bits
+    with pytest.raises(TooLarge):
+        decomp_module._Grid(LatticePolygon([(0, 0), (1, 0), (10**4, 1)]))
+    # the point pairs of the 1000x1000 box are charged from their count
+    with pytest.raises(BudgetExceeded):
+        decomp_module._shapes(_box(1000), _Budget(DEFAULT_BUDGET))
+    # the largest box of a bound report, [0, 1022]^2, fits the grid cap
+    grid = decomp_module._Grid(_box(1022))
+    assert 1023 * grid.stride == 2_093_058 <= decomp_module._GRID_CAP
 
 
 @pytest.mark.parametrize("poly, length, count, ticks", [p[1:] for p in PINNED],

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import toricode.field as field_module
 from toricode.errors import (
     DegreeMismatch,
     DivisionByZero,
@@ -322,3 +323,26 @@ def test_fields_are_shared_per_modulus():
     # a modulus scaled to monic names the same field
     assert make_field(3, 2, modulus=(2, 0, 2)) is make_field(3, 2, modulus=(1, 0, 1))
     assert field_from_order(7) is make_field(7) is not field_from_order(49)
+
+
+def test_a_modulus_is_proved_irreducible_once_per_field(monkeypatch):
+    calls = []
+    real = field_module._poly_is_irreducible
+    monkeypatch.setattr(
+        field_module, "_poly_is_irreducible", lambda m, p: calls.append(m) or real(m, p)
+    )
+    monkeypatch.setattr(field_module, "_FIELDS", {})
+    aes = [1, 1, 0, 1, 1, 0, 0, 0, 1]  # x^8 + x^4 + x^3 + x + 1
+    f = field_from_order(256, modulus=aes)
+    assert len(calls) == 1
+    for _ in range(5):
+        assert field_from_order(256, modulus=aes) is f
+        assert make_field(2, 8, modulus=tuple(aes)) is f
+    assert len(calls) == 1
+    # a reducible modulus of a (p, e) already built is still proved and refused
+    power = [1, 0, 0, 0, 0, 0, 0, 0, 1]  # (x + 1)^8
+    for n in (2, 3):
+        with pytest.raises(ReducibleModulus) as exc:
+            field_from_order(256, modulus=power)
+        assert str(exc.value) == f"{power} is reducible over GF(2)"
+        assert len(calls) == n
