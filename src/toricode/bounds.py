@@ -28,6 +28,7 @@ from .code import (
     multiply_sections,
 )
 from .decomp import DEFAULT_BUDGET, MinkowskiDecomposition, best_subpolygon_decomposition
+from .decomp import _summand_points
 from .errors import (
     BudgetExceeded,
     DeadlineExceeded,
@@ -62,8 +63,7 @@ _RANK3_SCAN_CAP = 16
 # up to 47 s and 220 MB (F_2048), and F_65536 has 2^32
 _TORUS_CAP = 1 << 20
 
-# exact summand distances of this process, keyed by (summand, q) and by
-# (normal form, q); see _component_distance
+# exact distances of T0 in this process, keyed by q; see _component_distance
 _DISTANCES: dict = {}
 
 
@@ -580,17 +580,15 @@ def _moved_candidates(frame, found, new_frame, qm):
 class _ReportCache:
     """What the product searches of one report share.
 
-    `parts` maps a summand's vertices to its candidates, `shapes` a shape
-    key to the frame and candidates of the first exhaustive summand of
-    that shape (see _part_candidates), and `most` a summand to the count
-    certified_upper_bound prunes with (see _most_zeros).  `acc` is the
+    `parts` maps a summand's vertices to its candidates, and `shapes` a
+    shape key to the frame and candidates of the first exhaustive
+    summand of that shape (see _part_candidates).  `acc` is the
     accumulator of _pairing, grown to the largest chunk a search of the
     report has needed and clear between searches.
     """
 
     def __init__(self):
-        self.parts, self.shapes, self.most = {}, {}, {}
-        self.acc = np.zeros(0, dtype=np.uint8)
+        self.parts, self.shapes, self.acc = {}, {}, np.zeros(0, dtype=np.uint8)
 
 
 def _part_candidates(part, field, cache):
@@ -623,24 +621,18 @@ def _part_candidates(part, field, cache):
     return found
 
 
-def _most_zeros(part, field, most):
+def _most_zeros(part, q):
     """Most torus zeros among the candidate sections of one summand.
 
-    The same count as the first of _max_zero_candidates' sizes, but
-    without building the candidates, and by the same _exhaustive rule.
-    Where those come from the exhaustive search, the count is the length
-    (q-1)^2 minus the distance of the summand's code (see
-    _component_distance).  Otherwise it is the best closed-form catalog
-    count; the code's length minus its distance would be a looser bound
-    there.  Both are memoized in `most` by the summand.
+    The first of _max_zero_candidates' sizes, without building them:
+    (q-1)^2 minus the distance of a T0 that _exhaustive admits, else
+    q-1.  That is (q-1)^2 - (q-1)(q-2) on a segment or unimodular
+    triangle, and a summand, of Minkowski length 1, has only one-step
+    runs and no cell, so each catalog entry is one X^u - alpha.
     """
-    if part not in most:
-        q = field.q
-        if _exhaustive(part, q):
-            most[part] = (q - 1) ** 2 - _component_distance(part, q)
-        else:
-            most[part] = max((e.zeros for e in _catalog_sections(part, field, 1)), default=0)
-    return most[part]
+    if _summand_points(part) == 4 and _exhaustive(part, q):
+        return (q - 1) ** 2 - _component_distance(part, q)
+    return q - 1
 
 
 def _hits(acc, zeros):
@@ -796,10 +788,8 @@ def certified_upper_bound(
     best_zeros, best_section = base.zeros, base.section
     cache = _ReportCache()
     for dec in decs:
-        # a product vanishes exactly where some factor does, so it has at
-        # most the sum of its factors' best counts; a decomposition that
-        # cannot pass the best section so far is passed over
-        if sum(_most_zeros(p, F, cache.most) for p in dec.parts) <= best_zeros:
+        # a product vanishes where a factor does: at most its factors' sum
+        if sum(_most_zeros(p, q) for p in dec.parts) <= best_zeros:
             continue
         zeros, section = _best_product_section(dec, F, cache)
         if zeros > best_zeros:
@@ -814,30 +804,26 @@ class LowerBound(NamedTuple):
 
 
 def _component_distance(part, q, threads=1, deadline=None):
-    """Exact distance of one summand over F_q, memoized in _DISTANCES.
+    """Exact distance of one summand over F_q (see decomp._summand_points).
 
-    Equivalent polygons give monomially equivalent codes, so summands
-    equivalent under a unimodular map share the entry keyed by their
-    normal form; the summand itself is a key too, so one seen before
-    needs no normal form.  The first matching closed form wins; a
-    summand none matches is searched as it is, since its normal form
-    need not fit the box [0, q-2]^2.  A search cut short by the
-    deadline raises DeadlineExceeded and stores nothing.
+    On a segment or unimodular triangle a section is a monomial times
+    a + bX + cY, where (X, Y) = (x^u, x^v) for a unimodular pair (u, v)
+    is a torus automorphism and c = 0 on a segment.  It vanishes at most
+    at one Y per X if c != 0, at one X if c = 0: q-1 times at most, and
+    the distance is d_segment(1, q) = (q-1)(q-2).  All T0s are lattice
+    equivalent, so d(T0) depends on q alone: the part is searched once
+    per q, memoized in _DISTANCES.  A search cut short by the deadline
+    raises DeadlineExceeded and stores nothing.
     """
-    if (part, q) in _DISTANCES:
-        return _DISTANCES[part, q]
-    key = (normal_form(part)[0], q)
-    val = _DISTANCES.get(key)
-    if val is None:
-        val = next((value for _, value, _ in _closed_forms(part, q)), None)
-    if val is None:
+    if _summand_points(part) < 4:
+        return d_segment(1, q)
+    if q not in _DISTANCES:
         code = build_code(part, field_from_order(q))
         res = min_distance_exact(code, threads=threads, deadline=deadline)
         if not res.exact:
             raise DeadlineExceeded("component distance search was cut short")
-        val = res.weight
-    _DISTANCES[key] = _DISTANCES[part, q] = val
-    return val
+        _DISTANCES[q] = res.weight
+    return _DISTANCES[q]
 
 
 def _decomposition_value(dec, q, threads=1, deadline=None):
@@ -958,8 +944,8 @@ def _rank3_members(case, volume2):
 
     Walks the (a, b, c, r) grid below _RANK3_SCAN_CAP in order, filtered
     on the closed-form area, and maps each member's normal form to the
-    first parameters that reach it.  Cached per process: a bound report
-    and each of its components look up the same few areas.
+    first parameters that reach it.  Cached per process, so reports on
+    polygons of one area build each table once.
     """
     members = {}
     r_range = (1,) if case == "III" else range(1, _RANK3_SCAN_CAP)
@@ -997,9 +983,8 @@ def _closed_forms(poly, q):
 
     Yields (name, value, provenance) in a fixed order, cheapest matcher
     first: point, segment, standard-triangle, triangle, rectangle,
-    hirzebruch, then the rank-3 families.  Matchers are lazy, so a
-    caller that needs one value stops at the first match.  Each formula
-    decides its own field size: a match it rejects is skipped.
+    hirzebruch, then the rank-3 families.  Each formula decides its own
+    field size: a match it rejects is skipped.
     """
     qm = q - 1
     if poly.dim == 0:
@@ -1138,10 +1123,10 @@ def full_report(
     bound, and exact=True adds an exhaustive search.  Every decomposition
     the search returns is maximal; the product and lower bound entries
     come from the exact distances of their summands (see
-    _component_distance).  `deadline` bounds the exact search and each
-    summand search of the lower bound, in seconds, but not a summand
-    that _exhaustive admits (q^#(points) at most DEFAULT_SECTION_BUDGET):
-    the certified upper bound has already searched that one without a
+    _component_distance), of which T0 is the only one searched.
+    `deadline` bounds the exact search and, in seconds, the search of T0
+    where it has more than DEFAULT_SECTION_BUDGET messages (q >= 24);
+    below, the certified upper bound has already searched T0 without a
     deadline, when it ranks the decompositions (see _most_zeros).  A
     decomposition search that runs out of its budget leaves out the
     product and lower bound entries, and the certified upper bound then

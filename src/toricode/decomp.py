@@ -129,7 +129,11 @@ class _Grid:
 
     def _mask(self, pts):
         (x0, y0), s = self.origin, self.stride
-        return sum(1 << ((x - x0) * s + y - y0) for x, y in pts)
+        buf = bytearray((self.top + s + 7) // 8)
+        for x, y in pts:
+            bit = (x - x0) * s + y - y0
+            buf[bit >> 3] |= 1 << (bit & 7)
+        return int.from_bytes(buf, "little")
 
     def shift(self, v):
         return v[0] * self.stride + v[1]
@@ -239,6 +243,19 @@ def _largest_multisets(shapes, grid, bud):
     return best, found
 
 
+def _summand_points(part):
+    """#(part) of a summand: 2 on a primitive segment, 3 on a unimodular triangle, 4 on T0.
+
+    By (c), vertex count, doubled area and boundary count tell these
+    apart, and Pick's formula gives #(part) = (area + boundary + 2) / 2.
+    Any other part raises InvariantViolation.
+    """
+    v2, b = part.volume2, part.boundary_count
+    if (len(part.vertices), v2, b) not in ((2, 0, 2), (3, 1, 3), (3, 3, 3)):
+        raise InvariantViolation(f"{part.vertices} is not a summand of a maximal decomposition")
+    return (v2 + b + 2) // 2
+
+
 def _decompositions(poly, shapes, grid, found):
     """The decompositions of the found multisets, sorted by their parts.
 
@@ -259,9 +276,7 @@ def _decompositions(poly, shapes, grid, found):
     for i in {i for chosen, _ in found for i in chosen}:
         lows[i] = min(y for _, y in shapes[i])
         part = parts[i] = LatticePolygon(shapes[i]).translate(0, -lows[i])
-        # #(part): 2 on a segment, 3 on a unimodular triangle, 4 on T0
-        (ax, ay), (bx, by) = shapes[i][1], shapes[i][-1]
-        keys[i] = len(shapes[i]) + (abs(ax * by - ay * bx) == 3), part.vertices
+        keys[i] = _summand_points(part), part.vertices
         values[i] = [max(a * x + b * y for x, y in part.vertices) for a, b in normals]
     decs = []
     for chosen, t in found:

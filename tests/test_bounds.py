@@ -53,7 +53,11 @@ from toricode.code import (
     multiply_sections,
     weight_of_section,
 )
-from toricode.decomp import MinkowskiDecomposition, best_subpolygon_decomposition
+from toricode.decomp import (
+    MinkowskiDecomposition,
+    _summand_points,
+    best_subpolygon_decomposition,
+)
 from toricode.errors import (
     DeadlineExceeded,
     FieldTooSmall,
@@ -263,24 +267,58 @@ def test_closed_forms_match_oracles(q):
     assert want <= names
 
 
-@pytest.mark.parametrize("q", [7, 8])
+@functools.cache
+def _summands():
+    """Every part of every maximal decomposition of the classes in [0,3]^2,
+    and a seeded unimodular image of each, at the origin."""
+    parts = {
+        p
+        for key in classes_in_box(3)
+        for dec in best_subpolygon_decomposition(LatticePolygon(key))
+        for p in dec.parts
+    }
+    parts = sorted(parts, key=lambda p: p.vertices)
+    assert len(parts) == 56
+    rng = random.Random(2901)
+    return parts + [apply_map(p, random_unimodular(rng)).translate_to_origin() for p in parts]
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_component_distance_matches_search(q, monkeypatch):
     field = field_from_order(q)
-    polys = {}
-    for r in range(3, 10):
-        for pts in itertools.combinations(itertools.product(range(3), repeat=2), r):
-            poly = LatticePolygon(list(pts))
-            if poly.dim == 2:
-                polys[poly.translate_to_origin().vertices] = poly
-    # one memo shared by every polygon, as a process shares it across
-    # reports: its keys must tell inequivalent polygons apart
-    shared = {}
-    for poly in polys.values():
-        want = min_distance_exact(build_code(poly, field)).weight
-        monkeypatch.setattr(bounds_module, "_DISTANCES", {})
-        assert _component_distance(poly, q) == want, poly
-        monkeypatch.setattr(bounds_module, "_DISTANCES", shared)
-        assert _component_distance(poly, q) == want, poly
+    calls = _count_searches(monkeypatch)
+    t0s = 0
+    for part in _summands():
+        if part.fits_in_box(q) is None:
+            continue
+        points = _summand_points(part)
+        assert points == part.num_lattice_points, part
+        t0s += points == 4
+        searched = len(calls)
+        want = min_distance_exact(build_code(part, field)).weight
+        assert _component_distance(part, q) == want, part
+        # segments and unimodular triangles have a closed form
+        assert len(calls) == searched + (points == 4 and searched == 0), part
+    # every T0 image shares the one search of its field
+    assert t0s >= 5 and len(calls) == 1
+    assert list(bounds_module._DISTANCES) == [q]
+
+
+def test_parts_that_are_no_summands_raise():
+    # a length-2 segment, the unit square, a triangle of doubled area 3
+    # with an edge of length 3, and a point
+    box = LatticePolygon([(0, 0), (4, 0), (4, 4), (0, 4)])
+    segment = LatticePolygon([(0, 0), (1, 0)])
+    for vs in ([(0, 0), (2, 0)], [(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 0), (3, 0), (0, 1)],
+               [(0, 0)]):
+        part = LatticePolygon(vs)
+        with pytest.raises(InvariantViolation, match="is not a summand"):
+            _summand_points(part)
+        dec = MinkowskiDecomposition(box, (0, 0), (segment, part))
+        with pytest.raises(InvariantViolation, match="is not a summand"):
+            mainthm_lower_bound(box, 8, [dec])
+        with pytest.raises(InvariantViolation, match="is not a summand"):
+            certified_upper_bound(box, F8, [dec])
 
 
 def _count_searches(monkeypatch):
@@ -1475,38 +1513,15 @@ def test_certified_passes_over_only_hopeless_decompositions(q, monkeypatch):
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 16, 27, 49, 64, 81])
 def test_most_zeros_is_the_best_candidate_count(q):
     field = field_from_order(q)
-    shared: dict = {}
-    # the summands of the search polygons' decompositions, T0, and some
-    # small polygons that are no summands, segments of length 2 included
-    parts = {
-        p
-        for poly in _section_search_polygons()
-        if _boxed(poly, q) is not None
-        for dec in best_subpolygon_decomposition(_boxed(poly, q))
-        for p in dec.parts
-    }
-    parts |= {
-        LatticePolygon(vs)
-        for vs in (
-            [(1, 0), (0, 1), (2, 2)], [(0, 0), (1, 0), (0, 1)], [(0, 0), (2, 0)],
-            [(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 0), (2, 0), (0, 1)], Q1.vertices,
-        )
-    }
-    # equivalent images share the normal-form entry of their distance
-    rng = random.Random(q)
-    parts |= {
-        apply_map(p, random_unimodular(rng)).translate_to_origin()
-        for p in sorted(parts, key=lambda p: p.vertices)
-    }
-    for part in sorted(parts, key=lambda p: p.vertices):
+    kinds = set()
+    for part in _summands():
         if part.fits_in_box(q) is None:
             continue
         _, _, sizes = _max_zero_candidates(part, field)
-        want = int(sizes.max())
-        assert _most_zeros(part, field, shared) == want == _most_zeros(part, field, {})
-        # the shared memo holds every summand asked, exhaustive ones too
-        assert shared[part] == want
-    assert any(_exhaustive(part, q) for part in shared)
+        assert _most_zeros(part, q) == int(sizes.max()), part
+        kinds.add((_summand_points(part), _exhaustive(part, q)))
+    # T0 fits from F4 on, and is searched exhaustively up to F23
+    assert (2, True) in kinds and (q < 4 or (4, q < 24) in kinds)
 
 
 def test_product_zero_count_is_checked(monkeypatch):

@@ -463,6 +463,20 @@ def test_length_one_shapes(small_box):
     assert counted[1] > 0 and counted[3] > 0 and counted["segment"] > 0
 
 
+def test_summand_points_names_the_length_one_classes(small_box):
+    # the classifier returns #(Q) on exactly the L = 1 shapes of fact (c)
+    named = 0
+    for key in small_box:
+        poly = LatticePolygon(key)
+        if poly.num_lattice_points <= 4 and walk_search(poly).length == 1:
+            assert decomp_module._summand_points(poly) == poly.num_lattice_points, key
+            named += 1
+        else:
+            with pytest.raises(InvariantViolation):
+                decomp_module._summand_points(poly)
+    assert named > 3
+
+
 def test_listed_shapes_are_the_length_one_classes(small_box):
     # the shapes the search lists for the 3x3 box that have a translate
     # in it are exactly its subpolygon classes of Minkowski length 1
@@ -534,6 +548,19 @@ def test_memoized_search_matches_node_search_on_seeded_polygons():
         poly = _random_polygon(rng, 4, rng.randint(2, 8))
         if poly.dim:
             _assert_same_as_node_search(poly)
+
+
+def test_grid_points_are_the_sum_of_their_bits():
+    # the same seeded sample of [0,4]^2 as the node-search comparison, and boxes
+    rng = random.Random(2502)
+    polys = [_random_polygon(rng, 4, rng.randint(2, 8)) for _ in range(150)]
+    polys += [_box(d) for d in (1, 2, 3, 7, 10, 31, 64, 100)]
+    for poly in polys:
+        if poly.dim:
+            grid = decomp_module._Grid(poly)
+            (x0, y0), s = grid.origin, grid.stride
+            want = sum(1 << ((x - x0) * s + y - y0) for x, y in poly.lattice_points())
+            assert grid.points == want, poly
 
 
 def test_room_matches_the_cut_room_on_every_visited_set(small_box):
